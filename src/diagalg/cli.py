@@ -79,11 +79,14 @@ def _cmd_mult(args) -> int:
 
     if args.p is None or args.q is None or args.r is None:
         raise _CliError("mult needs -p, -q and -r (or the 'table' mode)", USAGE_ERROR)
-    p, q, r = args.p, args.q, args.r
+    # Every engine choice rejects a negative count with the same message.
+    p, q, r = (
+        multiplicity._check_count(v, name) for v, name in ((args.p, "p"), (args.q, "q"), (args.r, "r"))
+    )
     engines = {}
     wanted = ("closed", "e1", "e2", "bvo") if args.engines == "all" else (args.engines,)
-    count, solutions = multiplicity.e_lattice(p, q, r)
-    degree_pairs = multiplicity.admissible_degree_pairs(p, q, r)
+    if "e1" in wanted or args.solutions:
+        count, solutions = multiplicity.e_lattice(p, q, r)
     if "closed" in wanted:
         engines["closed"] = multiplicity.e_closed(p, q, r)
     if "e1" in wanted:
@@ -92,7 +95,7 @@ def _cmd_mult(args) -> int:
         engines["e2"] = multiplicity.e2_lattice(p, q, r)
     if "bvo" in wanted:
         engines["bvo"] = multiplicity.bvo_multiplicity(
-            one_part(r), one_part(p), one_part(q), *degree_pairs[0]
+            one_part(r), one_part(p), one_part(q), *multiplicity.admissible_degree_pairs(p, q, r)[0]
         )
     agree = len(set(engines.values())) == 1
     if args.format == "json":
@@ -116,13 +119,7 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    if args.suite != "all" and args.suite not in verify.SUITES:
-        raise _CliError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)} or 'all'",
-            USAGE_ERROR,
-        )
-    reports = [verify.run_suite(name, args.max) for name in names]
+    reports = verify.run_all(args.max) if args.suite == "all" else [verify.run_suite(args.suite, args.max)]
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:

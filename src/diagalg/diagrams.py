@@ -9,11 +9,26 @@ coefficients live in the integer polynomial ring.
 
 from __future__ import annotations
 
-from functools import cache
-
 
 class InvariantViolation(ValueError):
     """An input value breaks a structural invariant; the message names it."""
+
+
+def _merge_terms(items) -> dict:
+    """Sum the coefficients of equal keys, dropping a key as soon as its sum is zero.
+
+    Coefficients only need ``+`` and truth testing, so ints and
+    :class:`DeltaPolynomial` both work.  A key keeps its place while its sum
+    stays nonzero; one that cancels and comes back is appended anew.
+    """
+    out: dict = {}
+    for key, coeff in items:
+        coeff = out[key] + coeff if key in out else coeff
+        if coeff:
+            out[key] = coeff
+        else:
+            out.pop(key, None)
+    return out
 
 
 class DeltaPolynomial:
@@ -26,13 +41,11 @@ class DeltaPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        merged: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exp, coeff in items:
+        items = tuple(terms.items() if isinstance(terms, dict) else terms)
+        for exp, _ in items:
             if not isinstance(exp, int) or exp < 0:
                 raise InvariantViolation("delta exponents must be non-negative integers")
-            merged[exp] = merged.get(exp, 0) + coeff
-        self._terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0))
+        self._terms = tuple(sorted(_merge_terms(items).items()))
 
     @classmethod
     def zero(cls) -> "DeltaPolynomial":
@@ -62,13 +75,8 @@ class DeltaPolynomial:
         return DeltaPolynomial(self._terms + other._terms)
 
     def __mul__(self, other) -> "DeltaPolynomial":
-        if isinstance(other, int):
-            return DeltaPolynomial(tuple((e, c * other) for e, c in self._terms))
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return DeltaPolynomial(out)
+        factor = ((0, other),) if isinstance(other, int) else other._terms
+        return DeltaPolynomial(tuple((e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in factor))
 
     __rmul__ = __mul__
 
@@ -195,29 +203,40 @@ class _UnionFind:
         return comps
 
 
+def _stack(upper: SetPartitionDiagram, lower_blocks, size: int) -> dict[int, list[int]]:
+    """Stack ``upper`` above ``lower_blocks``; return the union-find components.
+
+    Nodes 0..n-1 are ``upper``'s top row and n..2n-1 the middle row, where
+    ``upper``'s bottom row is fused with the top of what lies below.  In
+    ``lower_blocks``, +k is middle dot k and -k is dot k of a third row at
+    2n..3n-1, so ``size`` is 3n for a diagram below and 2n for a half-diagram.
+    """
+    n = upper.n
+    uf = _UnionFind(size)
+    for block in upper.blocks:
+        nodes = [k - 1 if k > 0 else n - k - 1 for k in block]
+        for a, b in zip(nodes, nodes[1:]):
+            uf.union(a, b)
+    for block in lower_blocks:
+        nodes = [n + k - 1 if k > 0 else 2 * n - k - 1 for k in block]
+        for a, b in zip(nodes, nodes[1:]):
+            uf.union(a, b)
+    return uf.components()
+
+
 def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
     """Stack ``d1`` above ``d2``; return (interior component count, result diagram).
 
-    Union-find runs over three rows of dots: d1's top row, the identified
-    middle row (d1's bottom fused with d2's top), and d2's bottom row.
-    Components made of middle dots only are interior; each contributes one
-    power of delta.
+    The three rows of dots are laid out as in :func:`_stack`.  Components
+    made of middle dots only are interior; each contributes one power of
+    delta.
     """
     if d1.n != d2.n:
         raise InvariantViolation("composition requires equal degrees")
     n = d1.n
-    uf = _UnionFind(3 * n)
-    for block in d1.blocks:
-        nodes = [k - 1 if k > 0 else n - k - 1 for k in block]
-        for a, b in zip(nodes, nodes[1:]):
-            uf.union(a, b)
-    for block in d2.blocks:
-        nodes = [n + k - 1 if k > 0 else 2 * n - k - 1 for k in block]
-        for a, b in zip(nodes, nodes[1:]):
-            uf.union(a, b)
     t = 0
     blocks = []
-    for members in uf.components().values():
+    for members in _stack(d1, d2.blocks, 3 * n).values():
         outer = [m for m in members if m < n or m >= 2 * n]
         if not outer:
             t += 1
@@ -286,41 +305,37 @@ def is_tl_diagram(d: SetPartitionDiagram) -> bool:
     return all(len(block) == 2 for block in d.blocks) and is_noncrossing(d)
 
 
-class DiagramSum:
-    """Formal combination of equal-degree diagrams with polynomial coefficients."""
+class _LinearCombination:
+    """Equal-degree basis objects (named by ``_noun``) mapped to nonzero polynomial coefficients."""
 
     __slots__ = ("n", "terms")
+    _noun: str
 
     def __init__(self, n: int, terms=()):
+        items = tuple(terms.items() if isinstance(terms, dict) else terms)
+        if any(key.n != n for key, _ in items):
+            raise InvariantViolation(f"all {self._noun} in a sum must share one degree")
         self.n = n
-        merged: dict[SetPartitionDiagram, DeltaPolynomial] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for diagram, coeff in items:
-            if diagram.n != n:
-                raise InvariantViolation("all diagrams in a sum must share one degree")
-            acc = merged.get(diagram, DeltaPolynomial.zero()) + coeff
-            if acc:
-                merged[diagram] = acc
-            elif diagram in merged:
-                del merged[diagram]
-        self.terms = merged
+        self.terms = _merge_terms(items)
+
+    def __add__(self, other):
+        if self.n != other.n:
+            raise InvariantViolation("sum requires equal degrees")
+        return type(self)(self.n, [*self.terms.items(), *other.terms.items()])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.n == other.n and self.terms == other.terms
+
+
+class DiagramSum(_LinearCombination):
+    """Formal combination of equal-degree diagrams with polynomial coefficients."""
+
+    __slots__ = ()
+    _noun = "diagrams"
 
     @classmethod
     def from_diagram(cls, d: SetPartitionDiagram, coeff: DeltaPolynomial | None = None) -> "DiagramSum":
         return cls(d.n, {d: coeff if coeff is not None else DeltaPolynomial.one()})
-
-    def __add__(self, other: "DiagramSum") -> "DiagramSum":
-        if self.n != other.n:
-            raise InvariantViolation("sum requires equal degrees")
-        merged = dict(self.terms)
-        out = DiagramSum(self.n, merged)
-        for d, c in other.terms.items():
-            acc = out.terms.get(d, DeltaPolynomial.zero()) + c
-            if acc:
-                out.terms[d] = acc
-            elif d in out.terms:
-                del out.terms[d]
-        return out
 
     def scaled(self, poly: DeltaPolynomial) -> "DiagramSum":
         return DiagramSum(self.n, {d: c * poly for d, c in self.terms.items()})
@@ -329,20 +344,12 @@ class DiagramSum:
         """Bilinear extension of diagram composition."""
         if self.n != other.n:
             raise InvariantViolation("composition requires equal degrees")
-        out = DiagramSum(self.n)
+        products = []
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 t, d = compose(d1, d2)
-                coeff = c1 * c2 * DeltaPolynomial.delta_power(t)
-                acc = out.terms.get(d, DeltaPolynomial.zero()) + coeff
-                if acc:
-                    out.terms[d] = acc
-                elif d in out.terms:
-                    del out.terms[d]
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiagramSum) and self.n == other.n and self.terms == other.terms
+                products.append((d, c1 * c2 * DeltaPolynomial.delta_power(t)))
+        return DiagramSum(self.n, products)
 
     def render(self) -> str:
         if not self.terms:
@@ -356,14 +363,3 @@ class DiagramSum:
 
     def __repr__(self) -> str:
         return f"DiagramSum({self.render()})"
-
-
-@cache
-def _one_sided_generators(n: int) -> tuple[SetPartitionDiagram, ...]:
-    """Every generator diagram of degree ``n`` (all kinds, all index choices)."""
-    gens = [generator("P", i, None, n) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            gens.append(generator("E", i, j, n))
-            gens.append(generator("S", i, j, n))
-    return tuple(gens)

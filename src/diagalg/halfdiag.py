@@ -17,7 +17,8 @@ from .diagrams import (
     DeltaPolynomial,
     InvariantViolation,
     SetPartitionDiagram,
-    _UnionFind,
+    _LinearCombination,
+    _stack,
 )
 from .symfunc import Partition, check_partition, partitions_of, syt_count
 
@@ -147,38 +148,30 @@ class ScaledHalfDiagram:
 def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
     """Stack ``d`` above ``v`` and read off the top row before any zero test.
 
-    Returns the count of components not connected to the top row together
-    with the top-row half-diagram, whose blocks carry a label exactly when
-    their component touches a labeled block of ``v``.  Callers that need
-    the module action should use :func:`act`, which applies the
-    label-count test.
+    The two rows of dots are laid out as in :func:`diagalg.diagrams._stack`,
+    with ``v`` on the middle row.  Returns the count of components not
+    connected to the top row together with the top-row half-diagram, whose
+    blocks carry a label exactly when their component touches a labeled
+    block of ``v``.  Callers that need the module action should use
+    :func:`act`, which applies the label-count test.
     """
     if d.n != v.n:
         raise InvariantViolation("action requires equal degrees")
     n = d.n
-    uf = _UnionFind(2 * n)  # 0..n-1 top row, n..2n-1 the fused middle row
-    for block in d.blocks:
-        nodes = [k - 1 if k > 0 else n - k - 1 for k in block]
-        for a, b in zip(nodes, nodes[1:]):
-            uf.union(a, b)
-    for block in v.blocks:
-        nodes = [n + dot - 1 for dot in block]
-        for a, b in zip(nodes, nodes[1:]):
-            uf.union(a, b)
     labeled_middle = {
         n + dot - 1 for i in v.labeled for dot in v.blocks[i]
     }
     t = 0
     blocks: list[list[int]] = []
-    flags: list[bool] = []
-    for members in uf.components().values():
+    labeled: list[int] = []
+    for members in _stack(d, v.blocks, 2 * n).values():
         tops = [m + 1 for m in members if m < n]
         if not tops:
             t += 1
             continue
+        if any(m in labeled_middle for m in members):
+            labeled.append(len(blocks))
         blocks.append(tops)
-        flags.append(any(m in labeled_middle for m in members))
-    labeled = [i for i, f in enumerate(flags) if f]
     return t, HalfDiagram(n, blocks, labeled)
 
 
@@ -196,45 +189,17 @@ def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:
     return ScaledHalfDiagram(DeltaPolynomial.delta_power(t), top)
 
 
-class HalfDiagramSum:
+class HalfDiagramSum(_LinearCombination):
     """Formal combination of equal-degree half-diagrams; delta-linear closure of act."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=()):
-        self.n = n
-        merged: dict[HalfDiagram, DeltaPolynomial] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for hd, coeff in items:
-            if hd.n != n:
-                raise InvariantViolation("all half-diagrams in a sum must share one degree")
-            acc = merged.get(hd, DeltaPolynomial.zero()) + coeff
-            if acc:
-                merged[hd] = acc
-            elif hd in merged:
-                del merged[hd]
-        self.terms = merged
+    __slots__ = ()
+    _noun = "half-diagrams"
 
     @classmethod
     def from_scaled(cls, n: int, scaled: ScaledHalfDiagram) -> "HalfDiagramSum":
         if scaled.is_zero:
             return cls(n)
         return cls(n, {scaled.diagram: scaled.coeff})
-
-    def __add__(self, other: "HalfDiagramSum") -> "HalfDiagramSum":
-        if self.n != other.n:
-            raise InvariantViolation("sum requires equal degrees")
-        out = HalfDiagramSum(self.n, dict(self.terms))
-        for hd, c in other.terms.items():
-            acc = out.terms.get(hd, DeltaPolynomial.zero()) + c
-            if acc:
-                out.terms[hd] = acc
-            elif hd in out.terms:
-                del out.terms[hd]
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HalfDiagramSum) and self.n == other.n and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -247,12 +212,13 @@ class HalfDiagramSum:
 
 def act_sum(ds, vs: HalfDiagramSum) -> HalfDiagramSum:
     """Bilinear extension of the action to diagram sums and half-diagram sums."""
-    out = HalfDiagramSum(vs.n)
+    products = []
     for d, cd in ds.terms.items():
         for hd, cv in vs.terms.items():
             scaled = act(d, hd).scaled(cd * cv)
-            out = out + HalfDiagramSum.from_scaled(vs.n, scaled)
-    return out
+            if not scaled.is_zero:
+                products.append((scaled.diagram, scaled.coeff))
+    return HalfDiagramSum(vs.n, products)
 
 
 @cache

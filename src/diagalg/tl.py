@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .diagrams import InvariantViolation
+from .diagrams import InvariantViolation, _merge_terms
 from .halfdiag import HalfDiagram
 from .walled import WalledHalfDiagram, WalledIndex, index_of
 
@@ -142,25 +142,20 @@ class GrothElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        merged: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (degree, labels), coeff in items:
+        items = tuple(terms.items() if isinstance(terms, dict) else terms)
+        for (degree, labels), _ in items:
             if not 0 <= labels <= degree or (degree - labels) % 2:
                 raise InvariantViolation(
                     f"class ({degree}, {labels}) needs 0 <= labels <= degree with equal parity"
                 )
-            merged[(degree, labels)] = merged.get((degree, labels), 0) + coeff
-        self.terms = {k: c for k, c in sorted(merged.items()) if c != 0}
+        self.terms = dict(sorted(_merge_terms(items).items()))
 
     @classmethod
     def module_class(cls, degree: int, labels: int) -> "GrothElement":
         return cls({(degree, labels): 1})
 
     def __add__(self, other: "GrothElement") -> "GrothElement":
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0) + c
-        return GrothElement(merged)
+        return GrothElement([*self.terms.items(), *other.terms.items()])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GrothElement) and self.terms == other.terms
@@ -192,13 +187,12 @@ def groth_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
     Two classes expand over every label count of matching parity inside
     the degenerate-triangle band, each with coefficient one.
     """
-    out: dict[tuple[int, int], int] = {}
-    for (m, p), cm in a.terms.items():
-        for (n, q), cn in b.terms.items():
-            for r in range(abs(p - q), p + q + 1, 2):
-                key = (m + n, r)
-                out[key] = out.get(key, 0) + cm * cn
-    return GrothElement(out)
+    return GrothElement(
+        ((m + n, r), cm * cn)
+        for (m, p), cm in a.terms.items()
+        for (n, q), cn in b.terms.items()
+        for r in range(abs(p - q), p + q + 1, 2)
+    )
 
 
 def tl_e(p: int, q: int, r: int, m: int, n: int) -> int:

@@ -53,27 +53,27 @@ class VerifyReport:
         return f"{self.suite}: {status} [{self.cases} cases, {self.duration:.2f}s]"
 
 
-def _random_diagram(rng: random.Random, n: int) -> SetPartitionDiagram:
-    """A uniform-ish random set-partition of the 2n dots."""
-    nodes = [k for k in range(1, n + 1)] + [-k for k in range(1, n + 1)]
+def _random_blocks(rng: random.Random, dots) -> list[list[int]]:
+    """Drop each dot in turn into a uniformly chosen existing block or a new one."""
     blocks: list[list[int]] = []
-    for node in nodes:
-        choice = rng.randint(0, len(blocks))
-        if choice == len(blocks):
-            blocks.append([node])
-        else:
-            blocks[choice].append(node)
-    return SetPartitionDiagram(n, blocks)
-
-
-def _random_half_diagram(rng: random.Random, n: int) -> HalfDiagram:
-    blocks: list[list[int]] = []
-    for dot in range(1, n + 1):
+    for dot in dots:
         choice = rng.randint(0, len(blocks))
         if choice == len(blocks):
             blocks.append([dot])
         else:
             blocks[choice].append(dot)
+    return blocks
+
+
+def _random_diagram(rng: random.Random, n: int) -> SetPartitionDiagram:
+    """A uniform-ish random set-partition of the 2n dots."""
+    nodes = [k for k in range(1, n + 1)] + [-k for k in range(1, n + 1)]
+    return SetPartitionDiagram(n, _random_blocks(rng, nodes))
+
+
+def _random_half_diagram(rng: random.Random, n: int) -> HalfDiagram:
+    """A random set partition of 1..n with each block labeled on a fair coin."""
+    blocks = _random_blocks(rng, range(1, n + 1))
     labels = [i for i in range(len(blocks)) if rng.random() < 0.5]
     return HalfDiagram(n, blocks, labels)
 
@@ -120,8 +120,6 @@ GOLDEN_ACT_ZERO_DIAGRAM = {
 def verify_compose_assoc(limit: int | None = None) -> VerifyReport:
     """Golden composition, generator relations, and associativity samples."""
     report = VerifyReport("compose-assoc")
-    start = time.perf_counter()
-
     d1 = SetPartitionDiagram.from_json(GOLDEN_COMPOSE_LEFT)
     d2 = SetPartitionDiagram.from_json(GOLDEN_COMPOSE_RIGHT)
     t, d = compose(d1, d2)
@@ -171,16 +169,12 @@ def verify_compose_assoc(limit: int | None = None) -> VerifyReport:
             diagrams.propagating_number(d) <= bound,
             f"propagating number grew composing {a.render()} with {b.render()}",
         )
-
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_action_assoc(limit: int | None = None) -> VerifyReport:
     """Golden actions, label monotonicity, and stack-then-act associativity."""
     report = VerifyReport("action-assoc")
-    start = time.perf_counter()
-
     d = SetPartitionDiagram.from_json(GOLDEN_ACT_DIAGRAM)
     v = HalfDiagram.from_json(GOLDEN_ACT_INPUT)
     result = act(d, v)
@@ -215,15 +209,12 @@ def verify_action_assoc(limit: int | None = None) -> VerifyReport:
             got == ScaledHalfDiagram(DeltaPolynomial.one(), vv),
             f"identity action moved {vv.render()}",
         )
-
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_census_factorization(limit: int | None = None) -> VerifyReport:
     """Walled census against its closed-form factorization, plus totals."""
     report = VerifyReport("census-factorization")
-    start = time.perf_counter()
     top = limit or 4
     for m in range(1, top + 1):
         for n in range(1, top + 1):
@@ -247,14 +238,12 @@ def verify_census_factorization(limit: int | None = None) -> VerifyReport:
                                 got == expected,
                                 f"census({m},{n},{r})[{idx.render()}] = {got}, expected {expected}",
                             )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_transition_lemma(limit: int | None = None) -> VerifyReport:
     """Every generator move lands in the five cases and lowers the index."""
     report = VerifyReport("transition-lemma")
-    start = time.perf_counter()
     top = limit or 3
     for m in range(1, top + 1):
         for n in range(1, top + 1):
@@ -275,14 +264,12 @@ def verify_transition_lemma(limit: int | None = None) -> VerifyReport:
                                 f"{name} on {w.render()} moved index up: "
                                 f"{move.old.render()} -> {move.new.render()}",
                             )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_bell_identity(limit: int | None = None) -> VerifyReport:
     """Squared standard dimensions sum to the Bell number of 2n."""
     report = VerifyReport("bell-identity")
-    start = time.perf_counter()
     top = limit or 4
     for n in range(1, top + 1):
         total = sum(
@@ -296,14 +283,12 @@ def verify_bell_identity(limit: int | None = None) -> VerifyReport:
                 len(enumerate_basis(n, r)) == halfdiag.half_diagram_count(n, r),
                 f"basis count mismatch at ({n}, {r})",
             )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_restriction_dimension(limit: int | None = None) -> VerifyReport:
     """Coefficient-weighted dimension sums match the half-diagram census."""
     report = VerifyReport("restriction-dimension")
-    start = time.perf_counter()
     top = limit or 3
     for m in range(1, top + 1):
         for n in range(1, top + 1):
@@ -314,14 +299,12 @@ def verify_restriction_dimension(limit: int | None = None) -> VerifyReport:
                     total == expected,
                     f"restriction sum at ({m}, {n}, r={r}) is {total}, expected {expected}",
                 )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_four_way_agreement(limit: int | None = None) -> VerifyReport:
     """Closed form, system count, lattice count and coefficient sum agree."""
     report = VerifyReport("four-way-agreement")
-    start = time.perf_counter()
     top = limit or 8
     for p in range(top + 1):
         for q in range(top + 1):
@@ -347,14 +330,12 @@ def verify_four_way_agreement(limit: int | None = None) -> VerifyReport:
                         value == closed,
                         f"({p},{q},{r}) at degrees ({m},{n}): coefficient sum {value} != {closed}",
                     )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_geometry_agreement(limit: int | None = None) -> VerifyReport:
     """Circle and conic counts reproduce the closed form on their regimes."""
     report = VerifyReport("geometry-agreement")
-    start = time.perf_counter()
     top = limit or 30
     for p in range(top + 1):
         for q in range(top + 1):
@@ -369,14 +350,12 @@ def verify_geometry_agreement(limit: int | None = None) -> VerifyReport:
                     report.check(
                         conic == closed, f"({p},{q},{r}): conic count {conic} != {closed}"
                     )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_parity(limit: int | None = None) -> VerifyReport:
     """Integral tangent cuts happen exactly at even side sums."""
     report = VerifyReport("parity")
-    start = time.perf_counter()
     top = limit or 30
     for p in range(top + 1):
         for q in range(top + 1):
@@ -386,14 +365,12 @@ def verify_parity(limit: int | None = None) -> VerifyReport:
                     integral == even,
                     f"({p},{q},{r}): tangents integral {integral} but side sum even {even}",
                 )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_tl_suite(limit: int | None = None) -> VerifyReport:
     """Planar basis counts, the class product, and the walled factorization."""
     report = VerifyReport("tl-suite")
-    start = time.perf_counter()
     top = limit or 12
 
     for n in range(top + 1):
@@ -469,14 +446,12 @@ def verify_tl_suite(limit: int | None = None) -> VerifyReport:
                             f"planar multiplicity at ({p},{q},{r}) deg ({m},{n}): "
                             f"{value}, triangle {triangle}, pinned {len(pinned)}",
                         )
-    report.duration = time.perf_counter() - start
     return report
 
 
 def verify_symmetry_lemma(limit: int | None = None) -> VerifyReport:
     """The five boundary and symmetry identities across a grid."""
     report = VerifyReport("symmetry-lemma")
-    start = time.perf_counter()
     top = limit or 12
     for p in range(top + 1):
         for q in range(top + 1):
@@ -490,7 +465,6 @@ def verify_symmetry_lemma(limit: int | None = None) -> VerifyReport:
                 count_pq, _ = multiplicity.e_lattice(p, q, r)
                 count_qp, _ = multiplicity.e_lattice(q, p, r)
                 report.check(count_pq == count_qp, f"({p},{q},{r}): not symmetric in p, q")
-    report.duration = time.perf_counter() - start
     return report
 
 
@@ -510,9 +484,13 @@ SUITES = {
 
 
 def run_suite(name: str, limit: int | None = None) -> VerifyReport:
+    """Run one suite by name and record its wall-clock duration."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    return SUITES[name](limit)
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
+    start = time.perf_counter()
+    report = SUITES[name](limit)
+    report.duration = time.perf_counter() - start
+    return report
 
 
 def run_all(limit: int | None = None) -> list[VerifyReport]:

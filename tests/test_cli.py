@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, and exit codes."""
 
 import json
+import time
 
 from diagalg.cli import main
 
@@ -56,6 +57,19 @@ class TestMult:
 
     def test_missing_flags_usage_error(self, capsys):
         assert main(["mult", "-p", "2"]) == 2
+
+    def test_closed_engine_alone_is_fast(self, capsys):
+        # The system enumeration costs r * min(p, q) steps; --engines closed must not run it.
+        start = time.perf_counter()
+        assert main(["mult", "-p", "30000", "-q", "30000", "-r", "30000", "--engines", "closed"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.splitlines()[0] == "closed: 15001"
+        assert elapsed < 1.0
+
+    def test_negative_count_usage_error(self, capsys):
+        for engines in ("all", "closed", "e1", "e2", "bvo"):
+            assert main(["mult", "-p", "-1", "-q", "2", "-r", "2", "--engines", engines]) == 2
+            assert capsys.readouterr().err == "error: p must be a non-negative integer, got -1\n"
 
 
 class TestComposeAndAct:
@@ -148,6 +162,9 @@ class TestVerify:
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "no-such-suite"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown suite 'no-such-suite'; choose from compose-assoc, ")
+        assert err.endswith(" or 'all'\n")
 
     def test_json_report(self, capsys):
         assert main(["verify", "bell-identity", "--format", "json"]) == 0

@@ -1,10 +1,9 @@
 """Diagram composition, generators, crossings, and polynomial coefficients."""
 
 import random
+from collections import deque
 
 import pytest
-
-from helpers import random_diagram
 
 from diagalg.diagrams import (
     DeltaPolynomial,
@@ -17,10 +16,89 @@ from diagalg.diagrams import (
     is_tl_diagram,
     propagating_number,
 )
+from diagalg.halfdiag import HalfDiagram, HalfDiagramSum, act_sum, act_top, enumerate_basis, set_partitions
+from diagalg.tl import GrothElement
+from diagalg.verify import _random_diagram as random_diagram
 
 FIG_LEFT = [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3], [-4], [-5]]
 FIG_RIGHT = [[1], [2], [3, 4, 5], [6, -4, -6], [-1, -2, -3], [-5]]
 FIG_RESULT = [[1, 2], [3], [4, 6, -4, -6], [5], [-1, -2, -3], [-5]]
+
+
+def graph_components(blocks_by_row):
+    """Connected components of the graph that joins every pair of nodes sharing a block.
+
+    ``blocks_by_row`` holds (row_of, blocks) pairs, where ``row_of`` names
+    the node a dot of those blocks stands for.  Breadth-first search over an
+    explicit adjacency list; no union-find.
+    """
+    adjacent = {}
+    for row_of, blocks in blocks_by_row:
+        for block in blocks:
+            nodes = [row_of(dot) for dot in block]
+            for a in nodes:
+                adjacent.setdefault(a, set()).update(nodes)
+    seen, components = set(), []
+    for start in adjacent:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = deque([start]), []
+        while queue:
+            node = queue.popleft()
+            component.append(node)
+            for nxt in adjacent[node] - seen:
+                seen.add(nxt)
+                queue.append(nxt)
+        components.append(component)
+    return components
+
+
+def oracle_compose(d1, d2):
+    """(interior count, diagram) of ``d1`` stacked above ``d2``, by graph search."""
+    t, blocks = 0, []
+    components = graph_components(
+        [
+            (lambda k: ("top", k) if k > 0 else ("mid", -k), d1.blocks),
+            (lambda k: ("mid", k) if k > 0 else ("bottom", -k), d2.blocks),
+        ]
+    )
+    for component in components:
+        outer = [k if row == "top" else -k for row, k in component if row != "mid"]
+        if outer:
+            blocks.append(outer)
+        else:
+            t += 1
+    return t, SetPartitionDiagram(d1.n, blocks)
+
+
+def oracle_act_top(d, v):
+    """(trapped count, top-row half-diagram) of ``d`` stacked above ``v``, by graph search."""
+    labeled_dots = {dot for block in v.labeled_blocks() for dot in block}
+    t, blocks, labeled = 0, [], []
+    components = graph_components(
+        [
+            (lambda k: ("top", k) if k > 0 else ("mid", -k), d.blocks),
+            (lambda k: ("mid", k), v.blocks),
+        ]
+    )
+    for component in components:
+        tops = [k for row, k in component if row == "top"]
+        if not tops:
+            t += 1
+            continue
+        if any(row == "mid" and k in labeled_dots for row, k in component):
+            labeled.append(len(blocks))
+        blocks.append(tops)
+    return t, HalfDiagram(d.n, blocks, labeled)
+
+
+def all_diagrams(n):
+    """Every degree-n diagram: set partitions of 2n dots, dot n + k read as k'."""
+    return [
+        SetPartitionDiagram(n, [[x if x <= n else n - x for x in block] for block in blocks])
+        for blocks in set_partitions(2 * n)
+    ]
 
 
 class TestDeltaPolynomial:
@@ -133,6 +211,63 @@ class TestCompose:
             a, b = random_diagram(rng, n), random_diagram(rng, n)
             _, d = compose(a, b)
             assert propagating_number(d) <= min(propagating_number(a), propagating_number(b))
+
+
+class TestStackingOracle:
+    def test_compose_every_pair_to_degree_two(self):
+        for n in range(3):
+            diagrams = all_diagrams(n)
+            for d1 in diagrams:
+                for d2 in diagrams:
+                    assert compose(d1, d2) == oracle_compose(d1, d2)
+
+    def test_compose_sampled_degrees_three_to_six(self):
+        rng = random.Random(41)
+        for n in range(3, 7):
+            for _ in range(150):
+                d1, d2 = random_diagram(rng, n), random_diagram(rng, n)
+                assert compose(d1, d2) == oracle_compose(d1, d2)
+
+    def test_act_top_every_pair_to_degree_three(self):
+        for n in range(4):
+            basis = [v for r in range(n + 1) for v in enumerate_basis(n, r)]
+            for d in all_diagrams(n):
+                for v in basis:
+                    assert act_top(d, v) == oracle_act_top(d, v)
+
+    def test_oracle_reads_the_worked_example(self):
+        got = oracle_compose(SetPartitionDiagram(6, FIG_LEFT), SetPartitionDiagram(6, FIG_RIGHT))
+        assert got == (2, SetPartitionDiagram(6, FIG_RESULT))
+
+
+class TestCancellation:
+    def test_diagram_sum_drops_cancelled_key(self):
+        eye, swap = SetPartitionDiagram.identity(2), generator("S", 1, 2, 2)
+        one, minus_one = DeltaPolynomial.one(), DeltaPolynomial.delta_power(0, -1)
+        total = DiagramSum.from_diagram(eye) + DiagramSum(2, {eye: minus_one, swap: one})
+        assert total.terms == {swap: one}
+        assert DiagramSum(2, [(eye, one), (swap, one), (eye, minus_one)]).terms == {swap: one}
+
+    def test_diagram_sum_compose_cancels(self):
+        # S then E merges every strand, as E alone does, so (1 - S) E = 0.
+        eye, swap, merge = SetPartitionDiagram.identity(2), generator("S", 1, 2, 2), generator("E", 1, 2, 2)
+        difference = DiagramSum(2, {eye: DeltaPolynomial.one(), swap: DeltaPolynomial.delta_power(0, -1)})
+        assert difference.compose(DiagramSum.from_diagram(merge)).terms == {}
+
+    def test_half_diagram_sum_drops_cancelled_key(self):
+        joined, apart = HalfDiagram(2, [[1, 2]], [0]), HalfDiagram(2, [[1], [2]], [0])
+        delta = DeltaPolynomial.delta_power(1)
+        total = HalfDiagramSum(2, {joined: delta, apart: delta}) + HalfDiagramSum(2, {joined: (-1) * delta})
+        assert total.terms == {apart: delta}
+        # S fixes the one-block half-diagram, so (S - 1) sends it to zero.
+        swap, eye = generator("S", 1, 2, 2), SetPartitionDiagram.identity(2)
+        swap_minus_eye = DiagramSum(2, {swap: DeltaPolynomial.one(), eye: DeltaPolynomial.delta_power(0, -1)})
+        assert act_sum(swap_minus_eye, HalfDiagramSum(2, {joined: delta})).terms == {}
+
+    def test_groth_element_drops_cancelled_key(self):
+        total = GrothElement({(2, 0): 1, (1, 1): 2}) + GrothElement({(2, 0): -1})
+        assert total.terms == {(1, 1): 2}
+        assert GrothElement([((2, 2), 3), ((2, 2), -3)]).terms == {}
 
 
 class TestGenerators:

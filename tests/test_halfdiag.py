@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from helpers import random_diagram, random_half_diagram
-
 from diagalg.diagrams import (
     DeltaPolynomial,
     DiagramSum,
@@ -28,6 +26,8 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
+from diagalg.verify import _random_diagram as random_diagram
+from diagalg.verify import _random_half_diagram as random_half_diagram
 
 ACT_DIAGRAM = [[1, 2, -2], [3, -3], [4], [5, -4], [6, -5], [-1], [-6]]
 ACT_INPUT = {"n": 6, "blocks": [[1, 3], [2], [4], [5], [6]], "labeled": [0, 3]}
