@@ -205,7 +205,8 @@ class HalfDiagramSum(_LinearCombination):
         if not self.terms:
             return "HalfDiagramSum(0)"
         body = " + ".join(
-            f"{c.render()} · {hd.render()}" for hd, c in sorted(self.terms.items(), key=lambda kv: kv[0].blocks)
+            f"{c.render()} · {hd.render()}"
+            for hd, c in sorted(self.terms.items(), key=lambda kv: (kv[0].blocks, sorted(kv[0].labeled)))
         )
         return f"HalfDiagramSum({body})"
 

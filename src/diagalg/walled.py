@@ -156,11 +156,42 @@ def enumerate_walled(m: int, n: int, r: int) -> list[WalledHalfDiagram]:
 
 
 def census(m: int, n: int, r: int) -> dict[WalledIndex, int]:
-    """Tally the (m|n, r)-walled half-diagrams by index."""
+    """Count the (m|n, r)-walled half-diagrams by index, sorted by index.
+
+    A dynamic program that never builds a diagram: O(m^2 n^2) steps
+    place the dots and O(m^2 n r^2) more choose the labels.  The left dots
+    come first, with state a, the number of blocks so far.  The right dots
+    follow with state (a, c, b): c of the a left blocks have been crossed
+    into and b blocks are right-only.  A right dot joins one of the c + b
+    blocks that already hold a right dot, crosses into one of the a - c
+    others, or opens a right-only block.  Labels then pick T of the c
+    through blocks, L of the a - c left-only blocks and R of the b
+    right-only ones, for index (c - T; T, L, R).  Tests check it against
+    :func:`enumerate_walled` with :func:`index_of`.
+    """
+    if m < 0 or n < 0:
+        raise InvariantViolation("side degrees must be non-negative")
+    left = [1]  # left[a]: set partitions of the left dots into a blocks
+    for _ in range(m):
+        left = [a * left[a] + left[a - 1] if a else 0 for a in range(len(left))] + [left[-1]]
+    states = {(a, 0, 0): count for a, count in enumerate(left) if count}
+    for _ in range(n):
+        step: dict[tuple[int, int, int], int] = {}
+        for (a, c, b), count in states.items():
+            if c + b:
+                step[a, c, b] = step.get((a, c, b), 0) + count * (c + b)
+            if a > c:
+                step[a, c + 1, b] = step.get((a, c + 1, b), 0) + count * (a - c)
+            step[a, c, b + 1] = step.get((a, c, b + 1), 0) + count
+        states = step
     out: dict[WalledIndex, int] = {}
-    for w in enumerate_walled(m, n, r):
-        idx = index_of(w)
-        out[idx] = out.get(idx, 0) + 1
+    for (a, c, b), count in states.items():
+        for t in range(min(c, r) + 1):
+            for l in range(min(a - c, r - t) + 1):
+                right = r - t - l
+                if right <= b:
+                    idx = WalledIndex(c - t, t, l, right)
+                    out[idx] = out.get(idx, 0) + count * comb(c, t) * comb(a - c, l) * comb(b, right)
     return dict(sorted(out.items()))
 
 

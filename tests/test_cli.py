@@ -123,6 +123,19 @@ class TestWalled:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"0;0,1,1": 1}
 
+    def test_census_size_budget(self, capsys):
+        start = time.perf_counter()
+        assert main(["walled", "census", "-m", "20", "-n", "20", "-r", "10"]) == 0
+        assert time.perf_counter() - start < 1.0
+        capsys.readouterr()
+        assert main(["walled", "census", "-m", "20", "-n", "21", "-r", "0"]) == 2
+        assert capsys.readouterr().err == "error: walled census is limited to m + n <= 40 dots, got 41\n"
+
+    def test_census_negative_side_usage_error(self, capsys):
+        for m, n in (("-1", "2"), ("2", "-1")):
+            assert main(["walled", "census", "-m", m, "-n", n, "-r", "0"]) == 2
+            assert capsys.readouterr().err == "error: side degrees must be non-negative\n"
+
 
 class TestGeometry:
     def test_text_output(self, capsys):
@@ -142,6 +155,12 @@ class TestTL:
     def test_basis_count_only(self, capsys):
         assert main(["tl", "basis", "-n", "6", "-r", "2", "--count-only"]) == 0
         assert capsys.readouterr().out.strip() == "9"
+
+    def test_basis_count_only_does_not_enumerate(self, capsys):
+        start = time.perf_counter()
+        assert main(["tl", "basis", "-n", "40", "-r", "0", "--count-only"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.strip() == "6564120420"
 
     def test_groth_expansion(self, capsys):
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1"]) == 0

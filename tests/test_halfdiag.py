@@ -125,6 +125,16 @@ class TestAction:
             rhs = act_sum(DiagramSum.from_diagram(d1), act_sum(DiagramSum.from_diagram(d2), vs))
             assert lhs == rhs
 
+    def test_sum_repr_ignores_insertion_order(self):
+        # same blocks, different labels: only the label set breaks the tie
+        first = HalfDiagram(3, [[1], [2, 3]], labeled=[0])
+        second = HalfDiagram(3, [[1], [2, 3]], labeled=[1])
+        one = DeltaPolynomial.one()
+        forward = HalfDiagramSum(3, {first: one}) + HalfDiagramSum(3, {second: one})
+        backward = HalfDiagramSum(3, {second: one}) + HalfDiagramSum(3, {first: one})
+        assert forward == backward
+        assert repr(forward) == repr(backward)
+
 
 class TestBasis:
     def test_two_dots_one_label(self):

@@ -1,10 +1,13 @@
 """Walled index extraction, the census, and the transition classifier."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagalg.diagrams import SetPartitionDiagram, generator
+from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
 from diagalg.halfdiag import half_diagram_count
 from diagalg.walled import (
     TransitionCase,
@@ -143,6 +146,35 @@ class TestCensus:
                     assert census(m, n, r) == tally, (m, n, r)
                     for idx, count in tally.items():
                         assert index_count_formula(m, n, idx) == count, (m, n, idx)
+
+    def test_matches_enumeration_in_order(self):
+        # census counts without building diagrams; enumeration is its oracle
+        for m in range(8):
+            for n in range(8 - m):
+                for r in range(-1, m + n + 2):
+                    tally = Counter(index_of(w) for w in enumerate_walled(m, n, r))
+                    assert list(census(m, n, r).items()) == sorted(tally.items()), (m, n, r)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_closed_form_beyond_enumeration(self, data):
+        size = data.draw(st.integers(0, 16))
+        m = data.draw(st.integers(0, size))
+        n = size - m
+        r = data.draw(st.integers(0, size))
+        tally = census(m, n, r)
+        assert sum(tally.values()) == half_diagram_count(size, r)
+        assert all(count > 0 for count in tally.values())
+        for u in range(min(m, n) + 1):
+            for t in range(r + 1):
+                for left in range(r - t + 1):
+                    idx = WalledIndex(u, t, left, r - t - left)
+                    assert tally.get(idx, 0) == index_count_formula(m, n, idx), (m, n, idx)
+
+    def test_negative_side_rejected(self):
+        for m, n in ((-1, 2), (2, -1), (-1, 0)):
+            with pytest.raises(InvariantViolation, match="side degrees must be non-negative"):
+                census(m, n, 0)
 
     def test_every_admissible_index_realized(self):
         tally = census(2, 2, 1)
