@@ -195,12 +195,6 @@ class HalfDiagramSum(_LinearCombination):
     __slots__ = ()
     _noun = "half-diagrams"
 
-    @classmethod
-    def from_scaled(cls, n: int, scaled: ScaledHalfDiagram) -> "HalfDiagramSum":
-        if scaled.is_zero:
-            return cls(n)
-        return cls(n, {scaled.diagram: scaled.coeff})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "HalfDiagramSum(0)"

@@ -24,7 +24,6 @@ from .symfunc import (
     check_partition,
     kronecker_coeff,
     lr_coeff,
-    partitions_of,
 )
 
 
@@ -105,28 +104,50 @@ def e2_lattice(p: int, q: int, r: int) -> int:
 
 
 @cache
+def _partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
+    """Partitions of ``size`` whose diagrams fit inside ``outer``, in ``partitions_of`` order."""
+    out: list[Partition] = []
+
+    def build(remaining: int, largest: int, prefix: Partition) -> None:
+        if remaining == 0:
+            out.append(prefix)
+            return
+        if len(prefix) == len(outer):
+            return
+        for part in range(min(remaining, largest, outer[len(prefix)]), 0, -1):
+            build(remaining - part, part, prefix + (part,))
+
+    build(size, size, ())
+    return tuple(out)
+
+
+@cache
 def _three_part_table(
     nu: Partition, s1: int, s2: int, s3: int
-) -> dict[tuple[Partition, Partition, Partition], int]:
-    """Non-zero three-part coefficients of ``nu`` over all shapes of the given sizes.
+) -> dict[Partition, dict[Partition, dict[Partition, int]]]:
+    """Non-zero three-part coefficients of ``nu`` over shapes of the given sizes.
 
     Built by splitting twice: nu restricts over (xi, eta) pairs, then xi
-    over (alpha, beta) pairs.
+    over (alpha, beta) pairs.  A Littlewood-Richardson coefficient
+    vanishes unless both lower shapes fit inside the upper one, so only
+    contained shapes are tried.  The coefficient of (alpha, beta, eta) is
+    stored as ``table[alpha][eta][beta]``, grouped the way
+    :func:`bvo_multiplicity` reads it.
     """
-    out: dict[tuple[Partition, Partition, Partition], int] = {}
+    out: dict[Partition, dict[Partition, dict[Partition, int]]] = {}
     if s1 + s2 + s3 != sum(nu):
         return out
-    for eta in partitions_of(s3):
-        for xi in partitions_of(s1 + s2):
+    for eta in _partitions_inside(s3, nu):
+        for xi in _partitions_inside(s1 + s2, nu):
             c_outer = lr_coeff(xi, eta, nu)
             if not c_outer:
                 continue
-            for alpha in partitions_of(s1):
-                for beta in partitions_of(s2):
+            for alpha in _partitions_inside(s1, xi):
+                for beta in _partitions_inside(s2, xi):
                     c_inner = lr_coeff(alpha, beta, xi)
                     if c_inner:
-                        key = (alpha, beta, eta)
-                        out[key] = out.get(key, 0) + c_outer * c_inner
+                        by_beta = out.setdefault(alpha, {}).setdefault(eta, {})
+                        by_beta[beta] = by_beta.get(beta, 0) + c_outer * c_inner
     return out
 
 
@@ -136,44 +157,53 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     The double sum over strand bookkeeping (l1, l2) with
     l1 + 2*l2 = (m + n - |nu|) - (m - |lam|) - (n - |mu|), and over shape
     tuples weighted by three-part Littlewood-Richardson coefficients and a
-    Kronecker coefficient.  Exact integers throughout.
+    Kronecker coefficient.  The sum runs over the non-zero entries of the
+    nu table and looks up the matching lam and mu entries, so no vanishing
+    term is formed.  Exact integers throughout.
     """
     nu = check_partition(nu)
     lam = check_partition(lam)
     mu = check_partition(mu)
-    if sum(nu) > m + n:
-        raise ValueError(f"|nu| = {sum(nu)} exceeds total degree {m + n}")
-    if sum(lam) > m:
-        raise ValueError(f"|lam| = {sum(lam)} exceeds left degree {m}")
-    if sum(mu) > n:
-        raise ValueError(f"|mu| = {sum(mu)} exceeds right degree {n}")
-    budget = sum(lam) + sum(mu) - sum(nu)
+    size_nu, size_lam, size_mu = sum(nu), sum(lam), sum(mu)
+    if size_nu > m + n:
+        raise ValueError(f"|nu| = {size_nu} exceeds total degree {m + n}")
+    if size_lam > m:
+        raise ValueError(f"|lam| = {size_lam} exceeds left degree {m}")
+    if size_mu > n:
+        raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
+    budget = size_lam + size_mu - size_nu
     if budget < 0:
         return 0
     total = 0
     for l2 in range(budget // 2 + 1):
         l1 = budget - 2 * l2
-        a_size = sum(lam) - l1 - l2
-        b_size = sum(mu) - l1 - l2
+        a_size = size_lam - l1 - l2
+        b_size = size_mu - l1 - l2
         if a_size < 0 or b_size < 0:
             continue
-        table_nu = _three_part_table(nu, a_size, b_size, l1)   # (alpha, beta, pi)
+        table_nu = _three_part_table(nu, a_size, b_size, l1)   # alpha -> pi -> beta
         if not table_nu:
             continue
-        table_lam = _three_part_table(lam, a_size, l1, l2)     # (alpha, rho, gamma)
-        table_mu = _three_part_table(mu, l2, l1, b_size)       # (gamma, sigma, beta)
-        by_gamma: dict[Partition, list[tuple[Partition, Partition, int]]] = {}
-        for (gamma, sigma, beta), c in table_mu.items():
-            by_gamma.setdefault(gamma, []).append((sigma, beta, c))
-        for (alpha, rho, gamma), c_lam in table_lam.items():
-            for sigma, beta, c_mu in by_gamma.get(gamma, ()):
-                for pi in partitions_of(l1):
-                    c_nu = table_nu.get((alpha, beta, pi))
-                    if not c_nu:
-                        continue
-                    g = kronecker_coeff(pi, rho, sigma)
-                    if g:
-                        total += c_nu * c_lam * c_mu * g
+        table_lam = _three_part_table(lam, a_size, l1, l2)     # alpha -> gamma -> rho
+        table_mu = _three_part_table(mu, l2, l1, b_size)       # gamma -> beta -> sigma
+        for alpha, nu_by_pi in table_nu.items():
+            lam_by_gamma = table_lam.get(alpha)
+            if not lam_by_gamma:
+                continue
+            for gamma, lam_by_rho in lam_by_gamma.items():
+                mu_by_beta = table_mu.get(gamma)
+                if not mu_by_beta:
+                    continue
+                for pi, nu_by_beta in nu_by_pi.items():
+                    for beta, c_nu in nu_by_beta.items():
+                        mu_by_sigma = mu_by_beta.get(beta)
+                        if not mu_by_sigma:
+                            continue
+                        for sigma, c_mu in mu_by_sigma.items():
+                            for rho, c_lam in lam_by_rho.items():
+                                g = kronecker_coeff(pi, rho, sigma)
+                                if g:
+                                    total += c_nu * c_lam * c_mu * g
     return total
 
 
@@ -277,10 +307,12 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     """
     from .halfdiag import partitions_up_to
 
+    right = [(mu, dim_standard(n, mu)) for mu in partitions_up_to(n)]
     total = 0
     for lam in partitions_up_to(m):
-        for mu in partitions_up_to(n):
+        dim_lam = dim_standard(m, lam)
+        for mu, dim_mu in right:
             coeff = bvo_multiplicity(one_part(r), lam, mu, m, n)
             if coeff:
-                total += coeff * dim_standard(m, lam) * dim_standard(n, mu)
+                total += coeff * dim_lam * dim_mu
     return total

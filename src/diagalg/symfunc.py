@@ -3,7 +3,8 @@
 Exact counting routines used as the coefficient engine by the rest of the
 package: standard Young tableau counts, Littlewood-Richardson coefficients
 (two- and three-part), irreducible character values via border-strip
-recursion, and Kronecker coefficients via the class-weighted character sum.
+recursion, and Kronecker coefficients (the trivial and sign rules, else the
+class-weighted character sum).
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.  Functions reject ill-formed input
@@ -82,7 +83,8 @@ def syt_count(lam: Partition) -> int:
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
     count, rem = divmod(factorial(n), hooks)
-    assert rem == 0, "hook product must divide n!"
+    if rem:
+        raise ArithmeticError("hook product must divide n!")
     return count
 
 
@@ -281,9 +283,13 @@ def mn_character(lam: Partition, rho: Partition) -> int:
 
 @cache
 def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Kronecker coefficient via the exact class-weighted character sum.
+    """Kronecker coefficient; zero when the three sizes differ, symmetric in all three.
 
-    Zero when the three sizes differ; symmetric in all three arguments.
+    A one-row argument (n) is the trivial character, so g is 1 exactly when
+    the other two agree; a one-column argument (1^n) is the sign
+    character, so g is 1 exactly when one of the other two is the
+    conjugate of the other.  Every other triple takes the exact
+    class-weighted character sum.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
@@ -291,11 +297,17 @@ def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         return 0
+    for shape, a, b in ((lam, mu, nu), (mu, lam, nu), (nu, lam, mu)):
+        if len(shape) <= 1:
+            return int(a == b)
+        if shape[0] == 1:
+            return int(a == conjugate(b))
     total = Fraction(0)
     for rho in partitions_of(n):
         total += Fraction(
             mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho),
             centralizer_order(rho),
         )
-    assert total.denominator == 1 and total >= 0, "character sum must be a non-negative integer"
+    if total.denominator != 1 or total < 0:
+        raise ArithmeticError("character sum must be a non-negative integer")
     return int(total)

@@ -237,7 +237,8 @@ def tl_walled_dim_check(
     for diagram in tl_basis(m + n, r):
         walled = WalledHalfDiagram(m, n, diagram.to_half_diagram())
         idx = index_of(walled)
-        assert idx.through_labeled == 0, "a labeled single dot cannot cross the wall"
+        if idx.through_labeled:
+            raise InvariantViolation("a labeled single dot cannot cross the wall")
         if idx == wanted:
             lhs += 1
     rhs = tl_basis_count(m, crossing_caps + left_labels) * tl_basis_count(n, crossing_caps + right_labels)

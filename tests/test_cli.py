@@ -66,6 +66,15 @@ class TestMult:
         assert capsys.readouterr().out.splitlines()[0] == "closed: 15001"
         assert elapsed < 1.0
 
+    def test_bvo_engine_on_one_part_labels_is_fast(self, capsys):
+        # One-part labels leave one contained shape per size, so the
+        # coefficient sum stays small even at large p, q, r.
+        start = time.perf_counter()
+        assert main(["mult", "-p", "40", "-q", "40", "-r", "40", "--engines", "bvo"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.splitlines() == ["bvo: 21", "agree"]
+        assert elapsed < 2.0
+
     def test_negative_count_usage_error(self, capsys):
         for engines in ("all", "closed", "e1", "e2", "bvo"):
             assert main(["mult", "-p", "-1", "-q", "2", "-r", "2", "--engines", engines]) == 2

@@ -1,8 +1,13 @@
 """Multiplicity engines: closed form, enumerations, coefficient sum, symmetry."""
 
-import pytest
+from fractions import Fraction
+from functools import cache
 
-from diagalg.halfdiag import dim_standard, half_diagram_count
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
     E1Solution,
     admissible_degree_pairs,
@@ -15,6 +20,95 @@ from diagalg.multiplicity import (
     restriction_dimension_total,
     symmetry_suite,
 )
+from diagalg.symfunc import (
+    centralizer_order,
+    kronecker_coeff,
+    lr_coeff_by_symbol_addition,
+    mn_character,
+    partitions_of,
+)
+
+
+# Test-only reference for the coefficient sum: every partition of every
+# size, the symbol-addition LR route and the character-sum Kronecker
+# coefficient, so it shares no pruning and no shortcut with the engine.
+
+
+@cache
+def _lr_reference(lam, mu, nu):
+    return lr_coeff_by_symbol_addition(lam, mu, nu)
+
+
+@cache
+def character_sum_kronecker(lam, mu, nu):
+    n = sum(lam)
+    if sum(mu) != n or sum(nu) != n:
+        return 0
+    total = sum(
+        Fraction(
+            mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho),
+            centralizer_order(rho),
+        )
+        for rho in partitions_of(n)
+    )
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+@cache
+def _three_part_reference(nu, s1, s2, s3):
+    out = {}
+    if s1 + s2 + s3 != sum(nu):
+        return out
+    for eta in partitions_of(s3):
+        for xi in partitions_of(s1 + s2):
+            c_outer = _lr_reference(xi, eta, nu)
+            if not c_outer:
+                continue
+            for alpha in partitions_of(s1):
+                for beta in partitions_of(s2):
+                    c_inner = _lr_reference(alpha, beta, xi)
+                    if c_inner:
+                        key = (alpha, beta, eta)
+                        out[key] = out.get(key, 0) + c_outer * c_inner
+    return out
+
+
+def bvo_reference(nu, lam, mu):
+    budget = sum(lam) + sum(mu) - sum(nu)
+    if budget < 0:
+        return 0
+    total = 0
+    for l2 in range(budget // 2 + 1):
+        l1 = budget - 2 * l2
+        a_size = sum(lam) - l1 - l2
+        b_size = sum(mu) - l1 - l2
+        if a_size < 0 or b_size < 0:
+            continue
+        table_nu = _three_part_reference(nu, a_size, b_size, l1)
+        table_lam = _three_part_reference(lam, a_size, l1, l2)
+        table_mu = _three_part_reference(mu, l2, l1, b_size)
+        by_gamma = {}
+        for (gamma, sigma, beta), c in table_mu.items():
+            by_gamma.setdefault(gamma, []).append((sigma, beta, c))
+        for (alpha, rho, gamma), c_lam in table_lam.items():
+            for sigma, beta, c_mu in by_gamma.get(gamma, ()):
+                for pi in partitions_of(l1):
+                    c_nu = table_nu.get((alpha, beta, pi))
+                    if c_nu:
+                        total += c_nu * c_lam * c_mu * character_sum_kronecker(pi, rho, sigma)
+    return total
+
+
+@st.composite
+def bvo_cases(draw, max_degree):
+    m = draw(st.integers(0, max_degree))
+    n = draw(st.integers(0, max_degree))
+    lam = draw(st.sampled_from(list(partitions_up_to(m))))
+    mu = draw(st.sampled_from(list(partitions_up_to(n))))
+    # |nu| > |lam| + |mu| gives zero by the size count alone
+    nu = draw(st.sampled_from(list(partitions_up_to(sum(lam) + sum(mu)))))
+    return nu, lam, mu, m, n
 
 
 class TestClosedForm:
@@ -121,6 +215,56 @@ class TestCoefficientSum:
         # exactly the label pairs (1,1): dimension bookkeeping pins it to 1
         assert dim_standard(2, (1, 1)) == 1
         assert bvo_multiplicity((1, 1), (1,), (1,), 1, 1) == 1
+
+    def test_matches_reference_up_to_degree_four(self):
+        cases = 0
+        for m in range(5):
+            for n in range(5):
+                for nu in partitions_up_to(m + n):
+                    for lam in partitions_up_to(m):
+                        for mu in partitions_up_to(n):
+                            expected = bvo_reference(nu, lam, mu)
+                            assert bvo_multiplicity(nu, lam, mu, m, n) == expected, (nu, lam, mu, m, n)
+                            cases += 1
+        assert cases == 24_617
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bvo_cases(max_degree=6))
+    def test_matches_reference_up_to_degree_six(self, case):
+        nu, lam, mu, m, n = case
+        assert bvo_multiplicity(nu, lam, mu, m, n) == bvo_reference(nu, lam, mu)
+
+    def test_general_nu_dimension_identity(self):
+        # restricting the standard module of index nu to degrees (m, n)
+        # keeps its dimension, for every nu and not only one-part ones
+        cases = 0
+        for m in range(5):
+            for n in range(5):
+                for nu in partitions_up_to(m + n):
+                    total = sum(
+                        bvo_multiplicity(nu, lam, mu, m, n) * dim_standard(m, lam) * dim_standard(n, mu)
+                        for lam in partitions_up_to(m)
+                        for mu in partitions_up_to(n)
+                    )
+                    assert total == dim_standard(m + n, nu), (nu, m, n)
+                    cases += 1
+        assert cases == 428
+
+
+class TestKroneckerShortcut:
+    def test_trivial_and_sign_match_character_sum(self):
+        # every triple up to size 7 with a one-row or one-column argument
+        cases = 0
+        for size in range(8):
+            shapes = partitions_of(size)
+            special = {s for s in shapes if len(s) <= 1 or s[0] == 1}
+            for lam in shapes:
+                for mu in shapes:
+                    for nu in shapes:
+                        if {lam, mu, nu} & special:
+                            assert kronecker_coeff(lam, mu, nu) == character_sum_kronecker(lam, mu, nu)
+                            cases += 1
+        assert cases == 2_132
 
 
 class TestSymmetrySuite:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from diagalg import symfunc
 from diagalg.symfunc import (
     centralizer_order,
     check_partition,
@@ -86,6 +87,16 @@ class TestSytCount:
         for size in range(9):
             for shape in partitions_of(size):
                 assert syt_count(shape) == syt_count_brute(shape), shape
+
+    def test_indivisible_hook_product_raises(self, monkeypatch):
+        # a plain raise, so the check survives python -O
+        monkeypatch.setattr(symfunc, "factorial", lambda n: factorial(n) + 1)
+        syt_count.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="hook product must divide n!"):
+                syt_count((2, 1))
+        finally:
+            syt_count.cache_clear()
 
 
 class TestLRCoeff:
@@ -236,3 +247,14 @@ class TestKronecker:
                         for nu in partitions_of(n)
                     )
                     assert total == syt_count(lam) * syt_count(mu)
+
+    def test_non_integral_character_sum_raises(self, monkeypatch):
+        # (2,1)^3 has neither a one-row nor a one-column argument, so it
+        # takes the character sum; doubled centralizers make it 1/2
+        monkeypatch.setattr(symfunc, "centralizer_order", lambda rho: 2 * centralizer_order(rho))
+        kronecker_coeff.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="character sum must be a non-negative integer"):
+                kronecker_coeff((2, 1), (2, 1), (2, 1))
+        finally:
+            kronecker_coeff.cache_clear()

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from diagalg import tl
 from diagalg.diagrams import InvariantViolation
 from diagalg.multiplicity import e_lattice
 from diagalg.tl import (
@@ -165,6 +166,12 @@ class TestWalledFactorization:
     def test_parity_guard(self):
         with pytest.raises(ValueError):
             tl_walled_dim_check(2, 2, 1, 0, 1)
+
+    def test_crossing_label_raises(self, monkeypatch):
+        # a plain raise, so the check survives python -O
+        monkeypatch.setattr(tl, "index_of", lambda walled: tl.WalledIndex(0, 1, 0, 0))
+        with pytest.raises(InvariantViolation, match="a labeled single dot cannot cross the wall"):
+            tl_walled_dim_check(1, 1, 1, 0, 0)
 
     def test_equality_to_degree_five(self):
         for m in range(1, 6):
