@@ -25,6 +25,14 @@ INVARIANT_ERROR = 3
 # it, m = n = 20 at the worst r, takes about 0.25 s on a 2-core x86 host.
 CENSUS_MAX_DOTS = 40
 
+# Largest --max that `mult table` accepts: (max + 1)^3 rows, 132,651 at the
+# budget, which print as JSON in about 0.8 s on the same host.
+MULT_TABLE_MAX = 50
+
+# Most diagrams that `tl basis` lists; --count-only has no budget.  Listing
+# takes about 45 us a diagram on the same host, so 15,000 is about 0.7 s.
+TL_BASIS_MAX_DIAGRAMS = 15_000
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -65,6 +73,8 @@ def _build(loader, data, what: str):
 def _cmd_mult(args) -> int:
     if args.mode == "table":
         top = args.max
+        if top > MULT_TABLE_MAX:
+            raise _CliError(f"mult table is limited to --max <= {MULT_TABLE_MAX}, got {top}", USAGE_ERROR)
         rows = [
             (p, q, r, multiplicity.e_closed(p, q, r))
             for p in range(top + 1)
@@ -233,9 +243,16 @@ def _parse_class(text: str) -> tuple[int, int]:
 
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
+        count = tl.tl_basis_count(args.n, args.r)
         if args.count_only:
-            print(tl.tl_basis_count(args.n, args.r))
+            print(count)
             return 0
+        if count > TL_BASIS_MAX_DIAGRAMS:
+            raise _CliError(
+                f"tl basis is limited to {TL_BASIS_MAX_DIAGRAMS} diagrams, got {count} "
+                "(--count-only has no limit)",
+                USAGE_ERROR,
+            )
         basis = tl.tl_basis(args.n, args.r)
         if args.format == "json":
             print(json.dumps([d.to_json() for d in basis]))
@@ -273,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     mult.add_argument("-r", type=int)
     mult.add_argument("--engines", choices=["all", "closed", "e1", "e2", "bvo"], default="all")
     mult.add_argument("--solutions", action="store_true", help="list the system's solutions")
-    mult.add_argument("--max", type=int, default=3, help="grid bound for table mode")
+    mult.add_argument(
+        "--max", type=int, default=3, help=f"grid bound for table mode (at most {MULT_TABLE_MAX})"
+    )
     mult.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -312,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tlp = sub.add_parser("tl", help="planar half-diagram basis and class products")
     tl_sub = tlp.add_subparsers(dest="mode", required=True)
-    tl_basis = tl_sub.add_parser("basis", help="enumerate the planar basis")
+    tl_basis = tl_sub.add_parser(
+        "basis", help=f"enumerate the planar basis (at most {TL_BASIS_MAX_DIAGRAMS} diagrams)"
+    )
     tl_basis.add_argument("-n", type=int, required=True)
     tl_basis.add_argument("-r", type=int, required=True)
     tl_basis.add_argument("--count-only", action="store_true")

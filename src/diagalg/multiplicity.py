@@ -67,15 +67,22 @@ def e_closed(p: int, q: int, r: int) -> int:
 
 
 def e_lattice(p: int, q: int, r: int) -> tuple[int, list[E1Solution]]:
-    """Exhaustive enumeration of the system's non-negative solutions."""
+    """Exhaustive enumeration of the system's non-negative solutions, by T.
+
+    Subtracting the first equation from the sum of the other two gives
+    2U = p + q - r - T, so each T forces U and leaves at most one solution.
+    """
     p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
     solutions: list[E1Solution] = []
     for t in range(r + 1):
-        for u in range(min(p, q) + 1):
-            left = p - t - u
-            right = q - t - u
-            if left >= 0 and right >= 0 and t + left + right == r:
-                solutions.append(E1Solution(t, u, left, right))
+        twice_u = p + q - r - t
+        if twice_u < 0 or twice_u % 2:
+            continue
+        u = twice_u // 2
+        left = p - t - u
+        right = q - t - u
+        if left >= 0 and right >= 0:
+            solutions.append(E1Solution(t, u, left, right))
     return len(solutions), solutions
 
 
@@ -159,7 +166,10 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     tuples weighted by three-part Littlewood-Richardson coefficients and a
     Kronecker coefficient.  The sum runs over the non-zero entries of the
     nu table and looks up the matching lam and mu entries, so no vanishing
-    term is formed.  Exact integers throughout.
+    term is formed.  A pi with at most one row is the trivial character,
+    whose Kronecker coefficient g(pi, rho, sigma) is [rho == sigma], so
+    those terms join the lam and mu entries on rho directly.  Exact
+    integers throughout.
     """
     nu = check_partition(nu)
     lam = check_partition(lam)
@@ -195,9 +205,16 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
                 if not mu_by_beta:
                     continue
                 for pi, nu_by_beta in nu_by_pi.items():
+                    one_row = len(pi) <= 1
                     for beta, c_nu in nu_by_beta.items():
                         mu_by_sigma = mu_by_beta.get(beta)
                         if not mu_by_sigma:
+                            continue
+                        if one_row:
+                            for rho, c_lam in lam_by_rho.items():
+                                c_mu = mu_by_sigma.get(rho)
+                                if c_mu:
+                                    total += c_nu * c_lam * c_mu
                             continue
                         for sigma, c_mu in mu_by_sigma.items():
                             for rho, c_lam in lam_by_rho.items():
@@ -307,12 +324,19 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     """
     from .halfdiag import partitions_up_to
 
-    right = [(mu, dim_standard(n, mu)) for mu in partitions_up_to(n)]
+    nu = one_part(r)
+    size_nu = r if nu else 0  # |nu|, with no arithmetic on an r not yet validated
+    right = [(mu, sum(mu), dim_standard(n, mu)) for mu in partitions_up_to(n)]
     total = 0
     for lam in partitions_up_to(m):
+        size_lam = sum(lam)
         dim_lam = dim_standard(m, lam)
-        for mu, dim_mu in right:
-            coeff = bvo_multiplicity(one_part(r), lam, mu, m, n)
+        for mu, size_mu, dim_mu in right:
+            # Below |nu| the strand budget is negative and the coefficient 0.
+            # The empty pair always reaches the engine, which validates r.
+            if (lam or mu) and size_lam + size_mu < size_nu:
+                continue
+            coeff = bvo_multiplicity(nu, lam, mu, m, n)
             if coeff:
                 total += coeff * dim_lam * dim_mu
     return total

@@ -23,6 +23,15 @@ Partition = tuple[int, ...]
 def check_partition(parts) -> Partition:
     """Return ``parts`` as a canonical tuple, rejecting invalid input."""
     p = tuple(parts)
+    # Fast accept: exact ints (so no bool), positive, weakly decreasing.
+    # Anything else falls through to the checks below, which name the fault.
+    last = p[0] if p else 0
+    for x in p:
+        if type(x) is not int or not 1 <= x <= last:
+            break
+        last = x
+    else:
+        return p
     for x in p:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"partition parts must be positive integers, got {parts!r}")

@@ -3,6 +3,7 @@
 import json
 import time
 
+from diagalg import cli
 from diagalg.cli import main
 
 COMPOSE_LEFT = {"n": 6, "blocks": [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3], [-4], [-5]]}
@@ -65,6 +66,23 @@ class TestMult:
         elapsed = time.perf_counter() - start
         assert capsys.readouterr().out.splitlines()[0] == "closed: 15001"
         assert elapsed < 1.0
+
+    def test_e1_engine_alone_is_fast(self, capsys):
+        # Each T forces U, so the enumeration is linear in r.
+        start = time.perf_counter()
+        assert main(["mult", "-p", "30000", "-q", "30000", "-r", "30000", "--engines", "e1"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.splitlines() == ["e1: 15001", "agree"]
+        assert elapsed < 1.0
+
+    def test_table_size_budget(self, capsys, monkeypatch):
+        assert main(["mult", "table", "--max", str(cli.MULT_TABLE_MAX + 1)]) == 2
+        assert capsys.readouterr().err == "error: mult table is limited to --max <= 50, got 51\n"
+        monkeypatch.setattr(cli, "MULT_TABLE_MAX", 3)
+        assert main(["mult", "table", "--max", "3", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 64
+        assert main(["mult", "table", "--max", "4", "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "error: mult table is limited to --max <= 3, got 4\n"
 
     def test_bvo_engine_on_one_part_labels_is_fast(self, capsys):
         # One-part labels leave one contained shape per size, so the
@@ -170,6 +188,23 @@ class TestTL:
         assert main(["tl", "basis", "-n", "40", "-r", "0", "--count-only"]) == 0
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out.strip() == "6564120420"
+
+    def test_basis_size_budget(self, capsys, monkeypatch):
+        start = time.perf_counter()
+        assert main(["tl", "basis", "-n", "22", "-r", "0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: tl basis is limited to 15000 diagrams, got 58786 (--count-only has no limit)\n"
+        )
+        # -n 6 -r 2 has 9 diagrams
+        monkeypatch.setattr(cli, "TL_BASIS_MAX_DIAGRAMS", 9)
+        assert main(["tl", "basis", "-n", "6", "-r", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 9
+        monkeypatch.setattr(cli, "TL_BASIS_MAX_DIAGRAMS", 8)
+        assert main(["tl", "basis", "-n", "6", "-r", "2", "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tl basis is limited to 8 diagrams, got 9 (--count-only has no limit)\n"
+        )
 
     def test_groth_expansion(self, capsys):
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1"]) == 0

@@ -100,6 +100,18 @@ def bvo_reference(nu, lam, mu):
     return total
 
 
+def e_lattice_reference(p, q, r):
+    """Oracle: every (T, U) pair tried, with no forced U."""
+    solutions = []
+    for t in range(r + 1):
+        for u in range(min(p, q) + 1):
+            left = p - t - u
+            right = q - t - u
+            if left >= 0 and right >= 0 and t + left + right == r:
+                solutions.append(E1Solution(t, u, left, right))
+    return len(solutions), solutions
+
+
 @st.composite
 def bvo_cases(draw, max_degree):
     m = draw(st.integers(0, max_degree))
@@ -153,6 +165,17 @@ class TestSystemEnumeration:
         count, sols = e_lattice(2, 2, 2)
         assert count == 2
         assert set(sols) == {E1Solution(2, 0, 0, 0), E1Solution(0, 1, 1, 1)}
+
+    def test_matches_reference_up_to_thirty(self):
+        for p in range(31):
+            for q in range(31):
+                for r in range(31):
+                    assert e_lattice(p, q, r) == e_lattice_reference(p, q, r), (p, q, r)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 5_000), st.integers(0, 5_000), st.integers(0, 5_000))
+    def test_engines_agree_on_large_triples(self, p, q, r):
+        assert e_closed(p, q, r) == e_lattice(p, q, r)[0] == e2_lattice(p, q, r)
 
     def test_solutions_satisfy_side_sums(self):
         for p in range(6):

@@ -1,6 +1,11 @@
 """Coefficient engine checks: tableau counts, LR, characters, Kronecker."""
 
+from enum import IntEnum
+from itertools import permutations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diagalg import symfunc
 from diagalg.symfunc import (
@@ -36,6 +41,45 @@ def syt_count_brute(shape):
     return total
 
 
+def check_partition_reference(parts):
+    """Oracle: the validation loops alone, with no fast accept in front."""
+    p = tuple(parts)
+    for x in p:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise ValueError(f"partition parts must be positive integers, got {parts!r}")
+    for a, b in zip(p, p[1:]):
+        if a < b:
+            raise ValueError(f"partition parts must be weakly decreasing, got {parts!r}")
+    return p
+
+
+class Part(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+CONTAINERS = {"tuple": tuple, "list": list, "generator": lambda items: (x for x in items)}
+PART_VALUES = st.one_of(
+    st.integers(-2, 6), st.booleans(), st.sampled_from(list(Part)), st.sampled_from(["1", "a", 2.0])
+)
+PART_LISTS = st.one_of(
+    st.lists(PART_VALUES, max_size=5),
+    st.lists(st.integers(1, 6), max_size=5).map(lambda xs: sorted(xs, reverse=True)),
+)
+
+
+def check_outcome(check, container, items):
+    """A value with its element types, or an exception type and message."""
+    parts = CONTAINERS[container](items)
+    try:
+        value = check(parts)
+    except ValueError as exc:
+        # a generator's repr carries its address, which differs between calls
+        return ValueError, str(exc).replace(repr(parts), "<input>")
+    return value, [type(x) for x in value]
+
+
 # classic character tables, frozen by hand:
 # S_2 classes (1,1), (2); S_3 classes (1,1,1), (2,1), (3)
 S2_TABLE = {
@@ -62,6 +106,19 @@ class TestPartitions:
 
     def test_empty_partition_is_valid(self):
         assert check_partition(()) == ()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CONTAINERS)), PART_LISTS)
+    @example("tuple", [True])
+    @example("generator", [2, True])
+    @example("list", [Part.TWO, Part.ONE])
+    @example("generator", [3, 1])
+    @example("tuple", [1, 2])
+    @example("tuple", [3, 0])
+    def test_matches_reference(self, container, items):
+        assert check_outcome(check_partition, container, items) == check_outcome(
+            check_partition_reference, container, items
+        )
 
     def test_partition_counts(self):
         assert [len(partitions_of(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
@@ -138,6 +195,16 @@ class TestLRCoeff:
                             assert lr_coeff(lam, mu, nu) == lr_coeff_by_symbol_addition(
                                 lam, mu, nu
                             ), (lam, mu, nu)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_two_routes_agree_to_size_eight(self, data):
+        a_size = data.draw(st.integers(0, 8))
+        b_size = data.draw(st.integers(0, 8 - a_size))
+        lam = data.draw(st.sampled_from(partitions_of(a_size)))
+        mu = data.draw(st.sampled_from(partitions_of(b_size)))
+        nu = data.draw(st.sampled_from(partitions_of(a_size + b_size)))
+        assert lr_coeff(lam, mu, nu) == lr_coeff_by_symbol_addition(lam, mu, nu)
 
     def test_branching_total(self):
         # sum over nu of c * f^nu equals C(|lam|+|mu|, |lam|) f^lam f^mu
@@ -226,8 +293,6 @@ class TestKronecker:
         assert kronecker_coeff((2,), (1,), (2,)) == 0
 
     def test_full_symmetry_to_size_five(self):
-        from itertools import permutations
-
         for n in range(1, 6):
             shapes = partitions_of(n)
             for lam in shapes:
@@ -236,6 +301,12 @@ class TestKronecker:
                         base = kronecker_coeff(lam, mu, nu)
                         for a, b, c in permutations((lam, mu, nu)):
                             assert kronecker_coeff(a, b, c) == base
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(6, 8).flatmap(lambda n: st.tuples(*[st.sampled_from(partitions_of(n))] * 3)))
+    def test_full_symmetry_at_sizes_six_to_eight(self, triple):
+        values = {kronecker_coeff(a, b, c) for a, b, c in permutations(triple)}
+        assert len(values) == 1
 
     def test_tensor_square_dimension(self):
         # sum over nu of g * f^nu equals f^lam * f^mu
