@@ -29,6 +29,11 @@ CENSUS_MAX_DOTS = 40
 # budget, which print as JSON in about 0.8 s on the same host.
 MULT_TABLE_MAX = 50
 
+# Most solutions that `mult` enumerates for e1 (also in --engines all) or
+# --solutions, as counted by e_closed first.  Listing 100,000 as text takes
+# about 0.6 s, process start included, on the same host.
+MULT_E1_MAX_SOLUTIONS = 100_000
+
 # Most diagrams that `tl basis` lists; --count-only has no budget.  Listing
 # takes about 45 us a diagram on the same host, so 15,000 is about 0.7 s.
 TL_BASIS_MAX_DIAGRAMS = 15_000
@@ -100,6 +105,13 @@ def _cmd_mult(args) -> int:
     engines = {}
     wanted = ("closed", "e1", "e2", "bvo") if args.engines == "all" else (args.engines,)
     if "e1" in wanted or args.solutions:
+        expected = multiplicity.e_closed(p, q, r)
+        if expected > MULT_E1_MAX_SOLUTIONS:
+            raise _CliError(
+                f"e1 and --solutions enumerate at most {MULT_E1_MAX_SOLUTIONS} solutions, got {expected}; "
+                "for the count alone use --engines closed or --engines e2",
+                USAGE_ERROR,
+            )
         count, solutions = multiplicity.e_lattice(p, q, r)
     if "closed" in wanted:
         engines["closed"] = multiplicity.e_closed(p, q, r)
@@ -289,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     mult.add_argument("-q", type=int)
     mult.add_argument("-r", type=int)
     mult.add_argument("--engines", choices=["all", "closed", "e1", "e2", "bvo"], default="all")
-    mult.add_argument("--solutions", action="store_true", help="list the system's solutions")
+    mult.add_argument(
+        "--solutions", action="store_true", help=f"list the solutions (at most {MULT_E1_MAX_SOLUTIONS})"
+    )
     mult.add_argument(
         "--max", type=int, default=3, help=f"grid bound for table mode (at most {MULT_TABLE_MAX})"
     )

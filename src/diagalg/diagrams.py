@@ -103,6 +103,33 @@ def _node_text(node: int) -> str:
     return str(node) if node > 0 else f"{-node}'"
 
 
+def _check_blocks(n: int, blocks, signed: bool) -> list[tuple[int, ...]]:
+    """Check that non-empty ``blocks`` hold each dot once; return them as tuples, in order.
+
+    The dots are +-1..+-n with ``signed`` (a diagram), else 1..n (a half-diagram).
+    """
+    if not isinstance(n, int) or n < 0:
+        raise InvariantViolation("degree must be a non-negative integer")
+    low = -n if signed else 1
+    seen: set[int] = set()
+    clean: list[tuple[int, ...]] = []
+    for block in blocks:
+        bl = tuple(block)
+        if not bl:
+            raise InvariantViolation("blocks must be non-empty")
+        for dot in bl:
+            if not isinstance(dot, int) or dot == 0 or not low <= dot <= n:
+                raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
+            if dot in seen:
+                raise InvariantViolation(f"dot {_node_text(dot)} appears in more than one block")
+            seen.add(dot)
+        clean.append(bl)
+    if len(seen) != (2 * n if signed else n):
+        cover = "all 2n dots" if signed else "1..n"
+        raise InvariantViolation(f"blocks must cover {cover} exactly once")
+    return clean
+
+
 class SetPartitionDiagram:
     """A set partition of the 2n dots on a degree-n diagram boundary.
 
@@ -115,23 +142,7 @@ class SetPartitionDiagram:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
-        if not isinstance(n, int) or n < 0:
-            raise InvariantViolation("degree must be a non-negative integer")
-        seen: set[int] = set()
-        clean: list[tuple[int, ...]] = []
-        for block in blocks:
-            bl = tuple(block)
-            if not bl:
-                raise InvariantViolation("blocks must be non-empty")
-            for node in bl:
-                if not isinstance(node, int) or node == 0 or abs(node) > n:
-                    raise InvariantViolation(f"dot {node!r} out of range for degree {n}")
-                if node in seen:
-                    raise InvariantViolation(f"dot {_node_text(node)} appears in more than one block")
-                seen.add(node)
-            clean.append(bl)
-        if len(seen) != 2 * n:
-            raise InvariantViolation("blocks must cover all 2n dots exactly once")
+        clean = _check_blocks(n, blocks, signed=True)
         key = self._order_key
         self.n = n
         inner = [tuple(sorted(b, key=key)) for b in clean]

@@ -17,6 +17,7 @@ from .diagrams import (
     DeltaPolynomial,
     InvariantViolation,
     SetPartitionDiagram,
+    _check_blocks,
     _LinearCombination,
     _stack,
 )
@@ -33,31 +34,21 @@ class HalfDiagram:
     __slots__ = ("n", "blocks", "labeled")
 
     def __init__(self, n: int, blocks, labeled=()):
-        if not isinstance(n, int) or n < 0:
-            raise InvariantViolation("degree must be a non-negative integer")
-        seen: set[int] = set()
-        clean: list[tuple[int, ...]] = []
-        for block in blocks:
-            bl = tuple(block)
-            if not bl:
-                raise InvariantViolation("blocks must be non-empty")
-            for dot in bl:
-                if not isinstance(dot, int) or not 1 <= dot <= n:
-                    raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
-                if dot in seen:
-                    raise InvariantViolation(f"dot {dot} appears in more than one block")
-                seen.add(dot)
-            clean.append(tuple(sorted(bl)))
-        if len(seen) != n:
-            raise InvariantViolation("blocks must cover 1..n exactly once")
+        clean = [tuple(sorted(bl)) for bl in _check_blocks(n, blocks, signed=False)]
         labels = set(labeled)
         for idx in labels:
             if not isinstance(idx, int) or not 0 <= idx < len(clean):
                 raise InvariantViolation(f"labeled index {idx!r} does not point at a block")
         order = sorted(range(len(clean)), key=lambda i: clean[i][0])
-        self.n = n
-        self.blocks = tuple(clean[i] for i in order)
+        self.n, self.blocks = n, tuple(clean[i] for i in order)
         self.labeled = frozenset(order.index(i) for i in labels)
+
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple, labeled: frozenset) -> "HalfDiagram":
+        """Wrap ``blocks`` and ``labeled``, already in the canonical form above, with no check or copy."""
+        self = object.__new__(cls)
+        self.n, self.blocks, self.labeled = n, blocks, labeled
+        return self
 
     @property
     def r(self) -> int:
@@ -158,21 +149,20 @@ def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
     if d.n != v.n:
         raise InvariantViolation("action requires equal degrees")
     n = d.n
-    labeled_middle = {
-        n + dot - 1 for i in v.labeled for dot in v.blocks[i]
-    }
+    labeled_middle = {n + dot - 1 for i in v.labeled for dot in v.blocks[i]}
+    # Components list their nodes in increasing order and come in order of
+    # their least node, so the top-row blocks are read out canonical.
     t = 0
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     labeled: list[int] = []
     for members in _stack(d, v.blocks, 2 * n).values():
-        tops = [m + 1 for m in members if m < n]
-        if not tops:
+        if members[0] >= n:
             t += 1
             continue
-        if any(m in labeled_middle for m in members):
+        if not labeled_middle.isdisjoint(members):
             labeled.append(len(blocks))
-        blocks.append(tops)
-    return t, HalfDiagram(n, blocks, labeled)
+        blocks.append(tuple(m + 1 for m in members if m < n))
+    return t, HalfDiagram._trusted(n, tuple(blocks), frozenset(labeled))
 
 
 def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:
@@ -218,28 +208,17 @@ def act_sum(ds, vs: HalfDiagramSum) -> HalfDiagramSum:
 
 @cache
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Set partitions of {1..n} as block tuples, in restricted-growth order."""
+    """Set partitions of {1..n} as block tuples, in restricted-growth order.
+
+    Dot n joins each block of a partition of {1..n-1} in turn, then opens a
+    block of its own, so blocks stay sorted and ordered by least element.
+    """
     if n == 0:
         return ((),)
     out: list[tuple[tuple[int, ...], ...]] = []
-    rgs = [0] * n
-
-    def emit() -> None:
-        count = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(count)]
-        for dot, value in enumerate(rgs, start=1):
-            blocks[value].append(dot)
-        out.append(tuple(tuple(b) for b in blocks))
-
-    def go(i: int, mx: int) -> None:
-        if i == n:
-            emit()
-            return
-        for v in range(mx + 2):
-            rgs[i] = v
-            go(i + 1, max(mx, v))
-
-    go(1, 0)
+    for blocks in set_partitions(n - 1):
+        out.extend(blocks[:i] + (blocks[i] + (n,),) + blocks[i + 1:] for i in range(len(blocks)))
+        out.append(blocks + ((n,),))
     return tuple(out)
 
 
@@ -247,17 +226,17 @@ def enumerate_basis(n: int, r: int) -> list[HalfDiagram]:
     """All (n, r)-half-diagrams in a reproducible order.
 
     Set partitions come in restricted-growth order; for each, the r-subsets
-    of blocks to label come in lexicographic order.
+    of blocks to label come in lexicographic order.  The diagrams share the
+    already canonical blocks, and one label set per block count and subset.
     """
     if r < 0 or r > n:
         return []
-    out: list[HalfDiagram] = []
-    for blocks in set_partitions(n):
-        if len(blocks) < r:
-            continue
-        for labels in combinations(range(len(blocks)), r):
-            out.append(HalfDiagram(n, blocks, labels))
-    return out
+    label_sets = [[frozenset(labels) for labels in combinations(range(k), r)] for k in range(n + 1)]
+    return [
+        HalfDiagram._trusted(n, blocks, labels)
+        for blocks in set_partitions(n)
+        for labels in label_sets[len(blocks)]
+    ]
 
 
 @cache

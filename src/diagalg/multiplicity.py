@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
-from .halfdiag import dim_standard
+from .halfdiag import dim_standard, partitions_up_to
 from .symfunc import (
     Partition,
     check_partition,
@@ -71,18 +71,15 @@ def e_lattice(p: int, q: int, r: int) -> tuple[int, list[E1Solution]]:
 
     Subtracting the first equation from the sum of the other two gives
     2U = p + q - r - T, so each T forces U and leaves at most one solution.
+    U is a non-negative integer exactly when T <= p + q - r has its parity,
+    and then L, R >= 0 exactly when T <= r - |p - q|, so only those T are
+    visited, in increasing order.
     """
     p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
     solutions: list[E1Solution] = []
-    for t in range(r + 1):
-        twice_u = p + q - r - t
-        if twice_u < 0 or twice_u % 2:
-            continue
-        u = twice_u // 2
-        left = p - t - u
-        right = q - t - u
-        if left >= 0 and right >= 0:
-            solutions.append(E1Solution(t, u, left, right))
+    for t in range((p + q - r) % 2, min(r, p + q - r, r - abs(p - q)) + 1, 2):
+        u = (p + q - r - t) // 2
+        solutions.append(E1Solution(t, u, p - t - u, q - t - u))
     return len(solutions), solutions
 
 
@@ -322,10 +319,7 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     partitions lam of size at most m and mu of size at most n; a correct
     coefficient engine makes this the number of (m + n, r)-half-diagrams.
     """
-    from .halfdiag import partitions_up_to
-
-    nu = one_part(r)
-    size_nu = r if nu else 0  # |nu|, with no arithmetic on an r not yet validated
+    nu = one_part(_check_count(r, "r"))
     right = [(mu, sum(mu), dim_standard(n, mu)) for mu in partitions_up_to(n)]
     total = 0
     for lam in partitions_up_to(m):
@@ -333,8 +327,8 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
         dim_lam = dim_standard(m, lam)
         for mu, size_mu, dim_mu in right:
             # Below |nu| the strand budget is negative and the coefficient 0.
-            # The empty pair always reaches the engine, which validates r.
-            if (lam or mu) and size_lam + size_mu < size_nu:
+            # The empty pair always reaches the engine, which rejects r > m + n.
+            if (lam or mu) and size_lam + size_mu < r:
                 continue
             coeff = bvo_multiplicity(nu, lam, mu, m, n)
             if coeff:

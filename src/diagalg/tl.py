@@ -60,10 +60,11 @@ class TLHalfDiagram:
 
     def to_half_diagram(self) -> HalfDiagram:
         """The same object as a labeled set partition."""
-        blocks = [list(cap) for cap in self.caps] + [[dot] for dot in self.labels]
-        hd = HalfDiagram(self.n, blocks)
-        labeled = [i for i, block in enumerate(hd.blocks) if len(block) == 1 and block[0] in self.labels]
-        return HalfDiagram(self.n, hd.blocks, labeled)
+        # Caps are sorted pairs and every single dot is labeled; sorting the
+        # blocks orders them by least element, as the dots are distinct.
+        blocks = tuple(sorted([*self.caps, *((dot,) for dot in self.labels)]))
+        labeled = frozenset(i for i, block in enumerate(blocks) if len(block) == 1)
+        return HalfDiagram._trusted(self.n, blocks, labeled)
 
     def to_json(self) -> dict:
         return {"n": self.n, "caps": [list(c) for c in self.caps], "labels": list(self.labels)}

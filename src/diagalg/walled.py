@@ -17,7 +17,7 @@ from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .diagrams import InvariantViolation, SetPartitionDiagram, generator
+from .diagrams import InvariantViolation, SetPartitionDiagram, _node_text, generator
 from .halfdiag import HalfDiagram, act_top, enumerate_basis, half_diagram_count
 
 
@@ -95,24 +95,22 @@ class WalledHalfDiagram:
         blocks = [[_position(m, n, dot) for dot in block] for block in data["blocks"]]
         return cls.from_blocks(m, n, blocks, data.get("labeled", ()))
 
-    def to_json(self) -> dict:
-        def signed(pos: int) -> int:
-            return pos if pos <= self.m else -(self.m + self.n + 1 - pos)
+    def _dot(self, pos: int) -> int:
+        """Signed dot name of a position; the inverse of :meth:`position_of`."""
+        return pos if pos <= self.m else -(self.m + self.n + 1 - pos)
 
+    def to_json(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
-            "blocks": [[signed(p) for p in block] for block in self.half.blocks],
+            "blocks": [[self._dot(p) for p in block] for block in self.half.blocks],
             "labeled": sorted(self.half.labeled),
         }
 
     def render(self) -> str:
-        def text(pos: int) -> str:
-            return str(pos) if pos <= self.m else f"{self.m + self.n + 1 - pos}'"
-
         pieces = []
         for i, block in enumerate(self.half.blocks):
-            body = "{" + ",".join(text(p) for p in block) + "}"
+            body = "{" + ",".join(_node_text(self._dot(p)) for p in block) + "}"
             pieces.append(body + "*" if i in self.half.labeled else body)
         return "{" + ",".join(pieces) + "}"
 
@@ -132,21 +130,22 @@ class WalledHalfDiagram:
 
 def index_of(w: WalledHalfDiagram) -> WalledIndex:
     """Classify every block by wall crossing and label to form the index."""
+    return _index(w.m, w.half)
+
+
+def _index(m: int, half: HalfDiagram) -> WalledIndex:
+    """The index of ``half`` with the wall after position m."""
     u = t = l = r = 0
-    for i, block in enumerate(w.half.blocks):
-        left = block[0] <= w.m
-        right = block[-1] > w.m
-        labeled = i in w.half.labeled
-        if left and right:
-            if labeled:
-                t += 1
-            else:
-                u += 1
-        elif labeled:
-            if left:
-                l += 1
-            else:
-                r += 1
+    for i, block in enumerate(half.blocks):
+        left, right = block[0] <= m, block[-1] > m
+        if i not in half.labeled:
+            u += left and right
+        elif left and right:
+            t += 1
+        elif left:
+            l += 1
+        else:
+            r += 1
     return WalledIndex(u, t, l, r)
 
 
@@ -317,7 +316,7 @@ def transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> Transition:
         raise ValueError("diagram is not a juxtaposed one-sided generator or the identity")
     old = index_of(w)
     _, top = act_top(g, w.half)
-    new = index_of(WalledHalfDiagram(w.m, w.n, top))
+    new = _index(w.m, top)
     if new == old:
         return Transition(old, new, TransitionCase.UNCHANGED)
     delta = tuple(b - a for a, b in zip(old, new))

@@ -84,6 +84,29 @@ class TestMult:
         assert main(["mult", "table", "--max", "4", "--format", "csv"]) == 2
         assert capsys.readouterr().err == "error: mult table is limited to --max <= 3, got 4\n"
 
+    def test_e1_solution_budget(self, capsys, monkeypatch):
+        # p = q = r = 2k has k + 1 solutions; 199,998 is at the budget of 100,000
+        start = time.perf_counter()
+        assert main(["mult", "-p", "199998", "-q", "199998", "-r", "199998", "--engines", "e1"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["e1: 100000", "agree"]
+        assert main(["mult", "-p", "200000", "-q", "200000", "-r", "200000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: e1 and --solutions enumerate at most 100000 solutions, got 100001; "
+            "for the count alone use --engines closed or --engines e2\n"
+        )
+        # -p 4 -q 4 -r 4 has 3 solutions
+        monkeypatch.setattr(cli, "MULT_E1_MAX_SOLUTIONS", 3)
+        assert main(["mult", "-p", "4", "-q", "4", "-r", "4", "--engines", "closed", "--solutions"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3 + 1
+        monkeypatch.setattr(cli, "MULT_E1_MAX_SOLUTIONS", 2)
+        assert main(["mult", "-p", "4", "-q", "4", "-r", "4", "--engines", "e1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: e1 and --solutions enumerate at most 2 solutions, got 3;"
+        )
+        assert main(["mult", "-p", "4", "-q", "4", "-r", "4", "--engines", "e2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["e2: 3", "agree"]
+
     def test_bvo_engine_on_one_part_labels_is_fast(self, capsys):
         # One-part labels leave one contained shape per size, so the
         # coefficient sum stays small even at large p, q, r.

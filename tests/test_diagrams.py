@@ -4,6 +4,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagalg.diagrams import (
     DeltaPolynomial,
@@ -16,7 +18,16 @@ from diagalg.diagrams import (
     is_tl_diagram,
     propagating_number,
 )
-from diagalg.halfdiag import HalfDiagram, HalfDiagramSum, act_sum, act_top, enumerate_basis, set_partitions
+from diagalg.halfdiag import (
+    HalfDiagram,
+    HalfDiagramSum,
+    ScaledHalfDiagram,
+    act,
+    act_sum,
+    act_top,
+    enumerate_basis,
+    set_partitions,
+)
 from diagalg.tl import GrothElement
 from diagalg.verify import _random_diagram as random_diagram
 
@@ -99,6 +110,24 @@ def all_diagrams(n):
         SetPartitionDiagram(n, [[x if x <= n else n - x for x in block] for block in blocks])
         for blocks in set_partitions(2 * n)
     ]
+
+
+@st.composite
+def partition_blocks(draw, nodes):
+    """Blocks of a set partition of ``nodes``: each node draws the tag of its block."""
+    tags = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=len(nodes), max_size=len(nodes)))
+    return [[x for x, tag in zip(nodes, tags) if tag == b] for b in sorted(set(tags))]
+
+
+@st.composite
+def diagrams(draw, n):
+    return SetPartitionDiagram(n, draw(partition_blocks([*range(1, n + 1), *range(-1, -n - 1, -1)])))
+
+
+@st.composite
+def half_diagrams(draw, n):
+    blocks = draw(partition_blocks(list(range(1, n + 1))))
+    return HalfDiagram(n, blocks, draw(st.sets(st.integers(0, len(blocks) - 1))))
 
 
 class TestDeltaPolynomial:
@@ -233,11 +262,36 @@ class TestStackingOracle:
             basis = [v for r in range(n + 1) for v in enumerate_basis(n, r)]
             for d in all_diagrams(n):
                 for v in basis:
-                    assert act_top(d, v) == oracle_act_top(d, v)
+                    t, top = act_top(d, v)
+                    assert (t, top) == oracle_act_top(d, v)
+                    # the read-out skips validation; the checked constructor is its oracle
+                    checked = HalfDiagram(n, top.blocks, top.labeled)
+                    assert (checked, checked.blocks, checked.labeled) == (top, top.blocks, top.labeled)
 
     def test_oracle_reads_the_worked_example(self):
         got = oracle_compose(SetPartitionDiagram(6, FIG_LEFT), SetPartitionDiagram(6, FIG_RIGHT))
         assert got == (2, SetPartitionDiagram(6, FIG_RESULT))
+
+
+class TestAssociativityProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(diagrams(n), diagrams(n), diagrams(n))))
+    def test_compose_associative_to_degree_eight(self, triple):
+        a, b, c = triple
+        t_ab, ab = compose(a, b)
+        t_ab_c, ab_c = compose(ab, c)
+        t_bc, bc = compose(b, c)
+        t_a_bc, a_bc = compose(a, bc)
+        assert (t_ab + t_ab_c, ab_c) == (t_bc + t_a_bc, a_bc)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(diagrams(n), diagrams(n), half_diagrams(n))))
+    def test_stack_then_act_to_degree_eight(self, case):
+        d1, d2, v = case
+        t, d12 = compose(d1, d2)
+        inner = act(d2, v)
+        twice = ScaledHalfDiagram.zero() if inner.is_zero else act(d1, inner.diagram).scaled(inner.coeff)
+        assert act(d12, v).scaled(DeltaPolynomial.delta_power(t)) == twice
 
 
 class TestCancellation:

@@ -166,6 +166,14 @@ class TestBasis:
             for r in range(n + 2):
                 assert len(enumerate_basis(n, r)) == half_diagram_count(n, r)
 
+    def test_basis_is_canonical_to_degree_six(self):
+        # enumerate_basis skips validation; the checked constructor is its oracle
+        for n in range(7):
+            for r in range(n + 1):
+                for hd in enumerate_basis(n, r):
+                    checked = HalfDiagram(n, hd.blocks, hd.labeled)
+                    assert (checked, checked.blocks, checked.labeled) == (hd, hd.blocks, hd.labeled)
+
     def test_set_partition_counts_are_bell(self):
         for n in range(8):
             assert len(set_partitions(n)) == bell(n)

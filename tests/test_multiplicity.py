@@ -233,6 +233,16 @@ class TestCoefficientSum:
                         m + n, r
                     )
 
+    def test_dimension_total_rejects_a_bad_r(self):
+        # None and '' were once read as r = 0; the others failed inside
+        # check_partition with "partition parts must be positive integers"
+        for r in (None, "", -1, True, 1.0, "x"):
+            with pytest.raises(ValueError) as caught:
+                restriction_dimension_total(2, 2, r)
+            assert str(caught.value) == f"r must be a non-negative integer, got {r!r}"
+        with pytest.raises(ValueError, match=r"^\|nu\| = 5 exceeds total degree 4$"):
+            restriction_dimension_total(2, 2, 5)
+
     def test_two_row_restriction_value(self):
         # restriction of the two-row index (1,1) at degrees (1,1) splits into
         # exactly the label pairs (1,1): dimension bookkeeping pins it to 1

@@ -7,6 +7,7 @@ import pytest
 
 from diagalg import tl
 from diagalg.diagrams import InvariantViolation
+from diagalg.halfdiag import HalfDiagram
 from diagalg.multiplicity import e_lattice
 from diagalg.tl import (
     GrothElement,
@@ -44,6 +45,15 @@ class TestTLHalfDiagram:
         diagram = TLHalfDiagram(6, [(2, 5), (3, 4)])
         hd = diagram.to_half_diagram()
         assert hd.labeled_blocks() == ((1,), (6,))
+
+    def test_half_diagram_conversion_matches_checked_construction(self):
+        for n in range(9):
+            for r in range(n + 1):
+                for diagram in tl_basis(n, r):
+                    blocks = [*diagram.caps, *((dot,) for dot in diagram.labels)]
+                    checked = HalfDiagram(n, blocks, range(len(diagram.caps), len(blocks)))
+                    hd = diagram.to_half_diagram()
+                    assert (hd, hd.blocks, hd.labeled) == (checked, checked.blocks, checked.labeled)
 
 
 class TestBasisCounts:

@@ -1,5 +1,6 @@
 """Walled index extraction, the census, and the transition classifier."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
-from diagalg.halfdiag import half_diagram_count
+from diagalg.halfdiag import half_diagram_count, set_partitions
 from diagalg.walled import (
     TransitionCase,
     WalledHalfDiagram,
@@ -95,6 +96,24 @@ class TestIndex:
     def test_json_round_trip(self):
         w = WalledHalfDiagram.from_json(WORKED)
         assert WalledHalfDiagram.from_json(w.to_json()) == w
+
+
+class TestEnumerationMemory:
+    def test_walled_diagrams_share_canonical_data(self):
+        # Diagrams share the cached set-partition blocks and one label set per
+        # block count and subset; a copy per diagram retains about 8.3 MiB here.
+        cells = [(m, n, r) for m in range(1, 6) for n in range(1, 7 - m) for r in range(m + n + 1)]
+        for size in range(7):
+            set_partitions(size)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [enumerate_walled(m, n, r) for m, n, r in cells]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, kept)) == 14_298
+        assert retained < 3 * 2**20
 
 
 class TestLexOrder:
