@@ -78,6 +78,8 @@ def _build(loader, data, what: str):
 def _cmd_mult(args) -> int:
     if args.mode == "table":
         top = args.max
+        if top < 0:
+            raise _CliError(f"mult table needs --max >= 0, got {top}", USAGE_ERROR)
         if top > MULT_TABLE_MAX:
             raise _CliError(f"mult table is limited to --max <= {MULT_TABLE_MAX}, got {top}", USAGE_ERROR)
         rows = [

@@ -19,12 +19,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .halfdiag import dim_standard, partitions_up_to
-from .symfunc import (
-    Partition,
-    check_partition,
-    kronecker_coeff,
-    lr_coeff,
-)
+from .symfunc import Partition, check_partition, kronecker_coeff, lr_coeff, partitions_inside
 
 
 class E1Solution(NamedTuple):
@@ -108,24 +103,6 @@ def e2_lattice(p: int, q: int, r: int) -> int:
 
 
 @cache
-def _partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
-    """Partitions of ``size`` whose diagrams fit inside ``outer``, in ``partitions_of`` order."""
-    out: list[Partition] = []
-
-    def build(remaining: int, largest: int, prefix: Partition) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        if len(prefix) == len(outer):
-            return
-        for part in range(min(remaining, largest, outer[len(prefix)]), 0, -1):
-            build(remaining - part, part, prefix + (part,))
-
-    build(size, size, ())
-    return tuple(out)
-
-
-@cache
 def _three_part_table(
     nu: Partition, s1: int, s2: int, s3: int
 ) -> dict[Partition, dict[Partition, dict[Partition, int]]]:
@@ -141,13 +118,13 @@ def _three_part_table(
     out: dict[Partition, dict[Partition, dict[Partition, int]]] = {}
     if s1 + s2 + s3 != sum(nu):
         return out
-    for eta in _partitions_inside(s3, nu):
-        for xi in _partitions_inside(s1 + s2, nu):
+    for eta in partitions_inside(s3, nu):
+        for xi in partitions_inside(s1 + s2, nu):
             c_outer = lr_coeff(xi, eta, nu)
             if not c_outer:
                 continue
-            for alpha in _partitions_inside(s1, xi):
-                for beta in _partitions_inside(s2, xi):
+            for alpha in partitions_inside(s1, xi):
+                for beta in partitions_inside(s2, xi):
                     c_inner = lr_coeff(alpha, beta, xi)
                     if c_inner:
                         by_beta = out.setdefault(alpha, {}).setdefault(eta, {})

@@ -44,20 +44,25 @@ def check_partition(parts) -> Partition:
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, largest part first within each, in reverse-lex order."""
-    if n < 0:
-        return ()
-    if n == 0:
-        return ((),)
+    # an n-by-n box holds every partition of n
+    return partitions_inside(n, (n,) * n)
+
+
+@cache
+def partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
+    """Partitions of ``size`` whose diagrams fit inside ``outer``, in :func:`partitions_of` order."""
     out: list[Partition] = []
 
     def build(remaining: int, largest: int, prefix: Partition) -> None:
         if remaining == 0:
             out.append(prefix)
             return
-        for part in range(min(remaining, largest), 0, -1):
+        if len(prefix) == len(outer):
+            return
+        for part in range(min(remaining, largest, outer[len(prefix)]), 0, -1):
             build(remaining - part, part, prefix + (part,))
 
-    build(n, n, ())
+    build(size, size, ())
     return tuple(out)
 
 

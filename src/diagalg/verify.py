@@ -129,7 +129,7 @@ def verify_compose_assoc(limit: int | None = None) -> VerifyReport:
         f"golden composition gave {d.render()}",
     )
 
-    max_degree = limit or 5
+    max_degree = 5 if limit is None else limit
     for n in range(1, max_degree + 1):
         identity = SetPartitionDiagram.identity(n)
         for i in range(1, n + 1):
@@ -215,7 +215,7 @@ def verify_action_assoc(limit: int | None = None) -> VerifyReport:
 def verify_census_factorization(limit: int | None = None) -> VerifyReport:
     """Walled census against its closed-form factorization, plus totals."""
     report = VerifyReport("census-factorization")
-    top = limit or 4
+    top = 4 if limit is None else limit
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             for r in range(m + n + 1):
@@ -244,7 +244,7 @@ def verify_census_factorization(limit: int | None = None) -> VerifyReport:
 def verify_transition_lemma(limit: int | None = None) -> VerifyReport:
     """Every generator move lands in the five cases and lowers the index."""
     report = VerifyReport("transition-lemma")
-    top = limit or 3
+    top = 3 if limit is None else limit
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             gens = walled.tensor_generators(m, n)
@@ -270,7 +270,7 @@ def verify_transition_lemma(limit: int | None = None) -> VerifyReport:
 def verify_bell_identity(limit: int | None = None) -> VerifyReport:
     """Squared standard dimensions sum to the Bell number of 2n."""
     report = VerifyReport("bell-identity")
-    top = limit or 4
+    top = 4 if limit is None else limit
     for n in range(1, top + 1):
         total = sum(
             halfdiag.dim_standard(n, nu) ** 2 for nu in halfdiag.partitions_up_to(n)
@@ -289,7 +289,7 @@ def verify_bell_identity(limit: int | None = None) -> VerifyReport:
 def verify_restriction_dimension(limit: int | None = None) -> VerifyReport:
     """Coefficient-weighted dimension sums match the half-diagram census."""
     report = VerifyReport("restriction-dimension")
-    top = limit or 3
+    top = 3 if limit is None else limit
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             for r in range(m + n + 1):
@@ -305,7 +305,7 @@ def verify_restriction_dimension(limit: int | None = None) -> VerifyReport:
 def verify_four_way_agreement(limit: int | None = None) -> VerifyReport:
     """Closed form, system count, lattice count and coefficient sum agree."""
     report = VerifyReport("four-way-agreement")
-    top = limit or 8
+    top = 8 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(top + 1):
@@ -336,7 +336,7 @@ def verify_four_way_agreement(limit: int | None = None) -> VerifyReport:
 def verify_geometry_agreement(limit: int | None = None) -> VerifyReport:
     """Circle and conic counts reproduce the closed form on their regimes."""
     report = VerifyReport("geometry-agreement")
-    top = limit or 30
+    top = 30 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(top + 1):
@@ -356,7 +356,7 @@ def verify_geometry_agreement(limit: int | None = None) -> VerifyReport:
 def verify_parity(limit: int | None = None) -> VerifyReport:
     """Integral tangent cuts happen exactly at even side sums."""
     report = VerifyReport("parity")
-    top = limit or 30
+    top = 30 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(abs(p - q), min(p + q, top) + 1):
@@ -371,7 +371,7 @@ def verify_parity(limit: int | None = None) -> VerifyReport:
 def verify_tl_suite(limit: int | None = None) -> VerifyReport:
     """Planar basis counts, the class product, and the walled factorization."""
     report = VerifyReport("tl-suite")
-    top = limit or 12
+    top = 12 if limit is None else limit
 
     for n in range(top + 1):
         for r in range(n + 1):
@@ -416,7 +416,7 @@ def verify_tl_suite(limit: int | None = None) -> VerifyReport:
         right = tl.groth_multiply(a, tl.groth_multiply(b, c))
         report.check(left == right, f"product not associative on {a.render()}, {b.render()}, {c.render()}")
 
-    wall_top = min(limit or 5, 5)
+    wall_top = 5 if limit is None else min(limit, 5)
     for m in range(1, wall_top + 1):
         for n in range(1, wall_top + 1):
             for u in range(min(m, n) + 1):
@@ -452,7 +452,7 @@ def verify_tl_suite(limit: int | None = None) -> VerifyReport:
 def verify_symmetry_lemma(limit: int | None = None) -> VerifyReport:
     """The five boundary and symmetry identities across a grid."""
     report = VerifyReport("symmetry-lemma")
-    top = limit or 12
+    top = 12 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(top + 1):
@@ -484,9 +484,16 @@ SUITES = {
 
 
 def run_suite(name: str, limit: int | None = None) -> VerifyReport:
-    """Run one suite by name and record its wall-clock duration."""
+    """Run one suite by name and record its wall-clock duration.
+
+    ``limit`` overrides the suite's default sweep bound and must be a positive
+    int.  This is the one place the bound is checked: each suite takes
+    ``None`` as its default and any other value as given.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise ValueError(f"verify bound must be a positive integer, got {limit!r}")
     start = time.perf_counter()
     report = SUITES[name](limit)
     report.duration = time.perf_counter() - start

@@ -3,7 +3,9 @@
 import json
 import time
 
-from diagalg import cli
+import pytest
+
+from diagalg import cli, verify
 from diagalg.cli import main
 
 COMPOSE_LEFT = {"n": 6, "blocks": [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3], [-4], [-5]]}
@@ -83,6 +85,14 @@ class TestMult:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 64
         assert main(["mult", "table", "--max", "4", "--format", "csv"]) == 2
         assert capsys.readouterr().err == "error: mult table is limited to --max <= 3, got 4\n"
+
+    def test_table_negative_max_usage_error(self, capsys):
+        assert main(["mult", "table", "--max", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mult table needs --max >= 0, got -1\n"
+        assert main(["mult", "table", "--max", "0", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["p,q,r,E", "0,0,0,1"]
 
     def test_e1_solution_budget(self, capsys, monkeypatch):
         # p = q = r = 2k has k + 1 solutions; 199,998 is at the budget of 100,000
@@ -256,6 +266,19 @@ class TestVerify:
         assert main(["verify", "bell-identity", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["ok"] is True
+
+    def test_bound_below_one_usage_error(self, capsys):
+        for argv in (["verify", "bell-identity", "--max", "0"], ["verify", "all", "--max", "-2"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: verify bound must be a positive integer, got {argv[-1]}\n"
+
+    def test_run_suite_rejects_non_positive_int_bound(self):
+        for limit in (True, 2.0, "3"):
+            with pytest.raises(ValueError, match="verify bound must be a positive integer"):
+                verify.run_suite("bell-identity", limit)
+        assert verify.run_suite("bell-identity", 1).ok
 
 
 class TestDeterminism:

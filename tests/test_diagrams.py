@@ -104,6 +104,22 @@ def oracle_act_top(d, v):
     return t, HalfDiagram(d.n, blocks, labeled)
 
 
+def small_blocks(rng, dots):
+    """Shuffle ``dots`` and cut them into blocks of one to three dots.
+
+    At large degree this leaves many components in a stack, some of them
+    interior, where a uniform random set partition merges nearly all dots.
+    """
+    dots = list(dots)
+    rng.shuffle(dots)
+    blocks = []
+    while dots:
+        size = rng.randint(1, 3)
+        blocks.append(dots[:size])
+        dots = dots[size:]
+    return blocks
+
+
 def all_diagrams(n):
     """Every degree-n diagram: set partitions of 2n dots, dot n + k read as k'."""
     return [
@@ -267,6 +283,21 @@ class TestStackingOracle:
                     # the read-out skips validation; the checked constructor is its oracle
                     checked = HalfDiagram(n, top.blocks, top.labeled)
                     assert (checked, checked.blocks, checked.labeled) == (top, top.blocks, top.labeled)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_large_degree_pairs(self, n):
+        rng = random.Random(n)
+        dots = [*range(1, n + 1), *range(-n, 0)]
+        interior = 0
+        for _ in range(3):
+            d1, d2 = (SetPartitionDiagram(n, small_blocks(rng, dots)) for _ in range(2))
+            got = compose(d1, d2)
+            assert got == oracle_compose(d1, d2)
+            blocks = small_blocks(rng, range(1, n + 1))
+            v = HalfDiagram(n, blocks, [i for i in range(len(blocks)) if rng.random() < 0.5])
+            assert act_top(d1, v) == oracle_act_top(d1, v)
+            interior += got[0]
+        assert interior > 0
 
     def test_oracle_reads_the_worked_example(self):
         got = oracle_compose(SetPartitionDiagram(6, FIG_LEFT), SetPartitionDiagram(6, FIG_RIGHT))

@@ -1,7 +1,7 @@
 """Coefficient engine checks: tableau counts, LR, characters, Kronecker."""
 
 from enum import IntEnum
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,16 +13,29 @@ from diagalg.symfunc import (
     check_partition,
     conjugacy_class_size,
     conjugate,
+    contains,
     kronecker_coeff,
     lr3_coeff,
     lr_coeff,
     lr_coeff_by_symbol_addition,
     mn_character,
+    partitions_inside,
     partitions_of,
     syt_count,
 )
 
 from math import comb, factorial
+
+
+def partitions_brute(n):
+    """Oracle: partitions of n as multisets of parts, in decreasing lexicographic order."""
+    found = {
+        tuple(sorted(parts, reverse=True))
+        for k in range(n + 1)
+        for parts in combinations_with_replacement(range(1, n + 1), k)
+        if sum(parts) == n
+    }
+    return tuple(sorted(found, reverse=True))
 
 
 def syt_count_brute(shape):
@@ -122,6 +135,18 @@ class TestPartitions:
 
     def test_partition_counts(self):
         assert [len(partitions_of(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+    def test_partitions_of_matches_brute_force(self):
+        for n in range(9):
+            assert partitions_of(n) == partitions_brute(n)
+        assert partitions_of(-1) == ()
+
+    def test_bounded_builder_is_filtered_partitions_of(self):
+        for size in range(9):
+            for outer in partitions_of(size):
+                for k in range(size + 2):
+                    expected = tuple(p for p in partitions_of(k) if contains(outer, p))
+                    assert partitions_inside(k, outer) == expected
 
     def test_conjugate(self):
         assert conjugate((3, 2, 1)) == (3, 2, 1)
