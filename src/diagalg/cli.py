@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", help="suite name or 'all'")
-    ver.add_argument("--max", type=int, default=None, help="override the default sweep bound")
+    ver.add_argument(
+        "--max", type=int, default=None, help="override the default sweep bound (up to each suite's ceiling)"
+    )
     ver.add_argument("--format", choices=["text", "json"], default="text")
 
     comp = sub.add_parser("compose", help="compose two diagrams from JSON files")

@@ -112,8 +112,8 @@ def _three_part_table(
     over (alpha, beta) pairs.  A Littlewood-Richardson coefficient
     vanishes unless both lower shapes fit inside the upper one, so only
     contained shapes are tried.  The coefficient of (alpha, beta, eta) is
-    stored as ``table[alpha][eta][beta]``, grouped the way
-    :func:`bvo_multiplicity` reads it.
+    stored as ``table[alpha][eta][beta]``, grouped the way :func:`_join`
+    reads it.
     """
     out: dict[Partition, dict[Partition, dict[Partition, int]]] = {}
     if s1 + s2 + s3 != sum(nu):
@@ -132,18 +132,67 @@ def _three_part_table(
     return out
 
 
+def _strand_splits(size_nu: int, size_lam: int, size_mu: int):
+    """Yield (l1, l2, |alpha|, |beta|) for each split of the strand budget.
+
+    Only the splits of l1 + 2*l2 = |lam| + |mu| - |nu| that leave both
+    |alpha| = |lam| - l1 - l2 and |beta| = |mu| - l1 - l2 non-negative.
+    """
+    budget = size_lam + size_mu - size_nu
+    for l2 in range(budget // 2 + 1):
+        l1 = budget - 2 * l2
+        a_size = size_lam - l1 - l2
+        b_size = size_mu - l1 - l2
+        if a_size >= 0 and b_size >= 0:
+            yield l1, l2, a_size, b_size
+
+
+def _join(table_nu, table_lam, table_mu) -> int:
+    """One strand split's coefficient sum over its nu, lam and mu tables.
+
+    The sum runs over the non-zero entries of the nu table and looks up the
+    matching lam and mu entries, so no vanishing term is formed.  A pi with
+    at most one row is the trivial character, whose Kronecker coefficient
+    g(pi, rho, sigma) is [rho == sigma], so those terms join the lam and mu
+    entries on rho directly.
+    """
+    total = 0
+    for alpha, nu_by_pi in table_nu.items():
+        lam_by_gamma = table_lam.get(alpha)
+        if not lam_by_gamma:
+            continue
+        for gamma, lam_by_rho in lam_by_gamma.items():
+            mu_by_beta = table_mu.get(gamma)
+            if not mu_by_beta:
+                continue
+            for pi, nu_by_beta in nu_by_pi.items():
+                one_row = len(pi) <= 1
+                for beta, c_nu in nu_by_beta.items():
+                    mu_by_sigma = mu_by_beta.get(beta)
+                    if not mu_by_sigma:
+                        continue
+                    if one_row:
+                        for rho, c_lam in lam_by_rho.items():
+                            c_mu = mu_by_sigma.get(rho)
+                            if c_mu:
+                                total += c_nu * c_lam * c_mu
+                        continue
+                    for sigma, c_mu in mu_by_sigma.items():
+                        for rho, c_lam in lam_by_rho.items():
+                            g = kronecker_coeff(pi, rho, sigma)
+                            if g:
+                                total += c_nu * c_lam * c_mu * g
+    return total
+
+
 def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: int) -> int:
     """Standard-module restriction multiplicity for general indices.
 
     The double sum over strand bookkeeping (l1, l2) with
     l1 + 2*l2 = (m + n - |nu|) - (m - |lam|) - (n - |mu|), and over shape
     tuples weighted by three-part Littlewood-Richardson coefficients and a
-    Kronecker coefficient.  The sum runs over the non-zero entries of the
-    nu table and looks up the matching lam and mu entries, so no vanishing
-    term is formed.  A pi with at most one row is the trivial character,
-    whose Kronecker coefficient g(pi, rho, sigma) is [rho == sigma], so
-    those terms join the lam and mu entries on rho directly.  Exact
-    integers throughout.
+    Kronecker coefficient: each split whose nu table is non-empty adds the
+    :func:`_join` of its three tables.  Exact integers throughout.
     """
     nu = check_partition(nu)
     lam = check_partition(lam)
@@ -155,46 +204,13 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
         raise ValueError(f"|lam| = {size_lam} exceeds left degree {m}")
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
-    budget = size_lam + size_mu - size_nu
-    if budget < 0:
-        return 0
     total = 0
-    for l2 in range(budget // 2 + 1):
-        l1 = budget - 2 * l2
-        a_size = size_lam - l1 - l2
-        b_size = size_mu - l1 - l2
-        if a_size < 0 or b_size < 0:
-            continue
+    for l1, l2, a_size, b_size in _strand_splits(size_nu, size_lam, size_mu):
         table_nu = _three_part_table(nu, a_size, b_size, l1)   # alpha -> pi -> beta
-        if not table_nu:
-            continue
-        table_lam = _three_part_table(lam, a_size, l1, l2)     # alpha -> gamma -> rho
-        table_mu = _three_part_table(mu, l2, l1, b_size)       # gamma -> beta -> sigma
-        for alpha, nu_by_pi in table_nu.items():
-            lam_by_gamma = table_lam.get(alpha)
-            if not lam_by_gamma:
-                continue
-            for gamma, lam_by_rho in lam_by_gamma.items():
-                mu_by_beta = table_mu.get(gamma)
-                if not mu_by_beta:
-                    continue
-                for pi, nu_by_beta in nu_by_pi.items():
-                    one_row = len(pi) <= 1
-                    for beta, c_nu in nu_by_beta.items():
-                        mu_by_sigma = mu_by_beta.get(beta)
-                        if not mu_by_sigma:
-                            continue
-                        if one_row:
-                            for rho, c_lam in lam_by_rho.items():
-                                c_mu = mu_by_sigma.get(rho)
-                                if c_mu:
-                                    total += c_nu * c_lam * c_mu
-                            continue
-                        for sigma, c_mu in mu_by_sigma.items():
-                            for rho, c_lam in lam_by_rho.items():
-                                g = kronecker_coeff(pi, rho, sigma)
-                                if g:
-                                    total += c_nu * c_lam * c_mu * g
+        if table_nu:
+            table_lam = _three_part_table(lam, a_size, l1, l2)  # alpha -> gamma -> rho
+            table_mu = _three_part_table(mu, l2, l1, b_size)    # gamma -> beta -> sigma
+            total += _join(table_nu, table_lam, table_mu)
     return total
 
 
@@ -295,19 +311,28 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     Sums multiplicity(nu=(r), lam, mu) * dim(m, lam) * dim(n, mu) over all
     partitions lam of size at most m and mu of size at most n; a correct
     coefficient engine makes this the number of (m + n, r)-half-diagrams.
+    The inputs are checked once.  For each lam and each size of mu, every
+    strand split fetches its nu and lam tables once and joins them with the
+    table of each mu of that size, as :func:`bvo_multiplicity` would.
     """
-    nu = one_part(_check_count(r, "r"))
-    right = [(mu, sum(mu), dim_standard(n, mu)) for mu in partitions_up_to(n)]
+    r, m, n = (_check_count(v, name) for v, name in ((r, "r"), (m, "m"), (n, "n")))
+    if r > m + n:
+        raise ValueError(f"|nu| = {r} exceeds total degree {m + n}")
+    nu = one_part(r)
+    right: dict[int, list[tuple[Partition, int]]] = {}
+    for mu in partitions_up_to(n):
+        right.setdefault(sum(mu), []).append((mu, dim_standard(n, mu)))
     total = 0
     for lam in partitions_up_to(m):
         size_lam = sum(lam)
         dim_lam = dim_standard(m, lam)
-        for mu, size_mu, dim_mu in right:
-            # Below |nu| the strand budget is negative and the coefficient 0.
-            # The empty pair always reaches the engine, which rejects r > m + n.
-            if (lam or mu) and size_lam + size_mu < r:
-                continue
-            coeff = bvo_multiplicity(nu, lam, mu, m, n)
-            if coeff:
-                total += coeff * dim_lam * dim_mu
+        for size_mu, mus in right.items():
+            for l1, l2, a_size, b_size in _strand_splits(r, size_lam, size_mu):
+                table_nu = _three_part_table(nu, a_size, b_size, l1)
+                table_lam = _three_part_table(lam, a_size, l1, l2) if table_nu else None
+                if not table_lam:
+                    continue
+                for mu, dim_mu in mus:
+                    coeff = _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
+                    total += coeff * dim_lam * dim_mu
     return total

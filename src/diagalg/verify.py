@@ -483,17 +483,47 @@ SUITES = {
 }
 
 
+# Largest sweep bound (--max) each suite accepts, or None for a suite that
+# ignores the bound.  Each ceiling is the largest bound at which the suite
+# finishes within about 300 s and about 1 GiB on a 2-core x86 host under
+# Python 3.11.  Times past the largest measured bound are extrapolated
+# from the growth below it ("est.").
+SUITE_MAX_LIMIT = {
+    "compose-assoc": 96,  # 30 s at 60, 114 s at 80; est. 270 s at 96
+    "action-assoc": None,
+    "census-factorization": 22,  # 45 s at 16, 86 s at 18; est. 260 s at 22
+    "transition-lemma": 4,  # 2.6 s at 3, about 240 s at 4
+    "bell-identity": 56,  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
+    "restriction-dimension": 13,  # 32 s at 11, 79 s at 12; est. 200 s at 13
+    "four-way-agreement": 120,  # 22 s at 64, 106 s at 96; est. 250 s at 120
+    "geometry-agreement": 280,  # 19 s at 120, 68 s at 180; est. 270 s at 280
+    "parity": 360,  # 10 s at 120, 80 s at 240; est. 270 s at 360
+    "tl-suite": 22,  # 13 s and 274 MiB at 20; est. 55 s and 1.1 GiB at 22
+    "symmetry-lemma": 120,  # 29 s at 64, 120 s at 96; est. 260 s at 120
+}
+
+
+def _check_limit(name: str, limit: int | None) -> None:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
+    if limit is None:
+        return
+    if type(limit) is not int or limit < 1:
+        raise ValueError(f"verify bound must be a positive integer, got {limit!r}")
+    ceiling = SUITE_MAX_LIMIT[name]
+    if ceiling is not None and limit > ceiling:
+        raise ValueError(f"verify {name} is limited to --max <= {ceiling}, got {limit}")
+
+
 def run_suite(name: str, limit: int | None = None) -> VerifyReport:
     """Run one suite by name and record its wall-clock duration.
 
     ``limit`` overrides the suite's default sweep bound and must be a positive
-    int.  This is the one place the bound is checked: each suite takes
-    ``None`` as its default and any other value as given.
+    int no larger than the suite's ``SUITE_MAX_LIMIT``.  ``_check_limit`` is
+    the one place the bound is checked: each suite takes ``None`` as its
+    default and any other value as given.
     """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    if limit is not None and (type(limit) is not int or limit < 1):
-        raise ValueError(f"verify bound must be a positive integer, got {limit!r}")
+    _check_limit(name, limit)
     start = time.perf_counter()
     report = SUITES[name](limit)
     report.duration = time.perf_counter() - start
@@ -501,4 +531,7 @@ def run_suite(name: str, limit: int | None = None) -> VerifyReport:
 
 
 def run_all(limit: int | None = None) -> list[VerifyReport]:
+    """Run every suite, after checking ``limit`` against every ceiling."""
+    for name in SUITES:
+        _check_limit(name, limit)
     return [run_suite(name, limit) for name in SUITES]

@@ -100,6 +100,16 @@ def bvo_reference(nu, lam, mu):
     return total
 
 
+def restriction_total_reference(m, n, r):
+    """Oracle: one checked bvo_multiplicity call per (lam, mu) pair."""
+    nu = one_part(r)
+    return sum(
+        bvo_multiplicity(nu, lam, mu, m, n) * dim_standard(m, lam) * dim_standard(n, mu)
+        for lam in partitions_up_to(m)
+        for mu in partitions_up_to(n)
+    )
+
+
 def e_lattice_reference(p, q, r):
     """Oracle: every (T, U) pair tried, with no forced U."""
     solutions = []
@@ -226,8 +236,8 @@ class TestCoefficientSum:
             assert v1 == v2 == e_closed(p, q, r)
 
     def test_general_shapes_against_dimension_identity(self):
-        for m in range(1, 3):
-            for n in range(1, 3):
+        for m in range(7):
+            for n in range(7):
                 for r in range(m + n + 1):
                     assert restriction_dimension_total(m, n, r) == half_diagram_count(
                         m + n, r
@@ -242,6 +252,23 @@ class TestCoefficientSum:
             assert str(caught.value) == f"r must be a non-negative integer, got {r!r}"
         with pytest.raises(ValueError, match=r"^\|nu\| = 5 exceeds total degree 4$"):
             restriction_dimension_total(2, 2, 5)
+
+    def test_dimension_total_rejects_a_negative_degree(self):
+        # both once returned 0
+        with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got -3$"):
+            restriction_dimension_total(2, -3, 1)
+        with pytest.raises(ValueError, match=r"^m must be a non-negative integer, got -1$"):
+            restriction_dimension_total(-1, 2, 0)
+
+    def test_dimension_total_matches_per_pair_reference(self):
+        cases = 0
+        for m in range(6):
+            for n in range(6):
+                for r in range(m + n + 1):
+                    expected = restriction_total_reference(m, n, r)
+                    assert restriction_dimension_total(m, n, r) == expected, (m, n, r)
+                    cases += 1
+        assert cases == 216
 
     def test_two_row_restriction_value(self):
         # restriction of the two-row index (1,1) at degrees (1,1) splits into
@@ -266,6 +293,14 @@ class TestCoefficientSum:
     def test_matches_reference_up_to_degree_six(self, case):
         nu, lam, mu, m, n = case
         assert bvo_multiplicity(nu, lam, mu, m, n) == bvo_reference(nu, lam, mu)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bvo_cases(max_degree=6))
+    def test_swapping_the_two_sides(self, case):
+        # nu's table is split (a, b, l1), lam's (a, l1, l2) and mu's
+        # (l2, l1, b), so the swap exercises every table in a new role
+        nu, lam, mu, m, n = case
+        assert bvo_multiplicity(nu, lam, mu, m, n) == bvo_multiplicity(nu, mu, lam, n, m)
 
     def test_general_nu_dimension_identity(self):
         # restricting the standard module of index nu to degrees (m, n)

@@ -6,14 +6,43 @@ from pathlib import Path
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "diagalg"
 
 
+def _parsed_sources():
+    paths = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert paths, PACKAGE_DIR
+    for path in paths:
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so a check written as one
     # silently disappears; every check in the package must raise instead.
     found = []
-    paths = sorted(PACKAGE_DIR.rglob("*.py"))
-    assert paths, PACKAGE_DIR
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for path, tree in _parsed_sources():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def _is_memo_decorator(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_memo_tables_are_module_level():
+    # The benchmark clears every module-level functools.cache before each
+    # pass and reports its cache_info(); a memo on a nested function or a
+    # method would carry results across passes unseen.
+    module_level, found = [], []
+    for path, tree in _parsed_sources():
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _is_memo_decorator(d) for d in node.decorator_list
+            ):
+                where = f"{path.name}:{node.lineno} {node.name}"
+                (module_level if id(node) in top else found).append(where)
+    assert module_level, "no memo table found at all"
     assert not found, found
