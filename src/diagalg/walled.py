@@ -13,7 +13,7 @@ fall into five cases (three preserve the total label count, two lower it).
 from __future__ import annotations
 
 import enum
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -157,41 +157,88 @@ def enumerate_walled(m: int, n: int, r: int) -> list[WalledHalfDiagram]:
 def census(m: int, n: int, r: int) -> dict[WalledIndex, int]:
     """Count the (m|n, r)-walled half-diagrams by index, sorted by index.
 
-    A dynamic program that never builds a diagram: O(m^2 n^2) steps
-    place the dots and O(m^2 n r^2) more choose the labels.  The left dots
-    come first, with state a, the number of blocks so far.  The right dots
-    follow with state (a, c, b): c of the a left blocks have been crossed
-    into and b blocks are right-only.  A right dot joins one of the c + b
-    blocks that already hold a right dot, crosses into one of the a - c
-    others, or opens a right-only block.  Labels then pick T of the c
-    through blocks, L of the a - c left-only blocks and R of the b
-    right-only ones, for index (c - T; T, L, R).  Tests check it against
-    :func:`enumerate_walled` with :func:`index_of`.
+    A read-out of :func:`_census_table`, which builds no diagram and does
+    not depend on r: its entry G_c[L][R] counts the diagrams with c blocks
+    crossing the wall, L labeled left-only and R labeled right-only blocks.
+    Labeling T of the c through blocks gives index (c - T; T, L, R) the
+    count C(c, T) * G_c[L][R], so a call costs one product per index once
+    the table of (m|n) is built, and a sweep over r builds it once.  The
+    table is the costly part: O(m^2 + m n^3) additions of small multiples
+    for m >= n (and the mirror image for m < n), about 15 ms at m = n = 20.
+    Tests check the counts against :func:`enumerate_walled` with
+    :func:`index_of` and against a per-call dynamic program.
     """
     if m < 0 or n < 0:
         raise InvariantViolation("side degrees must be non-negative")
-    left = [1]  # left[a]: set partitions of the left dots into a blocks
-    for _ in range(m):
-        left = [a * left[a] + left[a - 1] if a else 0 for a in range(len(left))] + [left[-1]]
-    states = {(a, 0, 0): count for a, count in enumerate(left) if count}
-    for _ in range(n):
-        step: dict[tuple[int, int, int], int] = {}
-        for (a, c, b), count in states.items():
-            if c + b:
-                step[a, c, b] = step.get((a, c, b), 0) + count * (c + b)
-            if a > c:
-                step[a, c + 1, b] = step.get((a, c + 1, b), 0) + count * (a - c)
-            step[a, c, b + 1] = step.get((a, c, b + 1), 0) + count
-        states = step
+    table = _census_table(m, n)
     out: dict[WalledIndex, int] = {}
-    for (a, c, b), count in states.items():
-        for t in range(min(c, r) + 1):
-            for l in range(min(a - c, r - t) + 1):
-                right = r - t - l
-                if right <= b:
-                    idx = WalledIndex(c - t, t, l, right)
-                    out[idx] = out.get(idx, 0) + count * comb(c, t) * comb(a - c, l) * comb(b, right)
-    return dict(sorted(out.items()))
+    for u in range(len(table)):
+        for t in range(min(r, len(table) - 1 - u) + 1):
+            c = u + t
+            rows, weight = table[c], comb(c, t)
+            for l in range(max(0, r - t - (n - c)), min(r - t, m - c) + 1):
+                out[WalledIndex(u, t, l, r - t - l)] = weight * rows[l][r - t - l]
+    return out
+
+
+@lru_cache(maxsize=32)
+def _census_table(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """G_c[L][R] for every through-block count c <= min(m, n), as ``table[c][L][R]``.
+
+    Every call with the same (m|n) shares it, so it is built of tuples.
+    :func:`_crossing_sums` is cheapest with the larger side placed first.
+    Mirroring a diagram in the wall swaps L and R, so for m < n the sums
+    of (n|m) are the table itself, and for m >= n they are its transpose.
+    """
+    if m < n:
+        return tuple(tuple(map(tuple, rows)) for rows in _crossing_sums(n, m))
+    return tuple(tuple(zip(*rows)) for rows in _crossing_sums(m, n))
+
+
+def _crossing_sums(m: int, n: int) -> list[list[list[int]]]:
+    """G_c[L][R] of the (m|n)-walled half-diagrams, as ``sums[c][R][L]``.
+
+    A dynamic program that places the dots one at a time.  With a blocks
+    holding a left dot, c of them crossed into, and b right-only blocks,
+    it carries sum C(a - c, L) * C(b, R) over the placements so far, so
+    no state records a or b:
+
+    - A left dot opens a block, labeled or not, or joins one of the a
+      blocks: a * C(a, L) = L * C(a, L) + (L + 1) * C(a, L + 1).
+    - A right dot joins one of the c + b blocks that hold a right dot,
+      where b * C(b, R) = R * C(b, R) + (R + 1) * C(b, R + 1); opens a
+      right-only block, labeled or not; or crosses into one of the a - c
+      left-only blocks, which moves (c, L + 1) to (c + 1, L) with weight
+      L + 1, since (a - c) * C(a - c - 1, L) = (L + 1) * C(a - c, L + 1).
+
+    After j right dots ``sums[c][R]`` is the vector over L <= m - c, for
+    R <= j - c: O(n^3) vectors of length at most m + 1 in all.
+    """
+    left = [1]  # left[L]: the left dots placed so far, L blocks labeled
+    ks = range(1, m + 2)
+    for _ in range(m):
+        left.append(0)
+        left = [below + k * (here + above) for k, below, here, above in zip(ks, [0, *left], left, [*left[1:], 0])]
+    sums = [[left]]
+    for j in range(n):
+        step = []
+        for c in range(min(m, j + 1) + 1):
+            zero = [0] * (m - c + 1)
+            padded = [zero, *(sums[c] if c <= j else ()), zero, zero]
+            rows = []
+            for right in range(j + 2 - c):
+                below, here, above = padded[right : right + 3]
+                grow, join = c + right + 1, right + 1
+                if c:
+                    crossed = sums[c - 1][right]
+                    rows.append(
+                        [grow * x + join * y + z + k * w for k, x, y, z, w in zip(ks, here, above, below, crossed[1:])]
+                    )
+                else:
+                    rows.append([join * (x + y) + z for x, y, z in zip(here, above, below)])
+            step.append(rows)
+        sums = step
+    return sums
 
 
 def index_count_formula(m: int, n: int, idx: WalledIndex) -> int:
@@ -270,15 +317,6 @@ class TransitionCase(enum.Enum):
     CASE_III = "III"
     CASE_IV = "IV"
     CASE_V = "V"
-
-    @property
-    def keeps_label_count(self) -> bool:
-        return self in (
-            TransitionCase.UNCHANGED,
-            TransitionCase.CASE_I,
-            TransitionCase.CASE_II,
-            TransitionCase.CASE_III,
-        )
 
 
 class TransitionClassificationError(ValueError):

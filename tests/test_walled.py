@@ -3,6 +3,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,38 @@ def _brute_census(m, n):
                 idx = WalledIndex(u, t, left, right)
                 by_r[r][idx] = by_r[r].get(idx, 0) + 1
     return by_r
+
+
+def _census_reference(m, n, r):
+    """Census by the per-call dynamic program over (a, c, b) states.
+
+    The left dots form a blocks; each right dot joins one of the c + b
+    blocks holding a right dot, crosses into one of the a - c others or
+    opens a right-only block; then the labels pick T of the c through,
+    L of the a - c left-only and R of the b right-only blocks.
+    """
+    left = [1]  # left[a]: set partitions of the left dots into a blocks
+    for _ in range(m):
+        left = [a * left[a] + left[a - 1] if a else 0 for a in range(len(left))] + [left[-1]]
+    states = {(a, 0, 0): count for a, count in enumerate(left) if count}
+    for _ in range(n):
+        step = {}
+        for (a, c, b), count in states.items():
+            if c + b:
+                step[a, c, b] = step.get((a, c, b), 0) + count * (c + b)
+            if a > c:
+                step[a, c + 1, b] = step.get((a, c + 1, b), 0) + count * (a - c)
+            step[a, c, b + 1] = step.get((a, c, b + 1), 0) + count
+        states = step
+    out = {}
+    for (a, c, b), count in states.items():
+        for t in range(min(c, r) + 1):
+            for l in range(min(a - c, r - t) + 1):
+                right = r - t - l
+                if right <= b:
+                    idx = WalledIndex(c - t, t, l, right)
+                    out[idx] = out.get(idx, 0) + count * comb(c, t) * comb(a - c, l) * comb(b, right)
+    return dict(sorted(out.items()))
 
 
 # the worked (8|7, 4) example with index (2; 2, 1, 1)
@@ -174,10 +207,28 @@ class TestCensus:
                     tally = Counter(index_of(w) for w in enumerate_walled(m, n, r))
                     assert list(census(m, n, r).items()) == sorted(tally.items()), (m, n, r)
 
+    def test_matches_per_call_reference(self):
+        # item for item and in key order, both sides allowed to be empty
+        for m in range(11):
+            for n in range(11):
+                for r in range(-1, m + n + 2):
+                    assert list(census(m, n, r).items()) == list(_census_reference(m, n, r).items()), (m, n, r)
+
+    def test_returned_tally_is_a_copy(self):
+        # calls with the same (m|n) share one table; a caller's edits stay local
+        tally = census(3, 4, 2)
+        expected = dict(tally)
+        tally[WalledIndex(0, 0, 1, 1)] += 5
+        tally[WalledIndex(9, 9, 9, 9)] = 1
+        del tally[WalledIndex(2, 0, 0, 2)]
+        assert census(3, 4, 2) == expected
+        assert list(census(3, 4, 2)) == list(expected)
+        assert census(3, 4, 3) == _census_reference(3, 4, 3)
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_closed_form_beyond_enumeration(self, data):
-        size = data.draw(st.integers(0, 16))
+        size = data.draw(st.integers(0, 24))
         m = data.draw(st.integers(0, size))
         n = size - m
         r = data.draw(st.integers(0, size))
