@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .halfdiag import (
     HalfDiagram,
-    HalfDiagramSum,
     ScaledHalfDiagram,
     act,
     bell,
@@ -47,7 +46,6 @@ from .symfunc import (
     Partition,
     check_partition,
     kronecker_coeff,
-    lr3_coeff,
     lr_coeff,
     mn_character,
     partitions_of,
@@ -67,9 +65,7 @@ from .walled import (
     WalledHalfDiagram,
     WalledIndex,
     census,
-    classify_transition,
     index_of,
-    lex_compare,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +76,6 @@ __all__ = [
     "E1Solution",
     "GrothElement",
     "HalfDiagram",
-    "HalfDiagramSum",
     "InvariantViolation",
     "Partition",
     "ScaledHalfDiagram",
@@ -94,7 +89,6 @@ __all__ = [
     "bvo_multiplicity",
     "census",
     "check_partition",
-    "classify_transition",
     "compose",
     "conic_eccentricity_count",
     "conic_parameters",
@@ -112,8 +106,6 @@ __all__ = [
     "is_tl_diagram",
     "kronecker_coeff",
     "lattice_line_count",
-    "lex_compare",
-    "lr3_coeff",
     "lr_coeff",
     "mn_character",
     "parity_tangency",

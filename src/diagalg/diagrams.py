@@ -316,40 +316,29 @@ def is_tl_diagram(d: SetPartitionDiagram) -> bool:
     return all(len(block) == 2 for block in d.blocks) and is_noncrossing(d)
 
 
-class _LinearCombination:
-    """Equal-degree basis objects (named by ``_noun``) mapped to nonzero polynomial coefficients."""
+class DiagramSum:
+    """Formal combination of equal-degree diagrams with polynomial coefficients."""
 
     __slots__ = ("n", "terms")
-    _noun: str
 
     def __init__(self, n: int, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         if any(key.n != n for key, _ in items):
-            raise InvariantViolation(f"all {self._noun} in a sum must share one degree")
+            raise InvariantViolation("all diagrams in a sum must share one degree")
         self.n = n
         self.terms = _merge_terms(items)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise InvariantViolation("sum requires equal degrees")
-        return type(self)(self.n, [*self.terms.items(), *other.terms.items()])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and self.n == other.n and self.terms == other.terms
-
-
-class DiagramSum(_LinearCombination):
-    """Formal combination of equal-degree diagrams with polynomial coefficients."""
-
-    __slots__ = ()
-    _noun = "diagrams"
 
     @classmethod
     def from_diagram(cls, d: SetPartitionDiagram, coeff: DeltaPolynomial | None = None) -> "DiagramSum":
         return cls(d.n, {d: coeff if coeff is not None else DeltaPolynomial.one()})
 
-    def scaled(self, poly: DeltaPolynomial) -> "DiagramSum":
-        return DiagramSum(self.n, {d: c * poly for d, c in self.terms.items()})
+    def __add__(self, other: "DiagramSum") -> "DiagramSum":
+        if self.n != other.n:
+            raise InvariantViolation("sum requires equal degrees")
+        return DiagramSum(self.n, [*self.terms.items(), *other.terms.items()])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DiagramSum) and self.n == other.n and self.terms == other.terms
 
     def compose(self, other: "DiagramSum") -> "DiagramSum":
         """Bilinear extension of diagram composition."""

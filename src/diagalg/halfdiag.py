@@ -18,7 +18,6 @@ from .diagrams import (
     InvariantViolation,
     SetPartitionDiagram,
     _check_blocks,
-    _LinearCombination,
     _stack,
 )
 from .symfunc import Partition, check_partition, partitions_of, syt_count
@@ -53,9 +52,6 @@ class HalfDiagram:
     @property
     def r(self) -> int:
         return len(self.labeled)
-
-    def labeled_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.blocks[i] for i in sorted(self.labeled))
 
     @classmethod
     def from_json(cls, data) -> "HalfDiagram":
@@ -179,33 +175,6 @@ def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:
     return ScaledHalfDiagram(DeltaPolynomial.delta_power(t), top)
 
 
-class HalfDiagramSum(_LinearCombination):
-    """Formal combination of equal-degree half-diagrams; delta-linear closure of act."""
-
-    __slots__ = ()
-    _noun = "half-diagrams"
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "HalfDiagramSum(0)"
-        body = " + ".join(
-            f"{c.render()} · {hd.render()}"
-            for hd, c in sorted(self.terms.items(), key=lambda kv: (kv[0].blocks, sorted(kv[0].labeled)))
-        )
-        return f"HalfDiagramSum({body})"
-
-
-def act_sum(ds, vs: HalfDiagramSum) -> HalfDiagramSum:
-    """Bilinear extension of the action to diagram sums and half-diagram sums."""
-    products = []
-    for d, cd in ds.terms.items():
-        for hd, cv in vs.terms.items():
-            scaled = act(d, hd).scaled(cd * cv)
-            if not scaled.is_zero:
-                products.append((scaled.diagram, scaled.coeff))
-    return HalfDiagramSum(vs.n, products)
-
-
 @cache
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Set partitions of {1..n} as block tuples, in restricted-growth order.
@@ -254,6 +223,7 @@ def bell(n: int) -> int:
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
+@cache
 def half_diagram_count(n: int, r: int) -> int:
     """Number of (n, r)-half-diagrams: sum over k of S(n, k) * C(k, r)."""
     if r < 0 or r > n:

@@ -31,12 +31,7 @@ class E1Solution(NamedTuple):
     right_labeled: int
 
     def to_json(self) -> dict[str, int]:
-        return {
-            "through_labeled": self.through_labeled,
-            "through_unlabeled": self.through_unlabeled,
-            "left_labeled": self.left_labeled,
-            "right_labeled": self.right_labeled,
-        }
+        return self._asdict()
 
 
 def _check_count(value: int, name: str) -> int:

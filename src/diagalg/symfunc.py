@@ -1,10 +1,10 @@
 """Integer-partition combinatorics for the symmetric group.
 
 Exact counting routines used as the coefficient engine by the rest of the
-package: standard Young tableau counts, Littlewood-Richardson coefficients
-(two- and three-part), irreducible character values via border-strip
-recursion, and Kronecker coefficients (the trivial and sign rules, else the
-class-weighted character sum).
+package: standard Young tableau counts, Littlewood-Richardson coefficients,
+irreducible character values via border-strip recursion, and Kronecker
+coefficients (the trivial and sign rules, else the class-weighted
+character sum).
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.  Functions reject ill-formed input
@@ -154,102 +154,6 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total
 
 
-def lr_coeff_by_symbol_addition(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient by row-by-row symbol addition.
-
-    A second, mechanically independent route used to cross-check
-    :func:`lr_coeff`.  The cells of ``mu`` are appended to the diagram of
-    ``lam`` one ``mu``-row at a time so that every intermediate shape is a
-    partition, the symbols of one row occupy pairwise distinct columns
-    (first symbol rightmost), and the k-th symbol of each row lands in a
-    strictly later row of the diagram than the k-th symbol of every
-    earlier ``mu``-row.  The count of complete placements whose final
-    shape equals ``nu`` is the coefficient.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
-        return 0
-    if not mu:
-        return 1 if lam == nu else 0
-
-    def strips(shape: Partition, size: int) -> list[Partition]:
-        """Shapes reachable by adding ``size`` cells, no two in one column."""
-        old = list(shape) + [0]
-        found: list[Partition] = []
-
-        def go(x: int, left: int, acc: list[int]) -> None:
-            if x == len(old):
-                if left == 0:
-                    found.append(tuple(v for v in acc if v))
-                return
-            hi = old[x - 1] if x > 0 else old[0] + left
-            hi = min(hi, old[x] + left)
-            for new_len in range(old[x], hi + 1):
-                acc.append(new_len)
-                go(x + 1, left - (new_len - old[x]), acc)
-                acc.pop()
-
-        go(0, size, [])
-        return found
-
-    total = 0
-
-    def add_rows(row: int, shape: Partition, history: list[list[int]]) -> None:
-        nonlocal total
-        if row == len(mu):
-            if shape == nu:
-                total += 1
-            return
-        for new_shape in strips(shape, mu[row]):
-            if not contains(nu, new_shape):
-                continue
-            added = []  # (column, diagram row) of each new cell
-            old_padded = shape + (0,) * (len(new_shape) - len(shape))
-            for x in range(len(new_shape)):
-                for col in range(old_padded[x] + 1, new_shape[x] + 1):
-                    added.append((col, x + 1))
-            added.sort(reverse=True)  # first symbol takes the rightmost column
-            rows_used = [drow for _, drow in added]
-            ok = True
-            for earlier in history:
-                for k, drow in enumerate(rows_used):
-                    if earlier[k] >= drow:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                history.append(rows_used)
-                add_rows(row + 1, new_shape, history)
-                history.pop()
-
-    add_rows(0, lam, [])
-    return total
-
-
-def lr3_coeff(lam: Partition, mu: Partition, eta: Partition, nu: Partition) -> int:
-    """Three-part Littlewood-Richardson coefficient.
-
-    Sum over intermediate shapes xi of size ``|lam| + |mu|`` of the product
-    of the two-part coefficients pairing (lam, mu) into xi and (xi, eta)
-    into nu.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    eta = check_partition(eta)
-    nu = check_partition(nu)
-    if sum(lam) + sum(mu) + sum(eta) != sum(nu):
-        return 0
-    total = 0
-    for xi in partitions_of(sum(lam) + sum(mu)):
-        c1 = lr_coeff(lam, mu, xi)
-        if c1:
-            total += c1 * lr_coeff(xi, eta, nu)
-    return total
-
-
 def centralizer_order(rho: Partition) -> int:
     """Order of the centralizer of a permutation with cycle type ``rho``."""
     rho = check_partition(rho)
@@ -258,12 +162,6 @@ def centralizer_order(rho: Partition) -> int:
         m = rho.count(part)
         z *= factorial(m) * part**m
     return z
-
-
-def conjugacy_class_size(rho: Partition) -> int:
-    """Number of permutations with cycle type ``rho``."""
-    rho = check_partition(rho)
-    return factorial(sum(rho)) // centralizer_order(rho)
 
 
 @cache

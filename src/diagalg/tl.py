@@ -10,7 +10,6 @@ degenerate-triangle condition |p - q| <= r <= p + q.
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 
 from .diagrams import InvariantViolation, _merge_terms
@@ -84,7 +83,6 @@ class TLHalfDiagram:
         return f"TLHalfDiagram({self.n}, {self.render()})"
 
 
-@cache
 def tl_basis(n: int, r: int) -> tuple[TLHalfDiagram, ...]:
     """All degree-n planar half-diagrams with r labeled dots.
 

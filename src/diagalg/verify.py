@@ -469,38 +469,24 @@ def verify_symmetry_lemma(limit: int | None = None) -> VerifyReport:
     return report
 
 
+# Each suite by name, with the largest sweep bound (--max) it accepts, or
+# None for a suite that ignores the bound.  Each ceiling is the largest
+# bound at which the suite finishes within about 300 s and about 1 GiB on
+# a 2-core x86 host under Python 3.11.  Times past the largest measured
+# bound are extrapolated from the growth below it ("est.").
 SUITES = {
-    "compose-assoc": verify_compose_assoc,
-    "action-assoc": verify_action_assoc,
-    "census-factorization": verify_census_factorization,
-    "transition-lemma": verify_transition_lemma,
-    "bell-identity": verify_bell_identity,
-    "restriction-dimension": verify_restriction_dimension,
-    "four-way-agreement": verify_four_way_agreement,
-    "geometry-agreement": verify_geometry_agreement,
-    "parity": verify_parity,
-    "tl-suite": verify_tl_suite,
-    "symmetry-lemma": verify_symmetry_lemma,
-}
-
-
-# Largest sweep bound (--max) each suite accepts, or None for a suite that
-# ignores the bound.  Each ceiling is the largest bound at which the suite
-# finishes within about 300 s and about 1 GiB on a 2-core x86 host under
-# Python 3.11.  Times past the largest measured bound are extrapolated
-# from the growth below it ("est.").
-SUITE_MAX_LIMIT = {
-    "compose-assoc": 96,  # 30 s at 60, 114 s at 80; est. 270 s at 96
-    "action-assoc": None,
-    "census-factorization": 32,  # 4.1 s at 16, 7.4 s at 18, 22 s at 22, 233 s and 30 MiB at 32
-    "transition-lemma": 4,  # 2.6 s at 3, about 240 s at 4
-    "bell-identity": 56,  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
-    "restriction-dimension": 13,  # 32 s at 11, 79 s at 12; est. 200 s at 13
-    "four-way-agreement": 120,  # 22 s at 64, 106 s at 96; est. 250 s at 120
-    "geometry-agreement": 280,  # 19 s at 120, 68 s at 180; est. 270 s at 280
-    "parity": 360,  # 10 s at 120, 80 s at 240; est. 270 s at 360
-    "tl-suite": 22,  # 13 s and 274 MiB at 20; est. 55 s and 1.1 GiB at 22
-    "symmetry-lemma": 120,  # 29 s at 64, 120 s at 96; est. 260 s at 120
+    "compose-assoc": (verify_compose_assoc, 96),  # 30 s at 60, 114 s at 80; est. 270 s at 96
+    "action-assoc": (verify_action_assoc, None),
+    # 2.4 s at 16, 4.3 s at 18, 10 s at 22, 103 s at 32, 176 s and 37 MiB at 36
+    "census-factorization": (verify_census_factorization, 36),
+    "transition-lemma": (verify_transition_lemma, 4),  # 2.6 s at 3, about 240 s at 4
+    "bell-identity": (verify_bell_identity, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
+    "restriction-dimension": (verify_restriction_dimension, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
+    "four-way-agreement": (verify_four_way_agreement, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120
+    "geometry-agreement": (verify_geometry_agreement, 280),  # 19 s at 120, 68 s at 180; est. 270 s at 280
+    "parity": (verify_parity, 360),  # 10 s at 120, 80 s at 240; est. 270 s at 360
+    "tl-suite": (verify_tl_suite, 22),  # 4.0 s at 18, 15 s and 59 MiB at 20, 68 s and 182 MiB at 22
+    "symmetry-lemma": (verify_symmetry_lemma, 120),  # 29 s at 64, 120 s at 96; est. 260 s at 120
 }
 
 
@@ -511,7 +497,7 @@ def _check_limit(name: str, limit: int | None) -> None:
         return
     if type(limit) is not int or limit < 1:
         raise ValueError(f"verify bound must be a positive integer, got {limit!r}")
-    ceiling = SUITE_MAX_LIMIT[name]
+    ceiling = SUITES[name][1]
     if ceiling is not None and limit > ceiling:
         raise ValueError(f"verify {name} is limited to --max <= {ceiling}, got {limit}")
 
@@ -520,13 +506,13 @@ def run_suite(name: str, limit: int | None = None) -> VerifyReport:
     """Run one suite by name and record its wall-clock duration.
 
     ``limit`` overrides the suite's default sweep bound and must be a positive
-    int no larger than the suite's ``SUITE_MAX_LIMIT``.  ``_check_limit`` is
+    int no larger than the suite's ceiling in ``SUITES``.  ``_check_limit`` is
     the one place the bound is checked: each suite takes ``None`` as its
     default and any other value as given.
     """
     _check_limit(name, limit)
     start = time.perf_counter()
-    report = SUITES[name](limit)
+    report = SUITES[name][0](limit)
     report.duration = time.perf_counter() - start
     return report
 

@@ -42,11 +42,6 @@ class WalledIndex(NamedTuple):
         return cls(*(int(x) for x in parts))
 
 
-def lex_compare(a: WalledIndex, b: WalledIndex) -> int:
-    """-1, 0 or 1 comparing indices by the priorities U, T, L, R."""
-    return (a > b) - (a < b)
-
-
 def _position(m: int, n: int, dot: int) -> int:
     """Signed dot name (+k left of the wall, -k for k') to row position."""
     if dot > 0:
@@ -81,10 +76,6 @@ class WalledHalfDiagram:
     def from_blocks(cls, m: int, n: int, blocks, labeled=()) -> "WalledHalfDiagram":
         return cls(m, n, HalfDiagram(m + n, blocks, labeled))
 
-    def position_of(self, dot: int) -> int:
-        """Map a signed dot name (+k left, -k for k') to its position."""
-        return _position(self.m, self.n, dot)
-
     @classmethod
     def from_json(cls, data) -> "WalledHalfDiagram":
         if not isinstance(data, dict) or not {"m", "n", "blocks"} <= set(data):
@@ -96,7 +87,7 @@ class WalledHalfDiagram:
         return cls.from_blocks(m, n, blocks, data.get("labeled", ()))
 
     def _dot(self, pos: int) -> int:
-        """Signed dot name of a position; the inverse of :meth:`position_of`."""
+        """Signed dot name of a position; the inverse of :func:`_position`."""
         return pos if pos <= self.m else -(self.m + self.n + 1 - pos)
 
     def to_json(self) -> dict:
@@ -364,8 +355,3 @@ def transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> Transition:
             f"index moved {old.render()} -> {new.render()}, outside the admissible cases"
         )
     return Transition(old, new, case)
-
-
-def classify_transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> TransitionCase:
-    """The transition case alone; see :func:`transition` for the index pair."""
-    return transition(g, w).case

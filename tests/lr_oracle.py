@@ -1,0 +1,83 @@
+"""Littlewood-Richardson coefficients by symbol addition, the test oracle for ``lr_coeff``.
+
+It shares only the partition check and the containment test with
+:func:`diagalg.symfunc.lr_coeff`, so the two routes agreeing is evidence
+for both.
+"""
+
+from diagalg.symfunc import Partition, check_partition, contains
+
+
+def lr_coeff_by_symbol_addition(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient by row-by-row symbol addition.
+
+    A second, mechanically independent route used to cross-check
+    :func:`diagalg.symfunc.lr_coeff`.  The cells of ``mu`` are appended to the diagram of
+    ``lam`` one ``mu``-row at a time so that every intermediate shape is a
+    partition, the symbols of one row occupy pairwise distinct columns
+    (first symbol rightmost), and the k-th symbol of each row lands in a
+    strictly later row of the diagram than the k-th symbol of every
+    earlier ``mu``-row.  The count of complete placements whose final
+    shape equals ``nu`` is the coefficient.
+    """
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    nu = check_partition(nu)
+    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
+        return 0
+    if not mu:
+        return 1 if lam == nu else 0
+
+    def strips(shape: Partition, size: int) -> list[Partition]:
+        """Shapes reachable by adding ``size`` cells, no two in one column."""
+        old = list(shape) + [0]
+        found: list[Partition] = []
+
+        def go(x: int, left: int, acc: list[int]) -> None:
+            if x == len(old):
+                if left == 0:
+                    found.append(tuple(v for v in acc if v))
+                return
+            hi = old[x - 1] if x > 0 else old[0] + left
+            hi = min(hi, old[x] + left)
+            for new_len in range(old[x], hi + 1):
+                acc.append(new_len)
+                go(x + 1, left - (new_len - old[x]), acc)
+                acc.pop()
+
+        go(0, size, [])
+        return found
+
+    total = 0
+
+    def add_rows(row: int, shape: Partition, history: list[list[int]]) -> None:
+        nonlocal total
+        if row == len(mu):
+            if shape == nu:
+                total += 1
+            return
+        for new_shape in strips(shape, mu[row]):
+            if not contains(nu, new_shape):
+                continue
+            added = []  # (column, diagram row) of each new cell
+            old_padded = shape + (0,) * (len(new_shape) - len(shape))
+            for x in range(len(new_shape)):
+                for col in range(old_padded[x] + 1, new_shape[x] + 1):
+                    added.append((col, x + 1))
+            added.sort(reverse=True)  # first symbol takes the rightmost column
+            rows_used = [drow for _, drow in added]
+            ok = True
+            for earlier in history:
+                for k, drow in enumerate(rows_used):
+                    if earlier[k] >= drow:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                history.append(rows_used)
+                add_rows(row + 1, new_shape, history)
+                history.pop()
+
+    add_rows(0, lam, [])
+    return total

@@ -286,15 +286,14 @@ class TestVerify:
         def must_not_run(limit):
             raise AssertionError("a suite ran although its bound was refused")
 
-        for name in list(verify.SUITES):
-            monkeypatch.setitem(verify.SUITES, name, must_not_run)
+        for name, (_, ceiling) in list(verify.SUITES.items()):
+            monkeypatch.setitem(verify.SUITES, name, (must_not_run, ceiling))
 
     def test_bound_above_ceiling_usage_error(self, capsys, monkeypatch):
-        assert verify.SUITE_MAX_LIMIT.keys() == verify.SUITES.keys()
-        assert verify.SUITE_MAX_LIMIT["action-assoc"] is None  # it ignores the bound
+        assert verify.SUITES["action-assoc"][1] is None  # it ignores the bound
         assert verify.run_suite("action-assoc", 10**6).ok
         self._forbid_suites(monkeypatch)
-        ceiling = verify.SUITE_MAX_LIMIT["transition-lemma"]
+        ceiling = verify.SUITES["transition-lemma"][1]
         assert ceiling == 4
         start = time.perf_counter()
         assert main(["verify", "transition-lemma", "--max", str(ceiling + 1)]) == 2
@@ -302,13 +301,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: verify transition-lemma is limited to --max <= 4, got 5\n"
-        for name, ceiling in verify.SUITE_MAX_LIMIT.items():
+        for name, (_, ceiling) in verify.SUITES.items():
             if ceiling is not None:
                 with pytest.raises(ValueError, match=f"^verify {name} is limited to --max <= {ceiling}, got "):
                     verify.run_suite(name, ceiling + 1)
 
     def test_bound_ceiling_boundary(self, capsys, monkeypatch):
-        monkeypatch.setitem(verify.SUITE_MAX_LIMIT, "bell-identity", 2)
+        monkeypatch.setitem(verify.SUITES, "bell-identity", (verify.verify_bell_identity, 2))
         assert main(["verify", "bell-identity", "--max", "2"]) == 0
         assert "bell-identity: PASS" in capsys.readouterr().out
         assert main(["verify", "bell-identity", "--max", "3"]) == 2
@@ -317,7 +316,7 @@ class TestVerify:
     def test_all_checks_every_ceiling_first(self, capsys, monkeypatch):
         self._forbid_suites(monkeypatch)
         last = list(verify.SUITES)[-1]
-        monkeypatch.setitem(verify.SUITE_MAX_LIMIT, last, 1)
+        monkeypatch.setitem(verify.SUITES, last, (verify.SUITES[last][0], 1))
         assert main(["verify", "all", "--max", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -20,13 +20,8 @@ from diagalg.multiplicity import (
     restriction_dimension_total,
     symmetry_suite,
 )
-from diagalg.symfunc import (
-    centralizer_order,
-    kronecker_coeff,
-    lr_coeff_by_symbol_addition,
-    mn_character,
-    partitions_of,
-)
+from diagalg.symfunc import centralizer_order, kronecker_coeff, mn_character, partitions_of
+from lr_oracle import lr_coeff_by_symbol_addition
 
 
 # Test-only reference for the coefficient sum: every partition of every

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import diagalg
+
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "diagalg"
 
 
@@ -46,3 +48,10 @@ def test_memo_tables_are_module_level():
                 (module_level if id(node) in top else found).append(where)
     assert module_level, "no memo table found at all"
     assert not found, found
+
+
+def test_every_export_resolves():
+    # A name removed from a module but left in __all__ only fails on
+    # `from diagalg import *`; catch it here instead.
+    missing = [name for name in diagalg.__all__ if not hasattr(diagalg, name)]
+    assert not missing, missing

@@ -8,16 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagalg import symfunc
+from diagalg.multiplicity import _three_part_table
 from diagalg.symfunc import (
     centralizer_order,
     check_partition,
-    conjugacy_class_size,
     conjugate,
     contains,
     kronecker_coeff,
-    lr3_coeff,
     lr_coeff,
-    lr_coeff_by_symbol_addition,
     mn_character,
     partitions_inside,
     partitions_of,
@@ -25,6 +23,8 @@ from diagalg.symfunc import (
 )
 
 from math import comb, factorial
+
+from lr_oracle import lr_coeff_by_symbol_addition
 
 
 def partitions_brute(n):
@@ -245,6 +245,12 @@ class TestLRCoeff:
                         assert total == expected, (lam, mu)
 
 
+def three_part_coeff(lam, mu, eta, nu):
+    """Three-part coefficient of ``nu`` over (lam, mu, eta), read from the engine's table."""
+    table = _three_part_table(nu, sum(lam), sum(mu), sum(eta))
+    return table.get(lam, {}).get(eta, {}).get(mu, 0)
+
+
 class TestLR3:
     def test_one_row_triples(self):
         for r in range(7):
@@ -253,13 +259,14 @@ class TestLR3:
                     lam = (k,) if k else ()
                     mu = (m,) if m else ()
                     eta = (r - k - m,) if r - k - m else ()
-                    assert lr3_coeff(lam, mu, eta, (r,) if r else ()) == 1
+                    assert three_part_coeff(lam, mu, eta, (r,) if r else ()) == 1
 
     def test_multirow_first_argument_vanishes_on_one_row(self):
-        assert lr3_coeff((1, 1), (1,), (1,), (3,)) == 0
+        assert three_part_coeff((1, 1), (1,), (1,), (3,)) == 0
 
     def test_intermediate_sum(self):
-        assert lr3_coeff((1,), (1,), (1,), (2, 1)) == 2
+        # xi = (2) and xi = (1, 1) each give 1; the table stores (alpha, beta, eta) at [alpha][eta][beta]
+        assert _three_part_table((2, 1), 1, 1, 1)[(1,)][(1,)][(1,)] == 2
 
 
 class TestCharacters:
@@ -293,7 +300,7 @@ class TestCharacters:
         assert centralizer_order((2, 1)) == 2
         assert centralizer_order((3,)) == 3
         for n in range(1, 7):
-            assert sum(conjugacy_class_size(rho) for rho in partitions_of(n)) == factorial(n)
+            assert sum(factorial(n) // centralizer_order(rho) for rho in partitions_of(n)) == factorial(n)
 
     def test_column_orthogonality_small(self):
         # sum over shapes of chi(rho)^2 equals the centralizer order at rho

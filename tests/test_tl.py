@@ -44,7 +44,7 @@ class TestTLHalfDiagram:
     def test_half_diagram_conversion_keeps_labels(self):
         diagram = TLHalfDiagram(6, [(2, 5), (3, 4)])
         hd = diagram.to_half_diagram()
-        assert hd.labeled_blocks() == ((1,), (6,))
+        assert tuple(hd.blocks[i] for i in sorted(hd.labeled)) == ((1,), (6,))
 
     def test_half_diagram_conversion_matches_checked_construction(self):
         for n in range(9):
