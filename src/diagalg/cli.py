@@ -71,7 +71,7 @@ def _build(loader, data, what: str):
         return loader(data)
     except InvariantViolation as exc:
         raise _CliError(f"invalid {what}: {exc}", INVARIANT_ERROR)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _CliError(f"malformed {what}: {exc}", USAGE_ERROR)
 
 

@@ -108,7 +108,7 @@ def _check_blocks(n: int, blocks, signed: bool) -> list[tuple[int, ...]]:
 
     The dots are +-1..+-n with ``signed`` (a diagram), else 1..n (a half-diagram).
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvariantViolation("degree must be a non-negative integer")
     low = -n if signed else 1
     seen: set[int] = set()
@@ -118,7 +118,7 @@ def _check_blocks(n: int, blocks, signed: bool) -> list[tuple[int, ...]]:
         if not bl:
             raise InvariantViolation("blocks must be non-empty")
         for dot in bl:
-            if not isinstance(dot, int) or dot == 0 or not low <= dot <= n:
+            if not isinstance(dot, int) or isinstance(dot, bool) or dot == 0 or not low <= dot <= n:
                 raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
             if dot in seen:
                 raise InvariantViolation(f"dot {_node_text(dot)} appears in more than one block")
@@ -207,53 +207,62 @@ class _UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
 
-    def components(self) -> dict[int, list[int]]:
-        comps: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            comps.setdefault(self.find(x), []).append(x)
-        return comps
 
+def _stack(upper: SetPartitionDiagram, lower) -> tuple[list[list[int]], list[int]]:
+    """Stack ``upper`` above ``lower``, a diagram or half-diagram of its degree; read the components.
 
-def _stack(upper: SetPartitionDiagram, lower_blocks, size: int) -> dict[int, list[int]]:
-    """Stack ``upper`` above ``lower_blocks``; return the union-find components.
-
-    Nodes 0..n-1 are ``upper``'s top row and n..2n-1 the middle row, where
-    ``upper``'s bottom row is fused with the top of what lies below.  In
-    ``lower_blocks``, +k is middle dot k and -k is dot k of a third row at
-    2n..3n-1, so ``size`` is 3n for a diagram below and 2n for a half-diagram.
+    ``upper``'s bottom row is fused with the top of ``lower`` into a middle
+    row.  Returns ``(outer, middle)``: ``outer[c]`` holds the outer dots of
+    component c, named +k on ``upper``'s top row and -k on ``lower``'s bottom
+    row (a diagram only), in boundary order 1 < ... < n < n' < ... < 1';
+    ``middle[k - 1]`` is the component of middle dot k.  Components are
+    numbered by their first dot in the order top row, middle row, bottom row,
+    so those touching the top row come first, by least top dot, and a
+    component with an empty ``outer`` list lies wholly in the middle row.
     """
     n = upper.n
-    uf = _UnionFind(size)
+    has_bottom = isinstance(lower, SetPartitionDiagram)
+    # Node of top dot k: k - 1; of middle dot k: n + k - 1; of bottom dot -k:
+    # 3n - k, so each row's nodes run in boundary order.
+    uf = _UnionFind(3 * n if has_bottom else 2 * n)
     for block in upper.blocks:
         nodes = [k - 1 if k > 0 else n - k - 1 for k in block]
         for a, b in zip(nodes, nodes[1:]):
             uf.union(a, b)
-    for block in lower_blocks:
-        nodes = [n + k - 1 if k > 0 else 2 * n - k - 1 for k in block]
+    for block in lower.blocks:
+        nodes = [n + k - 1 if k > 0 else 3 * n + k for k in block]
         for a, b in zip(nodes, nodes[1:]):
             uf.union(a, b)
-    return uf.components()
+    number: dict[int, int] = {}
+    outer: list[list[int]] = []
+    middle: list[int] = []
+    for x in range(len(uf.parent)):
+        root = uf.find(x)
+        c = number.get(root)
+        if c is None:
+            c = number[root] = len(outer)
+            outer.append([])
+        if x < n:
+            outer[c].append(x + 1)
+        elif x < 2 * n:
+            middle.append(c)
+        else:
+            outer[c].append(x - 3 * n)
+    return outer, middle
 
 
 def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
     """Stack ``d1`` above ``d2``; return (interior component count, result diagram).
 
-    The three rows of dots are laid out as in :func:`_stack`.  Components
-    made of middle dots only are interior; each contributes one power of
-    delta.
+    Each component of :func:`_stack` with outer dots is a block of the
+    result; each one lying wholly in the middle row is interior and
+    contributes one power of delta.
     """
     if d1.n != d2.n:
         raise InvariantViolation("composition requires equal degrees")
-    n = d1.n
-    t = 0
-    blocks = []
-    for members in _stack(d1, d2.blocks, 3 * n).values():
-        outer = [m for m in members if m < n or m >= 2 * n]
-        if not outer:
-            t += 1
-            continue
-        blocks.append([m + 1 if m < n else -(m - 2 * n + 1) for m in outer])
-    return t, SetPartitionDiagram(n, blocks)
+    outer, _ = _stack(d1, d2)
+    blocks = [dots for dots in outer if dots]
+    return len(outer) - len(blocks), SetPartitionDiagram(d1.n, blocks)
 
 
 def generator(kind: str, i: int, j: int | None, n: int) -> SetPartitionDiagram:

@@ -36,7 +36,7 @@ class HalfDiagram:
         clean = [tuple(sorted(bl)) for bl in _check_blocks(n, blocks, signed=False)]
         labels = set(labeled)
         for idx in labels:
-            if not isinstance(idx, int) or not 0 <= idx < len(clean):
+            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(clean):
                 raise InvariantViolation(f"labeled index {idx!r} does not point at a block")
         order = sorted(range(len(clean)), key=lambda i: clean[i][0])
         self.n, self.blocks = n, tuple(clean[i] for i in order)
@@ -135,30 +135,21 @@ class ScaledHalfDiagram:
 def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
     """Stack ``d`` above ``v`` and read off the top row before any zero test.
 
-    The two rows of dots are laid out as in :func:`diagalg.diagrams._stack`,
-    with ``v`` on the middle row.  Returns the count of components not
-    connected to the top row together with the top-row half-diagram, whose
-    blocks carry a label exactly when their component touches a labeled
-    block of ``v``.  Callers that need the module action should use
-    :func:`act`, which applies the label-count test.
+    The components of :func:`diagalg.diagrams._stack` that touch the top row
+    come first, by least top dot, so their outer dots are the top-row blocks
+    in canonical order.  Returns the count of the other components together
+    with the top-row half-diagram, whose blocks carry a label exactly when a
+    labeled block of ``v`` joins them.  Callers that need the module action
+    should use :func:`act`, which applies the label-count test.
     """
     if d.n != v.n:
         raise InvariantViolation("action requires equal degrees")
-    n = d.n
-    labeled_middle = {n + dot - 1 for i in v.labeled for dot in v.blocks[i]}
-    # Components list their nodes in increasing order and come in order of
-    # their least node, so the top-row blocks are read out canonical.
-    t = 0
-    blocks: list[tuple[int, ...]] = []
-    labeled: list[int] = []
-    for members in _stack(d, v.blocks, 2 * n).values():
-        if members[0] >= n:
-            t += 1
-            continue
-        if not labeled_middle.isdisjoint(members):
-            labeled.append(len(blocks))
-        blocks.append(tuple(m + 1 for m in members if m < n))
-    return t, HalfDiagram._trusted(n, tuple(blocks), frozenset(labeled))
+    outer, middle = _stack(d, v)
+    blocks = tuple(tuple(dots) for dots in outer if dots)
+    # A block of v lies in one component: the one of its least dot.
+    reached = {middle[v.blocks[i][0] - 1] for i in v.labeled}
+    labeled = frozenset(c for c in reached if c < len(blocks))
+    return len(outer) - len(blocks), HalfDiagram._trusted(d.n, blocks, labeled)
 
 
 def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:

@@ -230,16 +230,6 @@ class SymmetryReport:
     def ok(self) -> bool:
         return all(self.results.values())
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "items": self.results,
-            "details": self.details,
-            "ok": self.ok,
-        }
-
 
 def symmetry_suite(p: int, q: int, r: int) -> SymmetryReport:
     """Check the five standing identities of the multiplicity at one triple.

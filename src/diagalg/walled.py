@@ -81,7 +81,7 @@ class WalledHalfDiagram:
         if not isinstance(data, dict) or not {"m", "n", "blocks"} <= set(data):
             raise ValueError("walled JSON must be an object with 'm', 'n' and 'blocks'")
         m, n = data["m"], data["n"]
-        if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in (m, n)):
             raise ValueError("'m' and 'n' must be non-negative integers")
         blocks = [[_position(m, n, dot) for dot in block] for block in data["blocks"]]
         return cls.from_blocks(m, n, blocks, data.get("labeled", ()))

@@ -166,6 +166,24 @@ class TestComposeAndAct:
         err = capsys.readouterr().err
         assert "more than one block" in err
 
+    @pytest.mark.parametrize(
+        "command, what, payload",
+        [
+            ("compose", "diagram", {"n": 2, "blocks": 5}),
+            ("compose", "diagram", {"n": 2, "blocks": [5]}),
+            ("walled", "walled half-diagram", {"m": 1, "n": 1, "blocks": [["a"], [-1]]}),
+            ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": 5}),
+            ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": [[0]]}),
+        ],
+        ids=["blocks-int", "block-int", "walled-string-dot", "labeled-int", "labeled-nested"],
+    )
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, command, what, payload):
+        bad = write(tmp_path, "bad.json", payload)
+        ok = write(tmp_path, "ok.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})
+        argv = {"compose": ["compose", bad, ok], "act": ["act", ok, bad], "walled": ["walled", "index", bad]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed {what}: ")
+
     def test_degree_mismatch_exit_3(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})
         b = write(tmp_path, "b.json", {"n": 3, "blocks": [[1, -1], [2, -2], [3, -3]]})
@@ -177,6 +195,13 @@ class TestWalled:
         w = write(tmp_path, "w.json", WALLED_INPUT)
         assert main(["walled", "index", w]) == 0
         assert capsys.readouterr().out.strip() == "2;2,1,1"
+
+    def test_index_bool_side_degree_exit_2(self, tmp_path, capsys):
+        w = write(tmp_path, "w.json", {**WALLED_INPUT, "m": True})
+        assert main(["walled", "index", w]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed walled half-diagram: 'm' and 'n' must be non-negative integers\n"
+        )
 
     def test_census_json(self, capsys):
         assert main(["walled", "census", "-m", "1", "-n", "1", "-r", "2"]) == 0

@@ -12,6 +12,7 @@ from diagalg.diagrams import (
     DiagramSum,
     InvariantViolation,
     SetPartitionDiagram,
+    _stack,
     compose,
     generator,
     is_noncrossing,
@@ -28,6 +29,7 @@ from diagalg.halfdiag import (
 )
 from diagalg.tl import GrothElement
 from diagalg.verify import _random_diagram as random_diagram
+from diagalg.verify import _random_half_diagram as random_half_diagram
 
 FIG_LEFT = [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3], [-4], [-5]]
 FIG_RIGHT = [[1], [2], [3, 4, 5], [6, -4, -6], [-1, -2, -3], [-5]]
@@ -196,6 +198,12 @@ class TestDiagramInvariants:
         d = SetPartitionDiagram(6, FIG_LEFT)
         assert SetPartitionDiagram.from_json(d.to_json()) == d
 
+    def test_bool_dot_and_degree_rejected(self):
+        with pytest.raises(InvariantViolation, match="^dot True out of range for degree 1$"):
+            SetPartitionDiagram(1, [[True, -1]])
+        with pytest.raises(InvariantViolation, match="^degree must be a non-negative integer$"):
+            SetPartitionDiagram(True, [[1, -1]])
+
 
 class TestCompose:
     def test_worked_example(self):
@@ -310,6 +318,65 @@ class TestStackingOracle:
     def test_oracle_reads_the_worked_example(self):
         got = oracle_compose(SetPartitionDiagram(6, FIG_LEFT), SetPartitionDiagram(6, FIG_RIGHT))
         assert got == (2, SetPartitionDiagram(6, FIG_RESULT))
+
+
+def stack_pairs():
+    """Seeded (diagram, diagram) and (diagram, half-diagram) pairs at n = 1..6 and n = 100."""
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(60):
+            upper = random_diagram(rng, n)
+            yield upper, random_diagram(rng, n)
+            yield upper, random_half_diagram(rng, n)
+    n, dots = 100, [*range(1, 101), *range(-100, 0)]
+    for _ in range(3):
+        upper = SetPartitionDiagram(n, small_blocks(rng, dots))
+        yield upper, SetPartitionDiagram(n, small_blocks(rng, dots))
+        yield upper, HalfDiagram(n, small_blocks(rng, range(1, n + 1)))
+
+
+def oracle_stack(upper, lower):
+    """Sorted (outer dots, middle dots) of each component of ``upper`` over ``lower``, by graph search."""
+    components = graph_components(
+        [
+            (lambda k: ("top", k) if k > 0 else ("mid", -k), upper.blocks),
+            (lambda k: ("mid", k) if k > 0 else ("bottom", -k), lower.blocks),
+        ]
+    )
+    return sorted(
+        (
+            sorted(k if row == "top" else -k for row, k in component if row != "mid"),
+            sorted(k for row, k in component if row == "mid"),
+        )
+        for component in components
+    )
+
+
+class TestStackContract:
+    def test_components_and_numbering(self):
+        for upper, lower in stack_pairs():
+            n = upper.n
+            outer, middle = _stack(upper, lower)
+            middle_of = [[k for k in range(1, n + 1) if middle[k - 1] == c] for c in range(len(outer))]
+            # each middle dot's number points at its own component
+            assert len(middle) == n
+            assert sorted((sorted(dots), mids) for dots, mids in zip(outer, middle_of)) == oracle_stack(upper, lower)
+
+            def boundary(dot):
+                return dot - 1 if dot > 0 else 2 * n + dot
+
+            for dots in outer:
+                assert dots == sorted(dots, key=boundary)
+            # components touching the top row come first, by least top dot
+            touching = [dots[0] for dots in outer if dots and dots[0] > 0]
+            assert touching == sorted(touching)
+            assert all(dots and dots[0] > 0 for dots in outer[: len(touching)])
+            # all components are numbered by first dot: top row, middle row, bottom row
+            first = [
+                (0, dots[0]) if dots and dots[0] > 0 else (1, mids[0]) if mids else (2, boundary(dots[0]))
+                for dots, mids in zip(outer, middle_of)
+            ]
+            assert first == sorted(first)
 
 
 class TestAssociativityProperties:

@@ -128,6 +128,11 @@ class TestIndex:
         w = WalledHalfDiagram.from_json(WORKED)
         assert WalledHalfDiagram.from_json(w.to_json()) == w
 
+    @pytest.mark.parametrize("side", ["m", "n"])
+    def test_bool_side_degree_rejected(self, side):
+        with pytest.raises(ValueError, match="^'m' and 'n' must be non-negative integers$"):
+            WalledHalfDiagram.from_json({**WORKED, side: True})
+
 
 class TestEnumerationMemory:
     def test_walled_diagrams_share_canonical_data(self):
