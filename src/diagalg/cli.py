@@ -1,7 +1,7 @@
 """Command-line surface: computations, tables, and verification suites.
 
-Exit codes: 0 success, 1 verification or agreement failure, 2 usage or
-JSON parse error, 3 structural invariant violation in an input diagram.
+Exit codes: 0 success, 1 verification or agreement failure, 2 usage error
+or malformed JSON, 3 structural invariant violation in an input diagram.
 """
 
 from __future__ import annotations

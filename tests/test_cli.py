@@ -174,8 +174,9 @@ class TestComposeAndAct:
             ("walled", "walled half-diagram", {"m": 1, "n": 1, "blocks": [["a"], [-1]]}),
             ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": 5}),
             ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": [[0]]}),
+            ("walled", "walled half-diagram", {**WALLED_INPUT, "m": True}),
         ],
-        ids=["blocks-int", "block-int", "walled-string-dot", "labeled-int", "labeled-nested"],
+        ids=["blocks-int", "block-int", "walled-string-dot", "labeled-int", "labeled-nested", "walled-bool-m"],
     )
     def test_malformed_shape_exit_2(self, tmp_path, capsys, command, what, payload):
         bad = write(tmp_path, "bad.json", payload)
@@ -195,13 +196,6 @@ class TestWalled:
         w = write(tmp_path, "w.json", WALLED_INPUT)
         assert main(["walled", "index", w]) == 0
         assert capsys.readouterr().out.strip() == "2;2,1,1"
-
-    def test_index_bool_side_degree_exit_2(self, tmp_path, capsys):
-        w = write(tmp_path, "w.json", {**WALLED_INPUT, "m": True})
-        assert main(["walled", "index", w]) == 2
-        assert capsys.readouterr().err == (
-            "error: malformed walled half-diagram: 'm' and 'n' must be non-negative integers\n"
-        )
 
     def test_census_json(self, capsys):
         assert main(["walled", "census", "-m", "1", "-n", "1", "-r", "2"]) == 0

@@ -361,10 +361,7 @@ class TestStackContract:
             # each middle dot's number points at its own component
             assert len(middle) == n
             assert sorted((sorted(dots), mids) for dots, mids in zip(outer, middle_of)) == oracle_stack(upper, lower)
-
-            def boundary(dot):
-                return dot - 1 if dot > 0 else 2 * n + dot
-
+            boundary = upper._order_key
             for dots in outer:
                 assert dots == sorted(dots, key=boundary)
             # components touching the top row come first, by least top dot
