@@ -237,10 +237,8 @@ def _stack(upper: SetPartitionDiagram, lower) -> tuple[list[list[int]], list[int
     outer: list[list[int]] = []
     middle: list[int] = []
     for x in range(len(uf.parent)):
-        root = uf.find(x)
-        c = number.get(root)
-        if c is None:
-            c = number[root] = len(outer)
+        c = number.setdefault(uf.find(x), len(number))
+        if c == len(outer):
             outer.append([])
         if x < n:
             outer[c].append(x + 1)

@@ -34,8 +34,9 @@ class HalfDiagram:
 
     def __init__(self, n: int, blocks, labeled=()):
         clean = [tuple(sorted(bl)) for bl in _check_blocks(n, blocks, signed=False)]
+        labeled = tuple(labeled)
         labels = set(labeled)
-        for idx in labels:
+        for idx in labeled:
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(clean):
                 raise InvariantViolation(f"labeled index {idx!r} does not point at a block")
         order = sorted(range(len(clean)), key=lambda i: clean[i][0])

@@ -65,40 +65,39 @@ def graph_components(blocks_by_row):
     return components
 
 
-def oracle_compose(d1, d2):
-    """(interior count, diagram) of ``d1`` stacked above ``d2``, by graph search."""
-    t, blocks = 0, []
+def oracle_stack(upper, lower):
+    """Sorted (outer dots, middle dots) of each component of ``upper`` over ``lower``, by graph search."""
     components = graph_components(
         [
-            (lambda k: ("top", k) if k > 0 else ("mid", -k), d1.blocks),
-            (lambda k: ("mid", k) if k > 0 else ("bottom", -k), d2.blocks),
+            (lambda k: ("top", k) if k > 0 else ("mid", -k), upper.blocks),
+            (lambda k: ("mid", k) if k > 0 else ("bottom", -k), lower.blocks),
         ]
     )
-    for component in components:
-        outer = [k if row == "top" else -k for row, k in component if row != "mid"]
-        if outer:
-            blocks.append(outer)
-        else:
-            t += 1
-    return t, SetPartitionDiagram(d1.n, blocks)
+    return sorted(
+        (
+            sorted(k if row == "top" else -k for row, k in component if row != "mid"),
+            sorted(k for row, k in component if row == "mid"),
+        )
+        for component in components
+    )
+
+
+def oracle_compose(d1, d2):
+    """(interior count, diagram) of ``d1`` stacked above ``d2``, by graph search."""
+    components = oracle_stack(d1, d2)
+    blocks = [outer for outer, _ in components if outer]
+    return len(components) - len(blocks), SetPartitionDiagram(d1.n, blocks)
 
 
 def oracle_act_top(d, v):
     """(trapped count, top-row half-diagram) of ``d`` stacked above ``v``, by graph search."""
     labeled_dots = {dot for i in v.labeled for dot in v.blocks[i]}
     t, blocks, labeled = 0, [], []
-    components = graph_components(
-        [
-            (lambda k: ("top", k) if k > 0 else ("mid", -k), d.blocks),
-            (lambda k: ("mid", k), v.blocks),
-        ]
-    )
-    for component in components:
-        tops = [k for row, k in component if row == "top"]
+    for tops, mids in oracle_stack(d, v):
         if not tops:
             t += 1
             continue
-        if any(row == "mid" and k in labeled_dots for row, k in component):
+        if labeled_dots.intersection(mids):
             labeled.append(len(blocks))
         blocks.append(tops)
     return t, HalfDiagram(d.n, blocks, labeled)
@@ -333,23 +332,6 @@ def stack_pairs():
         upper = SetPartitionDiagram(n, small_blocks(rng, dots))
         yield upper, SetPartitionDiagram(n, small_blocks(rng, dots))
         yield upper, HalfDiagram(n, small_blocks(rng, range(1, n + 1)))
-
-
-def oracle_stack(upper, lower):
-    """Sorted (outer dots, middle dots) of each component of ``upper`` over ``lower``, by graph search."""
-    components = graph_components(
-        [
-            (lambda k: ("top", k) if k > 0 else ("mid", -k), upper.blocks),
-            (lambda k: ("mid", k) if k > 0 else ("bottom", -k), lower.blocks),
-        ]
-    )
-    return sorted(
-        (
-            sorted(k if row == "top" else -k for row, k in component if row != "mid"),
-            sorted(k for row, k in component if row == "mid"),
-        )
-        for component in components
-    )
 
 
 class TestStackContract:

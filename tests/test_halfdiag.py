@@ -50,9 +50,10 @@ class TestHalfDiagram:
         with pytest.raises(InvariantViolation):
             HalfDiagram(2, [[1, 2]], labeled=[1])
 
-    def test_bool_label_index_rejected(self):
+    @pytest.mark.parametrize("labeled", [[True], [1, True]])
+    def test_bool_label_index_rejected(self, labeled):
         with pytest.raises(InvariantViolation, match="^labeled index True does not point at a block$"):
-            HalfDiagram(2, [[1], [2]], [True])
+            HalfDiagram(2, [[1], [2]], labeled)
 
     def test_json_round_trip(self):
         hd = HalfDiagram.from_json(ACT_INPUT)
