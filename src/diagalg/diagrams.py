@@ -9,6 +9,8 @@ coefficients live in the integer polynomial ring.
 
 from __future__ import annotations
 
+from bisect import bisect
+
 
 class InvariantViolation(ValueError):
     """An input value breaks a structural invariant; the message names it."""
@@ -42,10 +44,19 @@ class DeltaPolynomial:
 
     def __init__(self, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
-        for exp, _ in items:
-            if not isinstance(exp, int) or exp < 0:
+        for exp, coeff in items:
+            if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
                 raise InvariantViolation("delta exponents must be non-negative integers")
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
+                raise InvariantViolation(f"delta coefficient {coeff!r} is not an integer")
         self._terms = tuple(sorted(_merge_terms(items).items()))
+
+    @classmethod
+    def _trusted(cls, terms: tuple) -> "DeltaPolynomial":
+        """Wrap ``terms``, already sorted with int coefficients and no zeros, with no check or copy."""
+        self = object.__new__(cls)
+        self._terms = terms
+        return self
 
     @classmethod
     def zero(cls) -> "DeltaPolynomial":
@@ -75,8 +86,15 @@ class DeltaPolynomial:
         return DeltaPolynomial(self._terms + other._terms)
 
     def __mul__(self, other) -> "DeltaPolynomial":
-        factor = ((0, other),) if isinstance(other, int) else other._terms
-        return DeltaPolynomial(tuple((e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in factor))
+        if isinstance(other, DeltaPolynomial):
+            factor = other._terms
+        elif isinstance(other, int) and not isinstance(other, bool):
+            factor = ((0, other),)
+        else:
+            return NotImplemented
+        # Sums of valid exponents and products of ints need no check.
+        products = ((e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in factor)
+        return DeltaPolynomial._trusted(tuple(sorted(_merge_terms(products).items())))
 
     __rmul__ = __mul__
 
@@ -101,6 +119,15 @@ class DeltaPolynomial:
 
 def _node_text(node: int) -> str:
     return str(node) if node > 0 else f"{-node}'"
+
+
+def _json_list(data: dict, field: str, of_lists: bool) -> list:
+    """``data[field]`` (``[]`` if absent), checked to be a list of ints, or of int lists when ``of_lists``."""
+    value = data.get(field, [])
+    rows = value if of_lists and isinstance(value, list) else [value]
+    if not all(isinstance(row, list) and all(isinstance(x, int) for x in row) for row in rows):
+        raise ValueError(f"{field!r} must be a list of {'lists of integers' if of_lists else 'integers'}")
+    return value
 
 
 def _check_blocks(n: int, blocks, signed: bool) -> list[tuple[int, ...]]:
@@ -142,15 +169,22 @@ class SetPartitionDiagram:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
-        clean = _check_blocks(n, blocks, signed=True)
-        key = self._order_key
-        self.n = n
-        inner = [tuple(sorted(b, key=key)) for b in clean]
-        self.blocks = tuple(sorted(inner, key=lambda b: key(b[0])))
+        top, bottom = [], []
+        for block in _check_blocks(n, blocks, signed=True):
+            dots = sorted(block)
+            if dots[-1] < 0:
+                bottom.append(tuple(dots))
+            else:  # numeric order is n' < ... < 1' < 1 < ... < n: rotate at the sign cut
+                cut = bisect(dots, 0)
+                top.append((*dots[cut:], *dots[:cut]))
+        self.n, self.blocks = n, (*sorted(top), *sorted(bottom))
 
-    def _order_key(self, node: int) -> int:
-        # 1..n map to 0..n-1; k' maps to 2n-k, giving 1 < ... < n < n' < ... < 1'
-        return node - 1 if node > 0 else 2 * self.n + node
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple) -> "SetPartitionDiagram":
+        """Wrap ``blocks``, already in the canonical form above, with no check or copy."""
+        self = object.__new__(cls)
+        self.n, self.blocks = n, blocks
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "SetPartitionDiagram":
@@ -160,7 +194,7 @@ class SetPartitionDiagram:
     def from_json(cls, data) -> "SetPartitionDiagram":
         if not isinstance(data, dict) or "n" not in data or "blocks" not in data:
             raise ValueError("diagram JSON must be an object with 'n' and 'blocks'")
-        return cls(data["n"], data["blocks"])
+        return cls(data["n"], _json_list(data, "blocks", of_lists=True))
 
     def to_json(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
@@ -259,8 +293,14 @@ def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetP
     if d1.n != d2.n:
         raise InvariantViolation("composition requires equal degrees")
     outer, _ = _stack(d1, d2)
-    blocks = [dots for dots in outer if dots]
-    return len(outer) - len(blocks), SetPartitionDiagram(d1.n, blocks)
+    # Components touching the top row come first, by least top dot; bottom-only
+    # ones start at distinct negative dots, so a tuple sort puts them in boundary order.
+    top, bottom = [], []
+    for dots in outer:
+        if dots:
+            (top if dots[0] > 0 else bottom).append(tuple(dots))
+    bottom.sort()
+    return len(outer) - len(top) - len(bottom), SetPartitionDiagram._trusted(d1.n, (*top, *bottom))
 
 
 def generator(kind: str, i: int, j: int | None, n: int) -> SetPartitionDiagram:
@@ -290,11 +330,8 @@ def generator(kind: str, i: int, j: int | None, n: int) -> SetPartitionDiagram:
 
 def propagating_number(d: SetPartitionDiagram) -> int:
     """Number of blocks joining the top row to the bottom row."""
-    return sum(
-        1
-        for block in d.blocks
-        if any(x > 0 for x in block) and any(x < 0 for x in block)
-    )
+    # A canonical block lists its top dots first: it joins the rows when it starts on top and ends below.
+    return sum(1 for block in d.blocks if block[0] > 0 > block[-1])
 
 
 def _blocks_cross(keys_a: list[int], keys_b: list[int]) -> bool:
@@ -310,7 +347,7 @@ def _blocks_cross(keys_a: list[int], keys_b: list[int]) -> bool:
 
 def is_noncrossing(d: SetPartitionDiagram) -> bool:
     """True when no two blocks interleave under the boundary order."""
-    keyed = [[d._order_key(x) for x in block] for block in d.blocks]
+    keyed = [[x - 1 if x > 0 else 2 * d.n + x for x in block] for block in d.blocks]
     for a in range(len(keyed)):
         for b in range(a + 1, len(keyed)):
             if _blocks_cross(keyed[a], keyed[b]):

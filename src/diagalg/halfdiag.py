@@ -18,6 +18,7 @@ from .diagrams import (
     InvariantViolation,
     SetPartitionDiagram,
     _check_blocks,
+    _json_list,
     _stack,
 )
 from .symfunc import Partition, check_partition, partitions_of, syt_count
@@ -58,7 +59,8 @@ class HalfDiagram:
     def from_json(cls, data) -> "HalfDiagram":
         if not isinstance(data, dict) or "n" not in data or "blocks" not in data:
             raise ValueError("half-diagram JSON must be an object with 'n' and 'blocks'")
-        return cls(data["n"], data["blocks"], data.get("labeled", ()))
+        blocks = _json_list(data, "blocks", of_lists=True)
+        return cls(data["n"], blocks, _json_list(data, "labeled", of_lists=False))
 
     def to_json(self) -> dict:
         return {

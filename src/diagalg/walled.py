@@ -17,7 +17,7 @@ from functools import cache, lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .diagrams import InvariantViolation, SetPartitionDiagram, _node_text, generator
+from .diagrams import InvariantViolation, SetPartitionDiagram, _json_list, _node_text, generator
 from .halfdiag import HalfDiagram, act_top, enumerate_basis, half_diagram_count
 
 
@@ -83,8 +83,9 @@ class WalledHalfDiagram:
         m, n = data["m"], data["n"]
         if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in (m, n)):
             raise ValueError("'m' and 'n' must be non-negative integers")
-        blocks = [[_position(m, n, dot) for dot in block] for block in data["blocks"]]
-        return cls.from_blocks(m, n, blocks, data.get("labeled", ()))
+        dots = _json_list(data, "blocks", of_lists=True)
+        blocks = [[_position(m, n, dot) for dot in block] for block in dots]
+        return cls.from_blocks(m, n, blocks, _json_list(data, "labeled", of_lists=False))
 
     def _dot(self, pos: int) -> int:
         """Signed dot name of a position; the inverse of :func:`_position`."""

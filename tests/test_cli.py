@@ -167,23 +167,30 @@ class TestComposeAndAct:
         assert "more than one block" in err
 
     @pytest.mark.parametrize(
-        "command, what, payload",
+        "command, what, field, payload",
         [
-            ("compose", "diagram", {"n": 2, "blocks": 5}),
-            ("compose", "diagram", {"n": 2, "blocks": [5]}),
-            ("walled", "walled half-diagram", {"m": 1, "n": 1, "blocks": [["a"], [-1]]}),
-            ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": 5}),
-            ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": [[0]]}),
-            ("walled", "walled half-diagram", {**WALLED_INPUT, "m": True}),
+            ("compose", "diagram", "blocks", {"n": 2, "blocks": 5}),
+            ("compose", "diagram", "blocks", {"n": 2, "blocks": [5]}),
+            ("walled", "walled half-diagram", "blocks", {"m": 1, "n": 1, "blocks": [["a"], [-1]]}),
+            ("act", "half-diagram", "labeled", {"n": 2, "blocks": [[1], [2]], "labeled": 5}),
+            ("act", "half-diagram", "labeled", {"n": 2, "blocks": [[1], [2]], "labeled": [[0]]}),
+            ("walled", "walled half-diagram", "m", {**WALLED_INPUT, "m": True}),
+            ("walled", "walled half-diagram", "blocks", {"m": 1, "n": 1, "blocks": 5}),
+            ("walled", "walled half-diagram", "labeled", {"m": 1, "n": 1, "blocks": [[1], [-1]], "labeled": 5}),
+            ("act", "half-diagram", "blocks", {"n": 2, "blocks": [["a"], [2]]}),
         ],
-        ids=["blocks-int", "block-int", "walled-string-dot", "labeled-int", "labeled-nested", "walled-bool-m"],
+        ids=[
+            "blocks-int", "block-int", "walled-string-dot", "labeled-int", "labeled-nested", "walled-bool-m",
+            "walled-blocks-int", "walled-labeled-int", "half-string-dot",
+        ],
     )
-    def test_malformed_shape_exit_2(self, tmp_path, capsys, command, what, payload):
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, command, what, field, payload):
         bad = write(tmp_path, "bad.json", payload)
         ok = write(tmp_path, "ok.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})
         argv = {"compose": ["compose", bad, ok], "act": ["act", ok, bad], "walled": ["walled", "index", bad]}
         assert main(argv[command]) == 2
-        assert capsys.readouterr().err.startswith(f"error: malformed {what}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed {what}: '{field}' "), err
 
     def test_degree_mismatch_exit_3(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})

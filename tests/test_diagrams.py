@@ -1,7 +1,9 @@
 """Diagram composition, generators, crossings, and polynomial coefficients."""
 
 import random
+import re
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,24 @@ def oracle_act_top(d, v):
     return t, HalfDiagram(d.n, blocks, labeled)
 
 
+def boundary_key(n):
+    """Position of a dot in the boundary order 1 < ... < n < n' < ... < 1': k maps to k - 1, k' to 2n - k."""
+    return lambda dot: dot - 1 if dot > 0 else 2 * n + dot
+
+
+def order_key_canonical(n, blocks):
+    """The constructor's former canonical form: dots sorted by boundary order, blocks by least dot."""
+    key = boundary_key(n)
+    inner = [tuple(sorted(block, key=key)) for block in blocks]
+    return tuple(sorted(inner, key=lambda block: key(block[0])))
+
+
+def assert_canonical(d):
+    """``d`` has the exact ``n`` and ``blocks`` that the validating constructor gives its blocks."""
+    checked = SetPartitionDiagram(d.n, d.blocks)
+    assert (checked.n, checked.blocks) == (d.n, d.blocks)
+
+
 def small_blocks(rng, dots):
     """Shuffle ``dots`` and cut them into blocks of one to three dots.
 
@@ -167,6 +187,53 @@ class TestDeltaPolynomial:
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvariantViolation):
             DeltaPolynomial(((-1, 2),))
+
+    @pytest.mark.parametrize(
+        "coeff", [1.5, 2.0, True, Fraction(1, 2)], ids=["float", "whole-float", "bool", "fraction"]
+    )
+    def test_non_integer_coefficient_rejected(self, coeff):
+        message = re.escape(f"delta coefficient {coeff!r} is not an integer")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            DeltaPolynomial({0: coeff})
+
+    @pytest.mark.parametrize("exp", [True, False, 1.0], ids=["true", "false", "float"])
+    def test_non_integer_exponent_rejected(self, exp):
+        with pytest.raises(InvariantViolation, match="^delta exponents must be non-negative integers$"):
+            DeltaPolynomial({exp: 2})
+
+    @pytest.mark.parametrize(
+        "other", [2.5, Fraction(1, 2), True, "δ", None], ids=["float", "fraction", "bool", "str", "none"]
+    )
+    def test_product_with_non_integer_is_type_error(self, other):
+        one = DeltaPolynomial.one()
+        with pytest.raises(TypeError):
+            one * other
+        with pytest.raises(TypeError):
+            other * one
+
+    def test_product_matches_checked_constructor(self):
+        rng = random.Random(19)
+        for _ in range(400):
+            a, b = (
+                DeltaPolynomial({e: rng.randint(-3, 3) for e in rng.sample(range(6), rng.randint(0, 4))})
+                for _ in range(2)
+            )
+            k = rng.randint(-2, 2)
+            # the validating constructor sums equal exponents and drops zeros from the raw term products
+            expected = DeltaPolynomial([(e1 + e2, c1 * c2) for e1, c1 in a.terms() for e2, c2 in b.terms()])
+            scaled = DeltaPolynomial([(e, c * k) for e, c in a.terms()])
+            assert (a * b).terms() == expected.terms()
+            assert (a * k).terms() == (k * a).terms() == scaled.terms()
+
+    def test_product_cancellation(self):
+        delta = DeltaPolynomial.delta_power(1)
+        one = DeltaPolynomial.one()
+        # (1 + δ)(1 - δ): the δ terms cancel
+        product = (one + delta) * (one + (-1) * delta)
+        assert product.terms() == ((0, 1), (2, -1))
+        assert product == DeltaPolynomial({0: 1, 2: -1})
+        assert (product * 0).terms() == () and not (0 * product)
+        assert (DeltaPolynomial.zero() * product).terms() == ()
 
 
 class TestDiagramInvariants:
@@ -319,6 +386,49 @@ class TestStackingOracle:
         assert got == (2, SetPartitionDiagram(6, FIG_RESULT))
 
 
+def signed_dots(n):
+    return [*range(1, n + 1), *range(-n, 0)]
+
+
+class TestTrustedConstruction:
+    """``compose`` builds its result with no check; the validating constructor is its oracle."""
+
+    def test_constructor_matches_order_key_form(self):
+        rng = random.Random(23)
+        # every set partition of the dots up to degree three, then seeded ones with many one-sign blocks
+        cases = [
+            (n, [[x if x <= n else n - x for x in block] for block in blocks])
+            for n in range(4)
+            for blocks in set_partitions(2 * n)
+        ]
+        for n in (1, 2, 5, 10, 100):
+            for _ in range(40):
+                cases.append((n, small_blocks(rng, signed_dots(n))))
+                cases.append((n, [list(block) for block in random_diagram(rng, n).blocks]))
+        kinds = set()
+        for n, blocks in cases:
+            shuffled = [rng.sample(block, len(block)) for block in rng.sample(blocks, len(blocks))]
+            assert SetPartitionDiagram(n, shuffled).blocks == order_key_canonical(n, blocks)
+            kinds.update((min(block) > 0, max(block) < 0) for block in blocks)
+        assert kinds == {(True, False), (False, True), (False, False)}
+
+    def test_compose_canonical_on_seeded_pairs(self):
+        rng = random.Random(29)
+        bottom_only = 0
+        for n in [*range(1, 9), 100, 1000]:
+            for _ in range(60 if n <= 8 else 3):
+                pairs = [
+                    (random_diagram(rng, n), random_diagram(rng, n)),
+                    tuple(SetPartitionDiagram(n, small_blocks(rng, signed_dots(n))) for _ in range(2)),
+                ]
+                for d1, d2 in pairs:
+                    _, d = compose(d1, d2)
+                    assert_canonical(d)
+                    bottom_only += sum(block[0] < 0 for block in d.blocks) > 1
+        # the bottom-only blocks, the ones compose sorts, often come several at a time
+        assert bottom_only > 100
+
+
 def stack_pairs():
     """Seeded (diagram, diagram) and (diagram, half-diagram) pairs at n = 1..6 and n = 100."""
     rng = random.Random(7)
@@ -343,7 +453,7 @@ class TestStackContract:
             # each middle dot's number points at its own component
             assert len(middle) == n
             assert sorted((sorted(dots), mids) for dots, mids in zip(outer, middle_of)) == oracle_stack(upper, lower)
-            boundary = upper._order_key
+            boundary = boundary_key(n)
             for dots in outer:
                 assert dots == sorted(dots, key=boundary)
             # components touching the top row come first, by least top dot
@@ -359,14 +469,16 @@ class TestStackContract:
 
 
 class TestAssociativityProperties:
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(diagrams(n), diagrams(n), diagrams(n))))
-    def test_compose_associative_to_degree_eight(self, triple):
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(diagrams(n), diagrams(n), diagrams(n))))
+    def test_compose_associative_to_degree_twelve(self, triple):
         a, b, c = triple
         t_ab, ab = compose(a, b)
         t_ab_c, ab_c = compose(ab, c)
         t_bc, bc = compose(b, c)
         t_a_bc, a_bc = compose(a, bc)
+        for d in (ab, ab_c, bc, a_bc):
+            assert_canonical(d)
         assert (t_ab + t_ab_c, ab_c) == (t_bc + t_a_bc, a_bc)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -420,6 +532,13 @@ class TestGenerators:
             generator("S", 1, 4, 3)
         with pytest.raises(ValueError):
             generator("X", 1, 2, 3)
+        # generators and the identity stay on the validating constructor
+        with pytest.raises(InvariantViolation, match="^dot True out of range for degree 3$"):
+            generator("P", True, None, 3)
+        with pytest.raises(InvariantViolation, match="^dot 1.0 out of range for degree 3$"):
+            generator("E", 1.0, 2, 3)
+        with pytest.raises(TypeError):
+            SetPartitionDiagram.identity(2.0)
 
 
 class TestPropagating:

@@ -55,3 +55,44 @@ def test_every_export_resolves():
     # `from diagalg import *`; catch it here instead.
     missing = [name for name in diagalg.__all__ if not hasattr(diagalg, name)]
     assert not missing, missing
+
+
+# Functions that may build an object with ``_trusted``, which skips every
+# check; a new unchecked construction path must be added here on purpose.
+TRUSTED_CALLERS = {
+    "compose",
+    "act_top",
+    "enumerate_basis",
+    "TLHalfDiagram.to_half_diagram",
+    "DeltaPolynomial.__mul__",
+}
+
+
+def _calls(node, scope=""):
+    """(qualified name of the innermost enclosing def or class, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls(child, scope)
+
+
+def test_trusted_constructions_are_allow_listed():
+    found = set()
+    for _, tree in _parsed_sources():
+        for scope, call in _calls(tree):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "_trusted":
+                found.add(scope)
+    assert "compose" in found
+    assert found <= TRUSTED_CALLERS, sorted(found - TRUSTED_CALLERS)
+
+
+def test_compose_builds_no_validated_diagram():
+    tree = ast.parse((PACKAGE_DIR / "diagrams.py").read_text(encoding="utf-8"))
+    called = {
+        call.func.id for scope, call in _calls(tree) if scope == "compose" and isinstance(call.func, ast.Name)
+    }
+    assert "_stack" in called
+    assert "SetPartitionDiagram" not in called
