@@ -34,15 +34,30 @@ MULT_TABLE_MAX = 50
 # about 0.6 s, process start included, on the same host.
 MULT_E1_MAX_SOLUTIONS = 100_000
 
-# Most diagrams that `tl basis` lists; --count-only has no budget.  Listing
-# takes about 45 us a diagram on the same host, so 15,000 is about 0.7 s.
+# Largest p + q - r (the length of e2's lattice walk) and largest of p, q
+# and r that `mult` runs e2 and bvo on; the slowest triple within each takes
+# about 0.9 s and 1.2 s, process start included.  bvo's symfunc.lr_coeff
+# recurses once per cell and passes Python's 1,000-frame limit near 985.
+MULT_E2_MAX_WALK = 10_000_000
+MULT_BVO_MAX_COUNT = 700
+
+# Most diagrams that `tl basis` lists, at about 45 us a diagram (0.7 s), and
+# largest -n it takes, --count-only included: every count up to it has at
+# most 4,300 digits, the most Python prints of an int by default.
 TL_BASIS_MAX_DIAGRAMS = 15_000
+TL_BASIS_MAX_DEGREE = 14_298
 
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _check_budget(value: int, budget: int, subject: str, limit: str, tail: str = "") -> None:
+    """Exit 2 with "<subject> is limited to <limit, budget filled in>, got <value><tail>" above ``budget``."""
+    if value > budget:
+        raise _CliError(f"{subject} is limited to {limit.format(budget)}, got {value}{tail}", USAGE_ERROR)
 
 
 def _color(text: str, code: str) -> str:
@@ -80,8 +95,7 @@ def _cmd_mult(args) -> int:
         top = args.max
         if top < 0:
             raise _CliError(f"mult table needs --max >= 0, got {top}", USAGE_ERROR)
-        if top > MULT_TABLE_MAX:
-            raise _CliError(f"mult table is limited to --max <= {MULT_TABLE_MAX}, got {top}", USAGE_ERROR)
+        _check_budget(top, MULT_TABLE_MAX, "mult table", "--max <= {}")
         rows = [
             (p, q, r, multiplicity.e_closed(p, q, r))
             for p in range(top + 1)
@@ -114,6 +128,12 @@ def _cmd_mult(args) -> int:
                 "for the count alone use --engines closed or --engines e2",
                 USAGE_ERROR,
             )
+    hint = "; for the count use --engines closed"
+    if "e2" in wanted:
+        _check_budget(p + q - r, MULT_E2_MAX_WALK, "e2", "p + q - r <= {}", hint)
+    if "bvo" in wanted:
+        _check_budget(max(p, q, r), MULT_BVO_MAX_COUNT, "bvo", "p, q and r <= {}", hint)
+    if "e1" in wanted or args.solutions:
         count, solutions = multiplicity.e_lattice(p, q, r)
     if "closed" in wanted:
         engines["closed"] = multiplicity.e_closed(p, q, r)
@@ -211,10 +231,7 @@ def _cmd_walled(args) -> int:
         else:
             print(idx.render())
         return 0
-    if args.m + args.n > CENSUS_MAX_DOTS:
-        raise _CliError(
-            f"walled census is limited to m + n <= {CENSUS_MAX_DOTS} dots, got {args.m + args.n}", USAGE_ERROR
-        )
+    _check_budget(args.m + args.n, CENSUS_MAX_DOTS, "walled census", "m + n <= {} dots")
     tally = walled.census(args.m, args.n, args.r)
     payload = {idx.render(): count for idx, count in tally.items()}
     if args.format == "json":
@@ -257,16 +274,12 @@ def _parse_class(text: str) -> tuple[int, int]:
 
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
+        _check_budget(args.n, TL_BASIS_MAX_DEGREE, "tl basis", "-n <= {}")
         count = tl.tl_basis_count(args.n, args.r)
         if args.count_only:
             print(count)
             return 0
-        if count > TL_BASIS_MAX_DIAGRAMS:
-            raise _CliError(
-                f"tl basis is limited to {TL_BASIS_MAX_DIAGRAMS} diagrams, got {count} "
-                "(--count-only has no limit)",
-                USAGE_ERROR,
-            )
+        _check_budget(count, TL_BASIS_MAX_DIAGRAMS, "tl basis", "{} diagrams", " (--count-only has no limit)")
         basis = tl.tl_basis(args.n, args.r)
         if args.format == "json":
             print(json.dumps([d.to_json() for d in basis]))

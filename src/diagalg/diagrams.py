@@ -82,7 +82,9 @@ class DeltaPolynomial:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    def __add__(self, other: "DeltaPolynomial") -> "DeltaPolynomial":
+    def __add__(self, other) -> "DeltaPolynomial":
+        if not isinstance(other, DeltaPolynomial):
+            return NotImplemented
         return DeltaPolynomial(self._terms + other._terms)
 
     def __mul__(self, other) -> "DeltaPolynomial":
@@ -367,8 +369,11 @@ class DiagramSum:
 
     def __init__(self, n: int, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
-        if any(key.n != n for key, _ in items):
-            raise InvariantViolation("all diagrams in a sum must share one degree")
+        for key, coeff in items:
+            if key.n != n:
+                raise InvariantViolation("all diagrams in a sum must share one degree")
+            if not isinstance(coeff, DeltaPolynomial):
+                raise InvariantViolation(f"sum coefficient {coeff!r} is not a DeltaPolynomial")
         self.n = n
         self.terms = _merge_terms(items)
 
@@ -376,7 +381,9 @@ class DiagramSum:
     def from_diagram(cls, d: SetPartitionDiagram, coeff: DeltaPolynomial | None = None) -> "DiagramSum":
         return cls(d.n, {d: coeff if coeff is not None else DeltaPolynomial.one()})
 
-    def __add__(self, other: "DiagramSum") -> "DiagramSum":
+    def __add__(self, other) -> "DiagramSum":
+        if not isinstance(other, DiagramSum):
+            return NotImplemented
         if self.n != other.n:
             raise InvariantViolation("sum requires equal degrees")
         return DiagramSum(self.n, [*self.terms.items(), *other.terms.items()])

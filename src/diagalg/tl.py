@@ -23,7 +23,7 @@ class TLHalfDiagram:
     __slots__ = ("n", "caps", "labels")
 
     def __init__(self, n: int, caps):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvariantViolation("degree must be a non-negative integer")
         seen: set[int] = set()
         clean: list[tuple[int, int]] = []
@@ -32,7 +32,7 @@ class TLHalfDiagram:
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise InvariantViolation(f"cap {cap!r} must join two distinct dots")
             for dot in pair:
-                if not isinstance(dot, int) or not 1 <= dot <= n:
+                if not isinstance(dot, int) or isinstance(dot, bool) or not 1 <= dot <= n:
                     raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
                 if dot in seen:
                     raise InvariantViolation(f"dot {dot} appears in more than one cap")
@@ -142,18 +142,22 @@ class GrothElement:
 
     def __init__(self, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
-        for (degree, labels), _ in items:
+        for (degree, labels), coeff in items:
             if not 0 <= labels <= degree or (degree - labels) % 2:
                 raise InvariantViolation(
                     f"class ({degree}, {labels}) needs 0 <= labels <= degree with equal parity"
                 )
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
+                raise InvariantViolation(f"class coefficient {coeff!r} is not an integer")
         self.terms = dict(sorted(_merge_terms(items).items()))
 
     @classmethod
     def module_class(cls, degree: int, labels: int) -> "GrothElement":
         return cls({(degree, labels): 1})
 
-    def __add__(self, other: "GrothElement") -> "GrothElement":
+    def __add__(self, other) -> "GrothElement":
+        if not isinstance(other, GrothElement):
+            return NotImplemented
         return GrothElement([*self.terms.items(), *other.terms.items()])
 
     def __eq__(self, other) -> bool:

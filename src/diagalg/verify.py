@@ -1,8 +1,8 @@
 """Self-contained verification suites over the whole library.
 
-Each suite sweeps a bounded grid of inputs, collects failures as readable
-strings, and reports deterministically.  The random suites draw from a
-fixed seed so reports are reproducible byte for byte.
+Each suite sweeps a bounded grid of inputs and records every check, with a
+readable message for a failure, in the report that ``run_suite`` hands it.
+The random suites draw from fixed seeds, so reports repeat byte for byte.
 """
 
 from __future__ import annotations
@@ -117,9 +117,8 @@ GOLDEN_ACT_ZERO_DIAGRAM = {
 }
 
 
-def verify_compose_assoc(limit: int | None = None) -> VerifyReport:
+def verify_compose_assoc(report: VerifyReport, top: int) -> None:
     """Golden composition, generator relations, and associativity samples."""
-    report = VerifyReport("compose-assoc")
     d1 = SetPartitionDiagram.from_json(GOLDEN_COMPOSE_LEFT)
     d2 = SetPartitionDiagram.from_json(GOLDEN_COMPOSE_RIGHT)
     t, d = compose(d1, d2)
@@ -129,8 +128,7 @@ def verify_compose_assoc(limit: int | None = None) -> VerifyReport:
         f"golden composition gave {d.render()}",
     )
 
-    max_degree = 5 if limit is None else limit
-    for n in range(1, max_degree + 1):
+    for n in range(1, top + 1):
         identity = SetPartitionDiagram.identity(n)
         for i in range(1, n + 1):
             p = generator("P", i, None, n)
@@ -169,12 +167,10 @@ def verify_compose_assoc(limit: int | None = None) -> VerifyReport:
             diagrams.propagating_number(d) <= bound,
             f"propagating number grew composing {a.render()} with {b.render()}",
         )
-    return report
 
 
-def verify_action_assoc(limit: int | None = None) -> VerifyReport:
+def verify_action_assoc(report: VerifyReport, top: int | None) -> None:
     """Golden actions, label monotonicity, and stack-then-act associativity."""
-    report = VerifyReport("action-assoc")
     d = SetPartitionDiagram.from_json(GOLDEN_ACT_DIAGRAM)
     v = HalfDiagram.from_json(GOLDEN_ACT_INPUT)
     result = act(d, v)
@@ -209,13 +205,10 @@ def verify_action_assoc(limit: int | None = None) -> VerifyReport:
             got == ScaledHalfDiagram(DeltaPolynomial.one(), vv),
             f"identity action moved {vv.render()}",
         )
-    return report
 
 
-def verify_census_factorization(limit: int | None = None) -> VerifyReport:
+def verify_census_factorization(report: VerifyReport, top: int) -> None:
     """Walled census against its closed-form factorization, plus totals."""
-    report = VerifyReport("census-factorization")
-    top = 4 if limit is None else limit
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             for r in range(m + n + 1):
@@ -239,13 +232,10 @@ def verify_census_factorization(limit: int | None = None) -> VerifyReport:
                                 agree,
                                 "" if agree else f"census({m},{n},{r})[{idx.render()}] = {got}, expected {expected}",
                             )
-    return report
 
 
-def verify_transition_lemma(limit: int | None = None) -> VerifyReport:
+def verify_transition_lemma(report: VerifyReport, top: int) -> None:
     """Every generator move lands in the five cases and lowers the index."""
-    report = VerifyReport("transition-lemma")
-    top = 3 if limit is None else limit
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             gens = walled.tensor_generators(m, n)
@@ -265,13 +255,10 @@ def verify_transition_lemma(limit: int | None = None) -> VerifyReport:
                                 f"{name} on {w.render()} moved index up: "
                                 f"{move.old.render()} -> {move.new.render()}",
                             )
-    return report
 
 
-def verify_bell_identity(limit: int | None = None) -> VerifyReport:
+def verify_bell_identity(report: VerifyReport, top: int) -> None:
     """Squared standard dimensions sum to the Bell number of 2n."""
-    report = VerifyReport("bell-identity")
-    top = 4 if limit is None else limit
     for n in range(1, top + 1):
         total = sum(
             halfdiag.dim_standard(n, nu) ** 2 for nu in halfdiag.partitions_up_to(n)
@@ -284,13 +271,10 @@ def verify_bell_identity(limit: int | None = None) -> VerifyReport:
                 len(enumerate_basis(n, r)) == halfdiag.half_diagram_count(n, r),
                 f"basis count mismatch at ({n}, {r})",
             )
-    return report
 
 
-def verify_restriction_dimension(limit: int | None = None) -> VerifyReport:
+def verify_restriction_dimension(report: VerifyReport, top: int) -> None:
     """Coefficient-weighted dimension sums match the half-diagram census."""
-    report = VerifyReport("restriction-dimension")
-    top = 3 if limit is None else limit
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             for r in range(m + n + 1):
@@ -300,13 +284,10 @@ def verify_restriction_dimension(limit: int | None = None) -> VerifyReport:
                     total == expected,
                     f"restriction sum at ({m}, {n}, r={r}) is {total}, expected {expected}",
                 )
-    return report
 
 
-def verify_four_way_agreement(limit: int | None = None) -> VerifyReport:
+def verify_four_way_agreement(report: VerifyReport, top: int) -> None:
     """Closed form, system count, lattice count and coefficient sum agree."""
-    report = VerifyReport("four-way-agreement")
-    top = 8 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(top + 1):
@@ -331,13 +312,10 @@ def verify_four_way_agreement(limit: int | None = None) -> VerifyReport:
                         value == closed,
                         f"({p},{q},{r}) at degrees ({m},{n}): coefficient sum {value} != {closed}",
                     )
-    return report
 
 
-def verify_geometry_agreement(limit: int | None = None) -> VerifyReport:
+def verify_geometry_agreement(report: VerifyReport, top: int) -> None:
     """Circle and conic counts reproduce the closed form on their regimes."""
-    report = VerifyReport("geometry-agreement")
-    top = 30 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(top + 1):
@@ -351,13 +329,10 @@ def verify_geometry_agreement(limit: int | None = None) -> VerifyReport:
                     report.check(
                         conic == closed, f"({p},{q},{r}): conic count {conic} != {closed}"
                     )
-    return report
 
 
-def verify_parity(limit: int | None = None) -> VerifyReport:
+def verify_parity(report: VerifyReport, top: int) -> None:
     """Integral tangent cuts happen exactly at even side sums."""
-    report = VerifyReport("parity")
-    top = 30 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(abs(p - q), min(p + q, top) + 1):
@@ -366,13 +341,10 @@ def verify_parity(limit: int | None = None) -> VerifyReport:
                     integral == even,
                     f"({p},{q},{r}): tangents integral {integral} but side sum even {even}",
                 )
-    return report
 
 
-def verify_tl_suite(limit: int | None = None) -> VerifyReport:
+def verify_tl_suite(report: VerifyReport, top: int) -> None:
     """Planar basis counts, the class product, and the walled factorization."""
-    report = VerifyReport("tl-suite")
-    top = 12 if limit is None else limit
 
     for n in range(top + 1):
         for r in range(n + 1):
@@ -417,7 +389,7 @@ def verify_tl_suite(limit: int | None = None) -> VerifyReport:
         right = tl.groth_multiply(a, tl.groth_multiply(b, c))
         report.check(left == right, f"product not associative on {a.render()}, {b.render()}, {c.render()}")
 
-    wall_top = 5 if limit is None else min(limit, 5)
+    wall_top = min(top, 5)
     for m in range(1, wall_top + 1):
         for n in range(1, wall_top + 1):
             for u in range(min(m, n) + 1):
@@ -447,13 +419,10 @@ def verify_tl_suite(limit: int | None = None) -> VerifyReport:
                             f"planar multiplicity at ({p},{q},{r}) deg ({m},{n}): "
                             f"{value}, triangle {triangle}, pinned {len(pinned)}",
                         )
-    return report
 
 
-def verify_symmetry_lemma(limit: int | None = None) -> VerifyReport:
+def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
     """The five boundary and symmetry identities across a grid."""
-    report = VerifyReport("symmetry-lemma")
-    top = 12 if limit is None else limit
     for p in range(top + 1):
         for q in range(top + 1):
             for r in range(top + 1):
@@ -466,27 +435,26 @@ def verify_symmetry_lemma(limit: int | None = None) -> VerifyReport:
                 count_pq, _ = multiplicity.e_lattice(p, q, r)
                 count_qp, _ = multiplicity.e_lattice(q, p, r)
                 report.check(count_pq == count_qp, f"({p},{q},{r}): not symmetric in p, q")
-    return report
 
 
-# Each suite by name, with the largest sweep bound (--max) it accepts, or
-# None for a suite that ignores the bound.  Each ceiling is the largest
-# bound at which the suite finishes within about 300 s and about 1 GiB on
-# a 2-core x86 host under Python 3.11.  Times past the largest measured
-# bound are extrapolated from the growth below it ("est.").
+# Each suite by name: (function, default sweep bound, largest bound (--max)
+# it accepts), with None for both bounds of a suite that ignores them.
+# Each ceiling is the largest bound at which the suite finishes within about
+# 300 s and about 1 GiB on a 2-core x86 host under Python 3.11.  Times past
+# the largest measured bound are extrapolated from the growth below it ("est.").
 SUITES = {
-    "compose-assoc": (verify_compose_assoc, 96),  # 30 s at 60, 114 s at 80; est. 270 s at 96
-    "action-assoc": (verify_action_assoc, None),
+    "compose-assoc": (verify_compose_assoc, 5, 96),  # 30 s at 60, 114 s at 80; est. 270 s at 96
+    "action-assoc": (verify_action_assoc, None, None),
     # 2.4 s at 16, 4.3 s at 18, 10 s at 22, 103 s at 32, 176 s and 37 MiB at 36
-    "census-factorization": (verify_census_factorization, 36),
-    "transition-lemma": (verify_transition_lemma, 4),  # 2.6 s at 3, about 240 s at 4
-    "bell-identity": (verify_bell_identity, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
-    "restriction-dimension": (verify_restriction_dimension, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
-    "four-way-agreement": (verify_four_way_agreement, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120
-    "geometry-agreement": (verify_geometry_agreement, 280),  # 19 s at 120, 68 s at 180; est. 270 s at 280
-    "parity": (verify_parity, 360),  # 10 s at 120, 80 s at 240; est. 270 s at 360
-    "tl-suite": (verify_tl_suite, 22),  # 4.0 s at 18, 15 s and 59 MiB at 20, 68 s and 182 MiB at 22
-    "symmetry-lemma": (verify_symmetry_lemma, 120),  # 29 s at 64, 120 s at 96; est. 260 s at 120
+    "census-factorization": (verify_census_factorization, 4, 36),
+    "transition-lemma": (verify_transition_lemma, 3, 4),  # 2.6 s at 3, about 240 s at 4
+    "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
+    "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
+    "four-way-agreement": (verify_four_way_agreement, 8, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120
+    "geometry-agreement": (verify_geometry_agreement, 30, 280),  # 19 s at 120, 68 s at 180; est. 270 s at 280
+    "parity": (verify_parity, 30, 360),  # 10 s at 120, 80 s at 240; est. 270 s at 360
+    "tl-suite": (verify_tl_suite, 12, 22),  # 4.0 s at 18, 15 s and 59 MiB at 20, 68 s and 182 MiB at 22
+    "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 29 s at 64, 120 s at 96; est. 260 s at 120
 }
 
 
@@ -497,22 +465,23 @@ def _check_limit(name: str, limit: int | None) -> None:
         return
     if type(limit) is not int or limit < 1:
         raise ValueError(f"verify bound must be a positive integer, got {limit!r}")
-    ceiling = SUITES[name][1]
+    ceiling = SUITES[name][2]
     if ceiling is not None and limit > ceiling:
         raise ValueError(f"verify {name} is limited to --max <= {ceiling}, got {limit}")
 
 
 def run_suite(name: str, limit: int | None = None) -> VerifyReport:
-    """Run one suite by name and record its wall-clock duration.
+    """Run one suite by name into a fresh report and record its wall-clock duration.
 
     ``limit`` overrides the suite's default sweep bound and must be a positive
     int no larger than the suite's ceiling in ``SUITES``.  ``_check_limit`` is
-    the one place the bound is checked: each suite takes ``None`` as its
-    default and any other value as given.
+    the one place the bound is checked, and this the one place it defaults.
     """
     _check_limit(name, limit)
+    function, default, _ = SUITES[name]
+    report = VerifyReport(name)
     start = time.perf_counter()
-    report = SUITES[name][0](limit)
+    function(report, default if limit is None else limit)
     report.duration = time.perf_counter() - start
     return report
 

@@ -117,6 +117,36 @@ class TestMult:
         assert main(["mult", "-p", "4", "-q", "4", "-r", "4", "--engines", "e2"]) == 0
         assert capsys.readouterr().out.splitlines() == ["e2: 3", "agree"]
 
+    def test_e2_and_bvo_budgets(self, capsys, monkeypatch):
+        # e2 walks p + q - r lattice steps; bvo recurses about max(p, q, r) frames deep
+        assert main(["mult", "-p", "10000000", "-q", "0", "-r", "0", "--engines", "e2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["e2: 0", "agree"]
+        assert main(["mult", "-p", "700", "-q", "700", "-r", "0", "--engines", "bvo"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["bvo: 1", "agree"]
+        start = time.perf_counter()
+        e2, bvo = "e2 is limited to p + q - r <= 10000000", "bvo is limited to p, q and r <= 700"
+        big = ["-p", "100000000", "-q", "100000000", "-r", "100000000"]
+        for argv, message in (
+            (["-p", "10000001", "-q", "0", "-r", "0", "--engines", "e2"], f"{e2}, got 10000001"),
+            ([*big, "--engines", "e2"], f"{e2}, got 100000000"),
+            (["-p", "0", "-q", "0", "-r", "701", "--engines", "bvo"], f"{bvo}, got 701"),
+            (["-p", "1000", "-q", "1000", "-r", "1000"], f"{bvo}, got 1000"),
+            ([*big, "--engines", "bvo"], f"{bvo}, got 100000000"),
+        ):
+            assert main(["mult", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}; for the count use --engines closed\n"
+        assert time.perf_counter() - start < 1.0
+        # -p 4 -q 4 -r 4 walks p + q - r = 4 steps
+        monkeypatch.setattr(cli, "MULT_E2_MAX_WALK", 4)
+        monkeypatch.setattr(cli, "MULT_BVO_MAX_COUNT", 4)
+        assert main(["mult", "-p", "4", "-q", "4", "-r", "4"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["closed: 3", "e1: 3", "e2: 3", "bvo: 3", "agree"]
+        for argv, engine in ((["-p", "5", "-q", "4", "-r", "4"], "e2"), (["-p", "4", "-q", "4", "-r", "5"], "bvo")):
+            assert main(["mult", *argv]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {engine} is limited to ")
+
     def test_bvo_engine_on_one_part_labels_is_fast(self, capsys):
         # One-part labels leave one contained shape per size, so the
         # coefficient sum stays small even at large p, q, r.
@@ -265,6 +295,23 @@ class TestTL:
             "error: tl basis is limited to 8 diagrams, got 9 (--count-only has no limit)\n"
         )
 
+    def test_basis_degree_budget(self, capsys, monkeypatch):
+        # the largest count at -n 14298 has 4,300 digits, the most Python prints of an int
+        start = time.perf_counter()
+        assert main(["tl", "basis", "-n", "14298", "-r", "118", "--count-only"]) == 0
+        assert len(capsys.readouterr().out.strip()) == 4300
+        for argv in (["-n", "14299", "-r", "119", "--count-only"], ["-n", "1000000", "-r", "0"]):
+            assert main(["tl", "basis", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: tl basis is limited to -n <= 14298, got {argv[1]}\n"
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(cli, "TL_BASIS_MAX_DEGREE", 6)
+        assert main(["tl", "basis", "-n", "6", "-r", "2", "--count-only"]) == 0
+        assert capsys.readouterr().out == "9\n"
+        assert main(["tl", "basis", "-n", "7", "-r", "1", "--count-only"]) == 2
+        assert capsys.readouterr().err == "error: tl basis is limited to -n <= 6, got 7\n"
+
     def test_groth_expansion(self, capsys):
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -309,17 +356,17 @@ class TestVerify:
     @staticmethod
     def _forbid_suites(monkeypatch):
         # a missed ceiling then fails at once instead of running the sweep
-        def must_not_run(limit):
+        def must_not_run(report, top):
             raise AssertionError("a suite ran although its bound was refused")
 
-        for name, (_, ceiling) in list(verify.SUITES.items()):
-            monkeypatch.setitem(verify.SUITES, name, (must_not_run, ceiling))
+        for name, (_, default, ceiling) in list(verify.SUITES.items()):
+            monkeypatch.setitem(verify.SUITES, name, (must_not_run, default, ceiling))
 
     def test_bound_above_ceiling_usage_error(self, capsys, monkeypatch):
-        assert verify.SUITES["action-assoc"][1] is None  # it ignores the bound
+        assert verify.SUITES["action-assoc"][2] is None  # it ignores the bound
         assert verify.run_suite("action-assoc", 10**6).ok
         self._forbid_suites(monkeypatch)
-        ceiling = verify.SUITES["transition-lemma"][1]
+        ceiling = verify.SUITES["transition-lemma"][2]
         assert ceiling == 4
         start = time.perf_counter()
         assert main(["verify", "transition-lemma", "--max", str(ceiling + 1)]) == 2
@@ -327,13 +374,20 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: verify transition-lemma is limited to --max <= 4, got 5\n"
-        for name, (_, ceiling) in verify.SUITES.items():
+        for name, (_, _, ceiling) in verify.SUITES.items():
             if ceiling is not None:
                 with pytest.raises(ValueError, match=f"^verify {name} is limited to --max <= {ceiling}, got "):
                     verify.run_suite(name, ceiling + 1)
 
+    def test_suite_defaults_within_ceilings(self):
+        for name, (_, default, ceiling) in verify.SUITES.items():
+            if name == "action-assoc":
+                assert default is None and ceiling is None
+            else:
+                assert type(default) is int and 1 <= default <= ceiling, name
+
     def test_bound_ceiling_boundary(self, capsys, monkeypatch):
-        monkeypatch.setitem(verify.SUITES, "bell-identity", (verify.verify_bell_identity, 2))
+        monkeypatch.setitem(verify.SUITES, "bell-identity", (verify.verify_bell_identity, 2, 2))
         assert main(["verify", "bell-identity", "--max", "2"]) == 0
         assert "bell-identity: PASS" in capsys.readouterr().out
         assert main(["verify", "bell-identity", "--max", "3"]) == 2
@@ -342,7 +396,7 @@ class TestVerify:
     def test_all_checks_every_ceiling_first(self, capsys, monkeypatch):
         self._forbid_suites(monkeypatch)
         last = list(verify.SUITES)[-1]
-        monkeypatch.setitem(verify.SUITES, last, (verify.SUITES[last][0], 1))
+        monkeypatch.setitem(verify.SUITES, last, (*verify.SUITES[last][:2], 1))
         assert main(["verify", "all", "--max", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

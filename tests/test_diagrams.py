@@ -211,6 +211,14 @@ class TestDeltaPolynomial:
         with pytest.raises(TypeError):
             other * one
 
+    @pytest.mark.parametrize("other", [1, 2.5, None, "δ"], ids=["int", "float", "none", "str"])
+    def test_sum_with_non_polynomial_is_type_error(self, other):
+        one = DeltaPolynomial.one()
+        with pytest.raises(TypeError):
+            one + other
+        with pytest.raises(TypeError):
+            other + one
+
     def test_product_matches_checked_constructor(self):
         rng = random.Random(19)
         for _ in range(400):
@@ -290,6 +298,22 @@ class TestCompose:
             DiagramSum.from_diagram(two) + DiagramSum.from_diagram(three)
         with pytest.raises(InvariantViolation, match="^composition requires equal degrees$"):
             DiagramSum.from_diagram(two).compose(DiagramSum.from_diagram(three))
+
+    @pytest.mark.parametrize(
+        "coeff", [1.5, 1, True, Fraction(1, 2)], ids=["float", "int", "bool", "fraction"]
+    )
+    def test_diagram_sum_rejects_non_polynomial_coefficient(self, coeff):
+        message = re.escape(f"sum coefficient {coeff!r} is not a DeltaPolynomial")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            DiagramSum(2, {SetPartitionDiagram.identity(2): coeff})
+
+    def test_diagram_sum_with_foreign_operand_is_type_error(self):
+        total = DiagramSum.from_diagram(SetPartitionDiagram.identity(2))
+        for other in (1, DeltaPolynomial.one(), SetPartitionDiagram.identity(2)):
+            with pytest.raises(TypeError):
+                total + other
+            with pytest.raises(TypeError):
+                other + total
 
     def test_identity_neutral(self):
         rng = random.Random(7)

@@ -96,3 +96,14 @@ def test_compose_builds_no_validated_diagram():
     }
     assert "_stack" in called
     assert "SetPartitionDiagram" not in called
+
+
+def test_verify_reports_built_only_by_run_suite():
+    # run_suite names each report after its SUITES key; a suite that built
+    # its own report could drift from that name.
+    found = set()
+    for _, tree in _parsed_sources():
+        for scope, call in _calls(tree):
+            if isinstance(call.func, ast.Name) and call.func.id == "VerifyReport":
+                found.add(scope)
+    assert found == {"run_suite"}, sorted(found)

@@ -1,6 +1,8 @@
 """Planar half-diagrams, ballot counts, and the class product."""
 
 import random
+import re
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -35,6 +37,12 @@ class TestTLHalfDiagram:
         # cap {2,6} strands over the labeled dot 5
         with pytest.raises(InvariantViolation):
             TLHalfDiagram(6, [(2, 6), (3, 4)])
+
+    def test_bool_degree_and_dots_rejected(self):
+        with pytest.raises(InvariantViolation, match="^dot True out of range for degree 2$"):
+            TLHalfDiagram(2, [(True, 2)])
+        with pytest.raises(InvariantViolation, match="^degree must be a non-negative integer$"):
+            TLHalfDiagram(True, [])
 
     def test_degree_four_no_labels(self):
         basis = tl_basis(4, 0)
@@ -104,6 +112,23 @@ class TestGrothProduct:
             GrothElement({(2, 1): 1})
         with pytest.raises(InvariantViolation):
             GrothElement({(1, 2): 1})
+
+    @pytest.mark.parametrize(
+        "coeff", [1.5, True, Fraction(1, 2), "1"], ids=["float", "bool", "fraction", "str"]
+    )
+    def test_non_integer_coefficient_rejected(self, coeff):
+        message = re.escape(f"class coefficient {coeff!r} is not an integer")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            GrothElement({(2, 0): coeff})
+
+    def test_sum_with_foreign_operand_is_type_error(self):
+        v11 = GrothElement.module_class(1, 1)
+        assert v11 + v11 == GrothElement({(1, 1): 2})
+        for other in (1, 1.5, None):
+            with pytest.raises(TypeError):
+                v11 + other
+            with pytest.raises(TypeError):
+                other + v11
 
     def test_commutative_and_associative_sampled(self):
         rng = random.Random(41)
