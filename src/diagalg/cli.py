@@ -41,10 +41,10 @@ MULT_E1_MAX_SOLUTIONS = 100_000
 MULT_E2_MAX_WALK = 10_000_000
 MULT_BVO_MAX_COUNT = 700
 
-# Most diagrams that `tl basis` lists, at about 45 us a diagram (0.7 s), and
-# largest -n it takes, --count-only included: every count up to it has at
-# most 4,300 digits, the most Python prints of an int by default.
-TL_BASIS_MAX_DIAGRAMS = 15_000
+# Most dots (-n times the count) that `tl basis` lists: -n 20 -r 0 as JSON
+# takes about 1 s.  Largest -n it takes, --count-only included: every count
+# up to it has at most 4,300 digits, the most Python prints of an int by default.
+TL_BASIS_MAX_DOTS = 340_000
 TL_BASIS_MAX_DEGREE = 14_298
 
 
@@ -120,15 +120,14 @@ def _cmd_mult(args) -> int:
     )
     engines = {}
     wanted = ("closed", "e1", "e2", "bvo") if args.engines == "all" else (args.engines,)
+    hint = "; for the count use --engines closed"
     if "e1" in wanted or args.solutions:
         expected = multiplicity.e_closed(p, q, r)
         if expected > MULT_E1_MAX_SOLUTIONS:
             raise _CliError(
-                f"e1 and --solutions enumerate at most {MULT_E1_MAX_SOLUTIONS} solutions, got {expected}; "
-                "for the count alone use --engines closed or --engines e2",
+                f"e1 and --solutions enumerate at most {MULT_E1_MAX_SOLUTIONS} solutions, got {expected}{hint}",
                 USAGE_ERROR,
             )
-    hint = "; for the count use --engines closed"
     if "e2" in wanted:
         _check_budget(p + q - r, MULT_E2_MAX_WALK, "e2", "p + q - r <= {}", hint)
     if "bvo" in wanted:
@@ -279,7 +278,10 @@ def _cmd_tl(args) -> int:
         if args.count_only:
             print(count)
             return 0
-        _check_budget(count, TL_BASIS_MAX_DIAGRAMS, "tl basis", "{} diagrams", " (--count-only has no limit)")
+        # n * count > budget exactly when count > budget // n; only count surely prints
+        limit = f"{TL_BASIS_MAX_DOTS} listed dots ({{}} diagrams at -n {args.n})"
+        tail = " diagrams; for the count use --count-only"
+        _check_budget(count, TL_BASIS_MAX_DOTS // max(args.n, 1), "tl basis", limit, tail)
         basis = tl.tl_basis(args.n, args.r)
         if args.format == "json":
             print(json.dumps([d.to_json() for d in basis]))
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     tlp = sub.add_parser("tl", help="planar half-diagram basis and class products")
     tl_sub = tlp.add_subparsers(dest="mode", required=True)
     tl_basis = tl_sub.add_parser(
-        "basis", help=f"enumerate the planar basis (at most {TL_BASIS_MAX_DIAGRAMS} diagrams)"
+        "basis", help=f"enumerate the planar basis (at most {TL_BASIS_MAX_DOTS} dots, -n times the count)"
     )
     tl_basis.add_argument("-n", type=int, required=True)
     tl_basis.add_argument("-r", type=int, required=True)

@@ -203,13 +203,17 @@ def enumerate_basis(n: int, r: int) -> list[HalfDiagram]:
 
 
 @cache
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """S(n, 0), ..., S(n, n), each row built from the one before, from row 0."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0, *(k * row[k] + row[k - 1] for k in range(1, m)), 1]
+    return tuple(row)
+
+
 def stirling2(n: int, k: int) -> int:
     """Number of set partitions of an n-set into k blocks."""
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling_row(n)[k] if 0 <= k <= n else 0
 
 
 def bell(n: int) -> int:
@@ -222,9 +226,7 @@ def half_diagram_count(n: int, r: int) -> int:
     """Number of (n, r)-half-diagrams: sum over k of S(n, k) * C(k, r)."""
     if r < 0 or r > n:
         return 0
-    if n == 0:
-        return 1 if r == 0 else 0
-    return sum(stirling2(n, k) * comb(k, r) for k in range(r, n + 1))
+    return sum(s * comb(k, r) for k, s in enumerate(_stirling_row(n)))
 
 
 def dim_standard(n: int, nu: Partition) -> int:

@@ -2,7 +2,10 @@
 
 The planar (Temperley-Lieb) half-diagram on n dots has two kinds of
 blocks: labeled single dots and unlabeled non-crossing caps, with no
-labeled dot strictly inside a cap.  The count with r labels is the ballot
+labeled dot strictly inside a cap: read left to right with the open caps
+on a stack, a labeled dot finds no cap open and a right end closes the
+innermost one.  The constructor checks a row by that reading and
+``tl_basis`` walks it.  The count with r labels is the ballot
 number C(n, (n-r)/2) - C(n, (n-r)/2 - 1).  Module classes [degree, labels]
 generate a ring whose structure constants are 0/1 and detect exactly the
 degenerate-triangle condition |p - q| <= r <= p + q.
@@ -25,8 +28,7 @@ class TLHalfDiagram:
     def __init__(self, n: int, caps):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvariantViolation("degree must be a non-negative integer")
-        seen: set[int] = set()
-        clean: list[tuple[int, int]] = []
+        partner: dict[int, int] = {}
         for cap in caps:
             pair = tuple(sorted(cap))
             if len(pair) != 2 or pair[0] == pair[1]:
@@ -34,24 +36,27 @@ class TLHalfDiagram:
             for dot in pair:
                 if not isinstance(dot, int) or isinstance(dot, bool) or not 1 <= dot <= n:
                     raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
-                if dot in seen:
+                if dot in partner:
                     raise InvariantViolation(f"dot {dot} appears in more than one cap")
-                seen.add(dot)
-            clean.append(pair)
-        clean.sort()
-        for i in range(len(clean)):
-            for j in range(i + 1, len(clean)):
-                (a1, b1), (a2, b2) = clean[i], clean[j]
-                if a1 < a2 < b1 < b2:
-                    raise InvariantViolation(f"caps {clean[i]} and {clean[j]} cross")
-        labels = tuple(dot for dot in range(1, n + 1) if dot not in seen)
-        for a, b in clean:
-            for dot in labels:
-                if a < dot < b:
-                    raise InvariantViolation(f"labeled dot {dot} sits inside cap ({a}, {b})")
+            partner[pair[0]], partner[pair[1]] = pair[1], pair[0]
+        clean: list[tuple[int, int]] = []  # by left end, as the scan opens them
+        labels, opened = [], []
+        for dot in range(1, n + 1):
+            end = partner.get(dot)
+            if end is None:
+                if opened:
+                    raise InvariantViolation(f"labeled dot {dot} sits inside cap {opened[0]}")
+                labels.append(dot)
+            elif end > dot:
+                clean.append((dot, end))
+                opened.append(clean[-1])
+            else:
+                inner = opened.pop()
+                if inner[0] != end:
+                    raise InvariantViolation(f"caps {(end, dot)} and {inner} cross")
         self.n = n
         self.caps = tuple(clean)
-        self.labels = labels
+        self.labels = tuple(labels)
 
     @property
     def r(self) -> int:
@@ -86,40 +91,30 @@ class TLHalfDiagram:
 def tl_basis(n: int, r: int) -> tuple[TLHalfDiagram, ...]:
     """All degree-n planar half-diagrams with r labeled dots.
 
-    Scans the dots left to right with a stack of open caps: a dot may
-    carry a label only when no cap is open around it, open a new cap, or
-    close the innermost open cap.
+    Walks the dots left to right with a stack of partial rows, trying at
+    each dot a label (only with no cap open), a new cap, then closing the
+    innermost cap.  A step is taken only when the open caps plus the labels
+    still needed fit in the dots left.  That prune is exact: every partial
+    row ends in a diagram, so no work goes to branches that yield none.
     """
     if r < 0 or r > n or (n - r) % 2:
         return ()
     results: list[TLHalfDiagram] = []
-    caps: list[tuple[int, int]] = []
-    stack: list[int] = []
-    label_count = 0
-
-    def go(pos: int) -> None:
-        nonlocal label_count
-        if pos > n:
-            if not stack and label_count == r:
-                results.append(TLHalfDiagram(n, tuple(caps)))
-            return
-        if len(stack) > n - pos + 1:
-            return
-        if not stack and label_count < r:
-            label_count += 1
-            go(pos + 1)
-            label_count -= 1
-        stack.append(pos)
-        go(pos + 1)
-        stack.pop()
-        if stack:
-            caps.append((stack[-1], pos))
-            opened = stack.pop()
-            go(pos + 1)
-            stack.append(opened)
-            caps.pop()
-
-    go(1)
+    # (next dot, left ends of the open caps, closed caps, labels placed)
+    pending = [(1, (), (), 0)]
+    while pending:
+        dot, opened, caps, labels = pending.pop()
+        if dot > n:
+            results.append(TLHalfDiagram(n, caps))
+            continue
+        # Pushed in reverse, so they come off in the order above.  Closing
+        # and labeling keep the bound the partial row met; opening may not.
+        if opened:
+            pending.append((dot + 1, opened[:-1], (*caps, (opened[-1], dot)), labels))
+        if len(opened) + 1 + r - labels <= n - dot:
+            pending.append((dot + 1, (*opened, dot), caps, labels))
+        if not opened and labels < r:
+            pending.append((dot + 1, opened, caps, labels + 1))
     return tuple(results)
 
 

@@ -453,7 +453,7 @@ SUITES = {
     "four-way-agreement": (verify_four_way_agreement, 8, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120
     "geometry-agreement": (verify_geometry_agreement, 30, 280),  # 19 s at 120, 68 s at 180; est. 270 s at 280
     "parity": (verify_parity, 30, 360),  # 10 s at 120, 80 s at 240; est. 270 s at 360
-    "tl-suite": (verify_tl_suite, 12, 22),  # 4.0 s at 18, 15 s and 59 MiB at 20, 68 s and 182 MiB at 22
+    "tl-suite": (verify_tl_suite, 12, 24),  # 30 s and 161 MiB at 22, 138 s and 599 MiB at 24, over 1 GiB at 26
     "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 29 s at 64, 120 s at 96; est. 260 s at 120
 }
 

@@ -1,11 +1,15 @@
 """Command-line behavior: outputs, formats, and exit codes."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagalg import cli, verify
+from diagalg import cli, tl, verify
 from diagalg.cli import main
 
 COMPOSE_LEFT = {"n": 6, "blocks": [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3], [-4], [-5]]}
@@ -103,7 +107,7 @@ class TestMult:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             "error: e1 and --solutions enumerate at most 100000 solutions, got 100001; "
-            "for the count alone use --engines closed or --engines e2\n"
+            "for the count use --engines closed\n"
         )
         # -p 4 -q 4 -r 4 has 3 solutions
         monkeypatch.setattr(cli, "MULT_E1_MAX_SOLUTIONS", 3)
@@ -283,17 +287,48 @@ class TestTL:
         assert main(["tl", "basis", "-n", "22", "-r", "0"]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "error: tl basis is limited to 15000 diagrams, got 58786 (--count-only has no limit)\n"
+            "error: tl basis is limited to 340000 listed dots (15454 diagrams at -n 22), "
+            "got 58786 diagrams; for the count use --count-only\n"
         )
-        # -n 6 -r 2 has 9 diagrams
-        monkeypatch.setattr(cli, "TL_BASIS_MAX_DIAGRAMS", 9)
+        # -n 6 -r 2 has 9 diagrams, 54 dots
+        monkeypatch.setattr(cli, "TL_BASIS_MAX_DOTS", 54)
         assert main(["tl", "basis", "-n", "6", "-r", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 9
-        monkeypatch.setattr(cli, "TL_BASIS_MAX_DIAGRAMS", 8)
+        monkeypatch.setattr(cli, "TL_BASIS_MAX_DOTS", 53)
         assert main(["tl", "basis", "-n", "6", "-r", "2", "--format", "json"]) == 2
         assert capsys.readouterr().err == (
-            "error: tl basis is limited to 8 diagrams, got 9 (--count-only has no limit)\n"
+            "error: tl basis is limited to 53 listed dots (8 diagrams at -n 6), "
+            "got 9 diagrams; for the count use --count-only\n"
         )
+
+    def test_basis_budget_counts_dots(self, capsys):
+        # -n 21 -r 11: 14,364 diagrams, 301,644 dots, the largest listing the
+        # former 15,000-diagram budget finished in under 1 s
+        assert cli.TL_BASIS_MAX_DOTS >= 21 * 14_364
+        start = time.perf_counter()
+        assert main(["tl", "basis", "-n", "14298", "-r", "14298"]) == 0
+        assert capsys.readouterr().out == "{" + ",".join(f"{{{dot}}}*" for dot in range(1, 14299)) + "}\n"
+        assert main(["tl", "basis", "-n", "1200", "-r", "1200", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [{"n": 1200, "caps": [], "labels": list(range(1, 1201))}]
+        # 14,297 diagrams of 14,298 dots each
+        assert main(["tl", "basis", "-n", "14298", "-r", "14296"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: tl basis is limited to 340000 listed dots (23 diagrams at -n 14298), "
+            "got 14297 diagrams; for the count use --count-only\n"
+        )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 14_298).flatmap(lambda n: st.tuples(st.just(n), st.integers(-1, n + 1))))
+    def test_basis_at_any_accepted_size_exits_cleanly(self, n_r):
+        # every -n the CLI takes, with the dots budget small enough to list quickly
+        n, r = n_r
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            patch.setattr(cli, "TL_BASIS_MAX_DOTS", 3 * n + 40)
+            code = main(["tl", "basis", "-n", str(n), "-r", str(r)])
+        assert code == (0 if n * tl.tl_basis_count(n, r) <= 3 * n + 40 else 2)
 
     def test_basis_degree_budget(self, capsys, monkeypatch):
         # the largest count at -n 14298 has 4,300 digits, the most Python prints of an int

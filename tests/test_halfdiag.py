@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diagalg import halfdiag
 from diagalg.diagrams import (
     DeltaPolynomial,
     InvariantViolation,
@@ -160,6 +161,31 @@ class TestBasis:
 
     def test_stirling_row(self):
         assert [stirling2(6, k) for k in range(7)] == [0, 1, 31, 90, 65, 15, 1]
+
+    def test_counts_past_the_frame_limit_on_a_cold_cache(self):
+        # Bell numbers from the Bell triangle: each row starts with the last
+        # entry of the row before, and each entry adds its left neighbour to
+        # the entry above that neighbour; row n starts with B(n).
+        top = 1102
+        row, bells = [1], [1]
+        for _ in range(top):
+            new = [row[-1]]
+            for value in row:
+                new.append(new[-1] + value)
+            row = new
+            bells.append(row[0])
+        # sum_k k S(n, k) = B(n + 1) - B(n) and sum_k C(k, 2) S(n, k) =
+        # (B(n + 2) - 3 B(n + 1) + B(n)) / 2, from S(n + 1, k) = k S(n, k) + S(n, k - 1)
+        n = top - 2
+        calls = [
+            (lambda: bell(n), bells[n]),
+            (lambda: half_diagram_count(n, 2), (bells[n + 2] - 3 * bells[n + 1] + bells[n]) // 2),
+            (lambda: dim_standard(n, (1,)), bells[n + 1] - bells[n]),
+        ]
+        for call, expected in calls:
+            halfdiag._stirling_row.cache_clear()
+            half_diagram_count.cache_clear()
+            assert call() == expected
 
 
 class TestDimensions:

@@ -107,3 +107,43 @@ def test_verify_reports_built_only_by_run_suite():
             if isinstance(call.func, ast.Name) and call.func.id == "VerifyReport":
                 found.add(scope)
     assert found == {"run_suite"}, sorted(found)
+
+
+
+def _scopes(node, scope=""):
+    """(qualified name, node) for every def and class under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}" if scope else child.name
+            yield name, child
+            yield from _scopes(child, name)
+        else:
+            yield from _scopes(child, scope)
+
+
+# Functions that call themselves, each with the argument that bounds its
+# depth; Python stops a call chain near 1,000 frames, so a new recursion
+# must be bounded by a budgeted argument and added here on purpose.
+RECURSIVE_FUNCTIONS = {
+    "set_partitions": "n",
+    "partitions_inside.build": "len(outer)",
+    "lr_coeff.fill": "the skew cells, capped in the CLI by MULT_BVO_MAX_COUNT",
+    "_char_on_beta": "len(rho)",
+}
+
+
+def test_recursive_functions_are_allow_listed():
+    found = set()
+    for _, tree in _parsed_sources():
+        classes = {name for name, node in _scopes(tree) if isinstance(node, ast.ClassDef)}
+        for scope, call in _calls(tree):
+            owner, _, name = scope.rpartition(".")
+            func = call.func
+            if owner in classes:  # a method calls itself through self or cls
+                hit = isinstance(func, ast.Attribute) and func.attr == name
+                hit = hit and getattr(func.value, "id", None) in ("self", "cls")
+            else:
+                hit = isinstance(func, ast.Name) and func.id == name
+            if hit:
+                found.add(scope)
+    assert found == set(RECURSIVE_FUNCTIONS), sorted(found ^ set(RECURSIVE_FUNCTIONS))

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +21,127 @@ from diagalg.tl import (
     tl_e,
     tl_walled_dim_check,
 )
+
+
+def tl_basis_reference(n, r):
+    """The former recursive walk: the cap lists of tl_basis(n, r), in its order."""
+    if r < 0 or r > n or (n - r) % 2:
+        return []
+    results, caps, stack = [], [], []
+    label_count = 0
+
+    def go(pos):
+        nonlocal label_count
+        if pos > n:
+            if not stack and label_count == r:
+                results.append(tuple(caps))
+            return
+        if len(stack) > n - pos + 1:
+            return
+        if not stack and label_count < r:
+            label_count += 1
+            go(pos + 1)
+            label_count -= 1
+        stack.append(pos)
+        go(pos + 1)
+        stack.pop()
+        if stack:
+            caps.append((stack[-1], pos))
+            opened = stack.pop()
+            go(pos + 1)
+            stack.append(opened)
+            caps.pop()
+
+    go(1)
+    return results
+
+
+def tl_check_reference(n, caps):
+    """The former constructor check, pair by pair: (caps, labels) or InvariantViolation."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InvariantViolation("degree must be a non-negative integer")
+    seen, clean = set(), []
+    for cap in caps:
+        pair = tuple(sorted(cap))
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise InvariantViolation(f"cap {cap!r} must join two distinct dots")
+        for dot in pair:
+            if not isinstance(dot, int) or isinstance(dot, bool) or not 1 <= dot <= n:
+                raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
+            if dot in seen:
+                raise InvariantViolation(f"dot {dot} appears in more than one cap")
+            seen.add(dot)
+        clean.append(pair)
+    clean.sort()
+    for i in range(len(clean)):
+        for j in range(i + 1, len(clean)):
+            (a1, b1), (a2, b2) = clean[i], clean[j]
+            if a1 < a2 < b1 < b2:
+                raise InvariantViolation(f"caps {clean[i]} and {clean[j]} cross")
+    labels = tuple(dot for dot in range(1, n + 1) if dot not in seen)
+    for a, b in clean:
+        for dot in labels:
+            if a < dot < b:
+                raise InvariantViolation(f"labeled dot {dot} sits inside cap ({a}, {b})")
+    return tuple(clean), labels
+
+
+# The wording of every constructor rejection.
+CHECK_MESSAGES = re.compile(
+    r"degree must be a non-negative integer|cap .+ must join two distinct dots"
+    r"|dot .+ out of range for degree \d+|dot \d+ appears in more than one cap"
+    r"|caps \(\d+, \d+\) and \(\d+, \d+\) cross|labeled dot \d+ sits inside cap \(\d+, \d+\)"
+)
+
+
+def random_caps(rng, n):
+    """Caps on a random subset of dots: often crossing or over a label, sometimes malformed."""
+    dots = rng.sample(range(1, n + 1), 2 * rng.randint(0, n // 2))
+    caps = [[dots[i], dots[i + 1]] for i in range(0, len(dots), 2)]
+    if caps and rng.random() < 0.15:
+        cap = rng.choice(caps)
+        cap[rng.randrange(2)] = rng.choice([0, n + 1, True, cap[0], rng.randint(1, n)])
+    if rng.random() < 0.05:
+        caps.append(rng.choice([[1], [1, 2, 3], []]))
+    return [tuple(cap) if rng.random() < 0.5 else cap for cap in caps]
+
+
+class TestWalkMatchesReference:
+    def test_same_diagrams_in_the_same_order(self):
+        for n in range(15):
+            for r in range(-1, n + 2):
+                got = [(d.n, d.caps, d.labels) for d in tl_basis(n, r)]
+                want = [(n, *tl_check_reference(n, caps)) for caps in tl_basis_reference(n, r)]
+                assert got == want, (n, r)
+
+    def test_constructor_accepts_and_rejects_like_the_pairwise_check(self):
+        rng = random.Random(16)
+        accepted = 0
+        for _ in range(20_000):
+            n = rng.randint(0, 10)
+            caps = random_caps(rng, n)
+            try:
+                want = tl_check_reference(n, caps)
+            except InvariantViolation as exc:
+                with pytest.raises(InvariantViolation) as got:
+                    TLHalfDiagram(n, caps)
+                assert CHECK_MESSAGES.fullmatch(str(got.value)), (n, caps, str(got.value))
+                if not str(exc).startswith("caps "):
+                    # Only a crossing, which the pairwise check looks for
+                    # first, may come second in the scan or as another pair.
+                    assert str(got.value) == str(exc), (n, caps)
+                continue
+            diagram = TLHalfDiagram(n, caps)
+            assert (diagram.caps, diagram.labels) == want, (n, caps)
+            accepted += 1
+        assert 1_000 < accepted < 19_000
+
+    def test_walk_needs_no_stack_depth(self):
+        start = time.perf_counter()
+        assert len(tl_basis(24, 22)) == 23
+        assert time.perf_counter() - start < 0.05
+        (only,) = tl_basis(5000, 5000)
+        assert only.caps == () and only.labels == tuple(range(1, 5001))
 
 
 class TestTLHalfDiagram:
