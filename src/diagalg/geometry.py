@@ -1,12 +1,13 @@
-"""Plane-geometry readings of the multiplicity, in exact rational arithmetic.
+"""Plane-geometry readings of the multiplicity, in doubled integers.
 
 Treat p, q, r as the integer side lengths of a (possibly degenerate)
 triangle.  The multiplicity equals the number of circles centered at the
 incenter that cut all three sides into integer-length segments, which
 comes down to the floor of one incircle tangent length plus one; inside
 the strict-triangle regime the same number is the floor of the gap
-between a conic's vertex and focus plus one.  Everything uses halves of
-integers, never floats.
+between a conic's vertex and focus plus one.  Every length here is half
+an integer, so the module works on the doubled lengths, never floats,
+and builds a ``Fraction`` only where a function promises one.
 """
 
 from __future__ import annotations
@@ -16,18 +17,43 @@ from fractions import Fraction
 from .multiplicity import _check_count, e_closed
 
 
+def _doubled(p: int, q: int, r: int) -> tuple[tuple[int, int, int], int, int, int, str]:
+    """Check p, q, r once; (tangents, a, c, gap, conic kind) with every length doubled.
+
+    A tangent is negative exactly off the triangle, and every tangent is
+    positive exactly in the strict regime p, q > 0 and |p - q| < r < p + q.
+    """
+    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
+    a, kind = (p + q, "ellipse") if r >= p and r >= q else (abs(p - q), "hyperbola")
+    return (q + r - p, p + r - q, p + q - r), a, r, abs(a - r), kind
+
+
+def _counts(tangents: tuple[int, int, int], gap: int) -> tuple[int, int]:
+    """(circle count, conic count) from the doubled tangents and gap."""
+    low = min(tangents)
+    circles = max(0, low // 2 + 1)
+    return circles, gap // 2 + 1 if low > 0 else circles
+
+
+def _parity(tangents: tuple[int, int, int], side_sum: int) -> tuple[bool, bool]:
+    """(every doubled tangent even, side sum even), read apart so that their agreement stays checkable."""
+    ta, tb, tc = tangents
+    return ta % 2 == tb % 2 == tc % 2 == 0, side_sum % 2 == 0
+
+
+def _half(doubled: int) -> str:
+    """``str`` of the ``Fraction`` doubled / 2."""
+    return f"{doubled}/2" if doubled % 2 else str(doubled // 2)
+
+
 def tangent_lengths(p: int, q: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
     """Incircle tangent lengths at the vertices opposite sides p, q, r.
 
     The classic semiperimeter differences, computed unconditionally; a
     negative value signals that the sides do not form a triangle.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    return (
-        Fraction(q + r - p, 2),
-        Fraction(p + r - q, 2),
-        Fraction(p + q - r, 2),
-    )
+    ta, tb, tc = _doubled(p, q, r)[0]
+    return Fraction(ta, 2), Fraction(tb, 2), Fraction(tc, 2)
 
 
 def geometric_multiplicity(p: int, q: int, r: int) -> int:
@@ -36,9 +62,8 @@ def geometric_multiplicity(p: int, q: int, r: int) -> int:
     Floor of the tangent length at the vertex opposite the largest side,
     plus one; clamped to zero when the sides fail the triangle inequality.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    doubled_tangent = p + q + r - 2 * max(p, q, r)
-    return max(0, doubled_tangent // 2 + 1)
+    tangents, _, _, gap, _ = _doubled(p, q, r)
+    return _counts(tangents, gap)[0]
 
 
 def conic_parameters(p: int, q: int, r: int) -> tuple[Fraction, Fraction, str]:
@@ -48,10 +73,8 @@ def conic_parameters(p: int, q: int, r: int) -> tuple[Fraction, Fraction, str]:
     focal distance r and major axis p + q; otherwise it is the hyperbola
     with focal distance r and vertex distance |p - q|.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    if r >= p and r >= q:
-        return Fraction(p + q, 2), Fraction(r, 2), "ellipse"
-    return Fraction(abs(p - q), 2), Fraction(r, 2), "hyperbola"
+    _, a, c, _, kind = _doubled(p, q, r)
+    return Fraction(a, 2), Fraction(c, 2), kind
 
 
 def conic_eccentricity_count(p: int, q: int, r: int) -> int:
@@ -60,12 +83,8 @@ def conic_eccentricity_count(p: int, q: int, r: int) -> int:
     Requires p, q > 0 and |p - q| < r < p + q; outside that regime the
     circle count takes over.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    if p <= 0 or q <= 0 or not abs(p - q) < r < p + q:
-        return geometric_multiplicity(p, q, r)
-    a, c, _ = conic_parameters(p, q, r)
-    gap = abs(a - c)
-    return int(gap) + 1  # Fraction truncates toward zero; gap >= 0 so this is the floor
+    tangents, _, _, gap, _ = _doubled(p, q, r)
+    return _counts(tangents, gap)[1]
 
 
 def parity_tangency(p: int, q: int, r: int) -> tuple[bool, bool]:
@@ -75,30 +94,27 @@ def parity_tangency(p: int, q: int, r: int) -> tuple[bool, bool]:
     are computed independently so that equality stays a checkable fact
     rather than a definition.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    if not abs(p - q) <= r <= p + q:
+    tangents = _doubled(p, q, r)[0]
+    if min(tangents) < 0:
         raise ValueError(f"sides ({p}, {q}, {r}) do not form a triangle, even degenerately")
-    tangents = tangent_lengths(p, q, r)
-    all_integral = all(t.denominator == 1 for t in tangents)
-    sum_even = (p + q + r) % 2 == 0
-    return all_integral, sum_even
+    return _parity(tangents, p + q + r)
 
 
 def geometry_summary(p: int, q: int, r: int) -> dict:
     """All geometric quantities for one side triple, JSON-friendly."""
-    ta, tb, tc = tangent_lengths(p, q, r)
-    a, c, kind = conic_parameters(p, q, r)
+    tangents, a, c, gap, kind = _doubled(p, q, r)
+    circles, conics = _counts(tangents, gap)
     summary = {
         "p": p,
         "q": q,
         "r": r,
-        "tangent_lengths": [str(ta), str(tb), str(tc)],
-        "circle_count": geometric_multiplicity(p, q, r),
-        "conic": {"kind": kind, "a": str(a), "c": str(c), "gap": str(abs(a - c))},
-        "conic_count": conic_eccentricity_count(p, q, r),
+        "tangent_lengths": [_half(t) for t in tangents],
+        "circle_count": circles,
+        "conic": {"kind": kind, "a": _half(a), "c": _half(c), "gap": _half(gap)},
+        "conic_count": conics,
         "closed_form": e_closed(p, q, r),
     }
-    if abs(p - q) <= r <= p + q:
-        all_integral, sum_even = parity_tangency(p, q, r)
-        summary["parity"] = {"tangents_integral": all_integral, "side_sum_even": sum_even}
+    if min(tangents) >= 0:
+        integral, even = _parity(tangents, p + q + r)
+        summary["parity"] = {"tangents_integral": integral, "side_sum_even": even}
     return summary

@@ -30,15 +30,23 @@ class TLHalfDiagram:
             raise InvariantViolation("degree must be a non-negative integer")
         partner: dict[int, int] = {}
         for cap in caps:
-            pair = tuple(sorted(cap))
-            if len(pair) != 2 or pair[0] == pair[1]:
+            try:
+                left, right = cap
+            except (TypeError, ValueError):  # not two dots
+                left = right = None
+            if left == right:
                 raise InvariantViolation(f"cap {cap!r} must join two distinct dots")
-            for dot in pair:
-                if not isinstance(dot, int) or isinstance(dot, bool) or not 1 <= dot <= n:
+            for dot in (left, right):
+                if not isinstance(dot, int):
+                    raise InvariantViolation(f"dot {dot!r} is not an integer")
+            if right < left:
+                left, right = right, left
+            for dot in (left, right):
+                if isinstance(dot, bool) or not 1 <= dot <= n:
                     raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
                 if dot in partner:
                     raise InvariantViolation(f"dot {dot} appears in more than one cap")
-            partner[pair[0]], partner[pair[1]] = pair[1], pair[0]
+            partner[left], partner[right] = right, left
         clean: list[tuple[int, int]] = []  # by left end, as the scan opens them
         labels, opened = [], []
         for dot in range(1, n + 1):

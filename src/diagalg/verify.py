@@ -451,8 +451,8 @@ SUITES = {
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
     "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
     "four-way-agreement": (verify_four_way_agreement, 8, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120
-    "geometry-agreement": (verify_geometry_agreement, 30, 280),  # 19 s at 120, 68 s at 180; est. 270 s at 280
-    "parity": (verify_parity, 30, 360),  # 10 s at 120, 80 s at 240; est. 270 s at 360
+    "geometry-agreement": (verify_geometry_agreement, 30, 320),  # 10 s at 120, 34 s at 180, 183 s and 15 MiB at 320
+    "parity": (verify_parity, 30, 480),  # 1.8 s at 120, 21 s at 240, 130 s and 15 MiB at 480
     "tl-suite": (verify_tl_suite, 12, 24),  # 30 s and 161 MiB at 22, 138 s and 599 MiB at 24, over 1 GiB at 26
     "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 29 s at 64, 120 s at 96; est. 260 s at 120
 }

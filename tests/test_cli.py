@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from diagalg import cli, tl, verify
 from diagalg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 COMPOSE_LEFT = {"n": 6, "blocks": [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3], [-4], [-5]]}
 COMPOSE_RIGHT = {"n": 6, "blocks": [[1], [2], [3, 4, 5], [6, -4, -6], [-1, -2, -3], [-5]]}
@@ -346,6 +352,34 @@ class TestTL:
         assert capsys.readouterr().out == "9\n"
         assert main(["tl", "basis", "-n", "7", "-r", "1", "--count-only"]) == 2
         assert capsys.readouterr().err == "error: tl basis is limited to -n <= 6, got 7\n"
+
+    @staticmethod
+    def _tl_basis_in_subprocess(argv, **env):
+        inherited = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env = {**inherited, "PYTHONPATH": str(ROOT / "src"), **env}
+        argv = [sys.executable, "-m", "diagalg.cli", "tl", "basis", *argv]
+        return subprocess.run(argv, env=env, capture_output=True, encoding="utf-8")
+
+    def test_degree_budget_under_the_default_digit_limit(self):
+        done = self._tl_basis_in_subprocess(["-n", "14298", "-r", "118", "--count-only"])
+        assert (done.returncode, len(done.stdout.strip()), done.stderr) == (0, 4300, "")
+        done = self._tl_basis_in_subprocess(["-n", "14299", "-r", "119", "--count-only"])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: tl basis is limited to -n <= 14298, got 14299\n"
+
+    def test_degree_budget_follows_a_lower_digit_limit(self):
+        # every count up to -n 2137 has at most 640 digits; the largest at -n 2138 (-r 46) has 641
+        done = self._tl_basis_in_subprocess(["-n", "14298", "-r", "118", "--count-only"], PYTHONINTMAXSTRDIGITS="640")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: tl basis is limited to -n <= 2137, got 14298\n"
+        done = self._tl_basis_in_subprocess(["-n", "2137", "-r", "45", "--count-only"], PYTHONINTMAXSTRDIGITS="640")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(done.stdout.strip()) <= 640
+        assert tl.tl_basis_count(2138, 46) >= 10**640
+
+    def test_largest_count_is_the_peak_over_every_label_count(self):
+        for n in range(300):
+            assert cli._largest_tl_count(n) == max(tl.tl_basis_count(n, r) for r in range(n + 1))
 
     def test_groth_expansion(self, capsys):
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1"]) == 0

@@ -1,9 +1,14 @@
 """Triangle tangent lengths, circle counting, conics, and parity."""
 
+import json
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diagalg import geometry
 from diagalg.geometry import (
     conic_eccentricity_count,
     conic_parameters,
@@ -13,6 +18,7 @@ from diagalg.geometry import (
     tangent_lengths,
 )
 from diagalg.multiplicity import e_closed
+import geometry_oracle as oracle
 
 
 class TestTangentLengths:
@@ -122,3 +128,68 @@ def test_summary_is_json_friendly():
     text = json.dumps(summary)
     assert "tangent_lengths" in text
     assert summary["circle_count"] == summary["closed_form"]
+
+
+PUBLIC = (
+    "tangent_lengths",
+    "geometric_multiplicity",
+    "conic_parameters",
+    "conic_eccentricity_count",
+    "parity_tangency",
+    "geometry_summary",
+)
+
+
+def outcome(function, *args):
+    """(value, the types of its items, its JSON text when a dict), or (exception type, message)."""
+    try:
+        value = function(*args)
+    except Exception as exc:  # the two routes must fail alike, whatever the type
+        return type(exc), str(exc)
+    return value, [type(v) for v in (value if isinstance(value, tuple) else (value,))], (
+        json.dumps(value) if isinstance(value, dict) else None
+    )
+
+
+def assert_matches_oracle(p, q, r):
+    for name in PUBLIC:
+        got, want = outcome(getattr(geometry, name), p, q, r), outcome(getattr(oracle, name), p, q, r)
+        assert got == want, (name, p, q, r)
+
+
+class TestAgainstOracle:
+    def test_every_triple_to_thirty(self):
+        for p in range(31):
+            for q in range(31):
+                for r in range(31):
+                    assert_matches_oracle(p, q, r)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(0, 10**12))
+    def test_large_triples(self, p, q, r):
+        assert_matches_oracle(p, q, r)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(-3, 3))
+    def test_large_triples_near_the_band_edges(self, p, q, offset):
+        for r in (abs(p - q) + offset, p + q + offset, max(p, q) + offset):
+            if r >= 0:
+                assert_matches_oracle(p, q, r)
+
+    def test_same_errors_for_bad_input_in_each_position(self):
+        for bad in (True, False, -1, -(10**12), 1.0, Fraction(1), "3", None):
+            for position in range(3):
+                args = [3, 4, 5]
+                args[position] = bad
+                for name in PUBLIC:
+                    got = outcome(getattr(geometry, name), *args)
+                    assert got == outcome(getattr(oracle, name), *args), (name, args)
+                    assert got[0] is ValueError, (name, args)
+            for name in PUBLIC:  # p is reported first, then q
+                assert outcome(getattr(geometry, name), bad, -1, bad) == outcome(getattr(oracle, name), bad, -1, bad)
+                assert outcome(getattr(geometry, name), 3, bad, -1) == outcome(getattr(oracle, name), 3, bad, -1)
+
+    def test_int_subclass_input(self):
+        Side = IntEnum("Side", {"THREE": 3, "FOUR": 4, "SEVEN": 7})
+        for triple in ((Side.THREE, Side.FOUR, Side.SEVEN), (Side.SEVEN, 3, 3), (0, Side.FOUR, 1)):
+            assert_matches_oracle(*triple)

@@ -147,3 +147,25 @@ def test_recursive_functions_are_allow_listed():
             if hit:
                 found.add(scope)
     assert found == set(RECURSIVE_FUNCTIONS), sorted(found ^ set(RECURSIVE_FUNCTIONS))
+
+
+# The only functions in geometry.py that promise a Fraction; every other
+# reading stays in doubled integers.
+FRACTION_BUILDERS = {"tangent_lengths", "conic_parameters"}
+
+
+def test_geometry_is_integer_arithmetic():
+    tree = ast.parse((PACKAGE_DIR / "geometry.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"float literal at line {node.lineno}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"true division at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"float at line {node.lineno}")
+    assert not found, found
+    builders = {
+        scope for scope, call in _calls(tree) if isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+    }
+    assert builders == FRACTION_BUILDERS, sorted(builders)

@@ -166,6 +166,18 @@ class TestTLHalfDiagram:
         with pytest.raises(InvariantViolation, match="^degree must be a non-negative integer$"):
             TLHalfDiagram(True, [])
 
+    def test_dot_that_does_not_compare_with_an_int_rejected(self):
+        with pytest.raises(InvariantViolation, match="^dot 'a' is not an integer$"):
+            TLHalfDiagram(3, [("a", 1)])
+
+    def test_cap_that_is_not_a_pair_of_dots_rejected(self):
+        with pytest.raises(InvariantViolation, match="^cap 5 must join two distinct dots$"):
+            TLHalfDiagram(3, [5])
+
+    def test_float_dot_rejected_as_not_an_integer(self):
+        with pytest.raises(InvariantViolation, match=r"^dot 1\.0 is not an integer$"):
+            TLHalfDiagram(3, [(1.0, 2)])
+
     def test_degree_four_no_labels(self):
         basis = tl_basis(4, 0)
         assert len(basis) == 2
