@@ -37,11 +37,11 @@ MULT_TABLE_MAX = 50
 MULT_E1_MAX_SOLUTIONS = 100_000
 
 # Largest p + q - r (the length of e2's lattice walk) and largest of p, q
-# and r that `mult` runs e2 and bvo on; the slowest triple within each takes
-# about 0.9 s and 1.2 s, process start included.  bvo's symfunc.lr_coeff
-# recurses once per cell and passes Python's 1,000-frame limit near 985.
+# and r that `mult` runs e2 and bvo on; the slowest triple within each
+# (bvo's is near p = q = r, as at 800, 800, 799) takes about 0.9 s and
+# 1.1 s, process start included.
 MULT_E2_MAX_WALK = 10_000_000
-MULT_BVO_MAX_COUNT = 700
+MULT_BVO_MAX_COUNT = 800
 
 # Most dots (-n times the count) that `tl basis` lists: -n 20 -r 0 as JSON
 # takes about 1 s.  Largest -n it takes, --count-only included: every count

@@ -35,6 +35,8 @@ class E1Solution(NamedTuple):
 
 
 def _check_count(value: int, name: str) -> int:
+    if type(value) is int and value >= 0:  # fast accept; bool and other subclasses take the full check
+        return value
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return value
@@ -47,7 +49,7 @@ def e_closed(p: int, q: int, r: int) -> int:
     the tangent gap plus one, with the middle branch owning the boundary
     where r ties the largest of p and q.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
+    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
     gap = abs(p - q)
     if p + q < r or r < gap:
         return 0
@@ -65,7 +67,7 @@ def e_lattice(p: int, q: int, r: int) -> tuple[int, list[E1Solution]]:
     and then L, R >= 0 exactly when T <= r - |p - q|, so only those T are
     visited, in increasing order.
     """
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
+    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
     solutions: list[E1Solution] = []
     for t in range((p + q - r) % 2, min(r, p + q - r, r - abs(p - q)) + 1, 2):
         u = (p + q - r - t) // 2
@@ -93,7 +95,7 @@ def lattice_line_count(s: int, h: int) -> int:
 
 def e2_lattice(p: int, q: int, r: int) -> int:
     """Multiplicity as a lattice count with h = p + q - r and s = min(p, q)."""
-    p, q, r = (_check_count(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
+    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
     return lattice_line_count(min(p, q), p + q - r)
 
 

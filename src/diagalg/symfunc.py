@@ -13,7 +13,6 @@ instead of silently sorting it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -122,35 +121,30 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam_pad = lam + (0,) * (rows - len(lam))
     grid = [[0] * nu[i] for i in range(rows)]
     cells = [(i, j) for i in range(rows) for j in range(nu[i] - 1, lam_pad[i] - 1, -1)]
-    remaining = list(mu)
     placed = [0] * len(mu)
-    total = 0
-
-    def fill(k: int) -> None:
-        nonlocal total
+    total, k, start = 0, 0, 1  # cells[:k] are filled; start is the least value to try at cells[k]
+    while k >= 0:
         if k == len(cells):
             total += 1
-            return
-        i, j = cells[k]
-        hi = len(mu)
-        if j + 1 < nu[i]:
-            hi = min(hi, grid[i][j + 1])  # rows weakly increase left to right
-        for v in range(1, hi + 1):
-            if remaining[v - 1] == 0:
+        else:
+            i, j = cells[k]
+            hi = grid[i][j + 1] if j + 1 < nu[i] else len(mu)  # rows weakly increase left to right
+            if i > 0 and j >= lam_pad[i - 1]:
+                start = max(start, grid[i - 1][j] + 1)  # columns strictly increase
+            v = start  # skip values past their content in mu or breaking the lattice word
+            while v <= hi and (placed[v - 1] == mu[v - 1] or (v > 1 and placed[v - 1] == placed[v - 2])):
+                v += 1
+            if v <= hi:
+                grid[i][j] = v
+                placed[v - 1] += 1
+                k, start = k + 1, 1
                 continue
-            if v > 1 and placed[v - 1] >= placed[v - 2]:
-                continue  # lattice word prefix condition
-            if i > 0 and j >= lam_pad[i - 1] and v <= grid[i - 1][j]:
-                continue  # columns strictly increase
-            grid[i][j] = v
-            remaining[v - 1] -= 1
-            placed[v - 1] += 1
-            fill(k + 1)
-            grid[i][j] = 0
-            remaining[v - 1] += 1
+        k -= 1  # take back the last filled cell and try its next value
+        if k >= 0:
+            i, j = cells[k]
+            v = grid[i][j]
             placed[v - 1] -= 1
-
-    fill(0)
+            start = v + 1
     return total
 
 
@@ -164,21 +158,28 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
+def _beta(lam: Partition) -> tuple[int, ...]:  # the first-column hook lengths, strictly decreasing
+    return tuple(part + len(lam) - 1 - i for i, part in enumerate(lam))
+
+
 @cache
 def _char_on_beta(beta: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    # beta is the strictly decreasing first-column hook sequence of a shape;
-    # removing a border strip of length k is removing k from one entry.
+    # Removing a border strip of length k is removing k from one entry b of
+    # beta; the sign counts the entries it jumps, which sit just after b.
     if not rho:
         return 1
-    k = rho[0]
-    members = frozenset(beta)
-    total = 0
-    for b in beta:
-        if b < k or (b - k) in members:
+    k, rest, total = rho[0], rho[1:], 0
+    for i, b in enumerate(beta):
+        t = b - k
+        if t < 0:
+            break
+        j = i + 1
+        while j < len(beta) and beta[j] > t:
+            j += 1
+        if j < len(beta) and beta[j] == t:
             continue
-        jumped = sum(1 for c in beta if b - k < c < b)
-        new = tuple(sorted((members - {b}) | {b - k}, reverse=True))
-        total += (-1) ** jumped * _char_on_beta(new, rho[1:])
+        value = _char_on_beta(beta[:i] + beta[i + 1 : j] + (t,) + beta[j:], rest)
+        total += value if (j - i) % 2 else -value
     return total
 
 
@@ -188,9 +189,7 @@ def mn_character(lam: Partition, rho: Partition) -> int:
     rho = check_partition(rho)
     if sum(lam) != sum(rho):
         raise ValueError("character evaluation requires |shape| == |cycle type|")
-    ell = len(lam)
-    beta = tuple(lam[i] + (ell - 1 - i) for i in range(ell))
-    return _char_on_beta(beta, rho)
+    return _char_on_beta(_beta(lam), rho)
 
 
 @cache
@@ -214,12 +213,14 @@ def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
             return int(a == b)
         if shape[0] == 1:
             return int(a == conjugate(b))
-    total = Fraction(0)
+    # chi_lam * chi_mu * chi_nu times the class size n!/z_rho, summed, then divided by n!
+    order, total, stray = factorial(n), 0, 0
+    b_lam, b_mu, b_nu = _beta(lam), _beta(mu), _beta(nu)
     for rho in partitions_of(n):
-        total += Fraction(
-            mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho),
-            centralizer_order(rho),
-        )
-    if total.denominator != 1 or total < 0:
+        size, rem = divmod(order, centralizer_order(rho))
+        total += _char_on_beta(b_lam, rho) * _char_on_beta(b_mu, rho) * _char_on_beta(b_nu, rho) * size
+        stray |= rem
+    g, rem = divmod(total, order)
+    if stray or rem or g < 0:
         raise ArithmeticError("character sum must be a non-negative integer")
-    return int(total)
+    return g

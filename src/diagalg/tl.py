@@ -66,6 +66,13 @@ class TLHalfDiagram:
         self.caps = tuple(clean)
         self.labels = tuple(labels)
 
+    @classmethod
+    def _trusted(cls, n: int, caps: tuple, labels: tuple) -> "TLHalfDiagram":
+        """Wrap a row already in canonical form (caps by left end), with no check."""
+        row = object.__new__(cls)
+        row.n, row.caps, row.labels = n, caps, labels
+        return row
+
     @property
     def r(self) -> int:
         return len(self.labels)
@@ -108,21 +115,21 @@ def tl_basis(n: int, r: int) -> tuple[TLHalfDiagram, ...]:
     if r < 0 or r > n or (n - r) % 2:
         return ()
     results: list[TLHalfDiagram] = []
-    # (next dot, left ends of the open caps, closed caps, labels placed)
-    pending = [(1, (), (), 0)]
+    # (next dot, left ends of the open caps, closed caps, labeled dots)
+    pending = [(1, (), (), ())]
     while pending:
         dot, opened, caps, labels = pending.pop()
-        if dot > n:
-            results.append(TLHalfDiagram(n, caps))
+        if dot > n:  # caps closed innermost first; sorted, they run by left end
+            results.append(TLHalfDiagram._trusted(n, tuple(sorted(caps)), labels))
             continue
         # Pushed in reverse, so they come off in the order above.  Closing
         # and labeling keep the bound the partial row met; opening may not.
         if opened:
             pending.append((dot + 1, opened[:-1], (*caps, (opened[-1], dot)), labels))
-        if len(opened) + 1 + r - labels <= n - dot:
+        if len(opened) + 1 + r - len(labels) <= n - dot:
             pending.append((dot + 1, (*opened, dot), caps, labels))
-        if not opened and labels < r:
-            pending.append((dot + 1, opened, caps, labels + 1))
+        if not opened and len(labels) < r:
+            pending.append((dot + 1, opened, caps, (*labels, dot)))
     return tuple(results)
 
 

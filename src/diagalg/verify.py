@@ -453,7 +453,7 @@ SUITES = {
     "four-way-agreement": (verify_four_way_agreement, 8, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120
     "geometry-agreement": (verify_geometry_agreement, 30, 320),  # 10 s at 120, 34 s at 180, 183 s and 15 MiB at 320
     "parity": (verify_parity, 30, 480),  # 1.8 s at 120, 21 s at 240, 130 s and 15 MiB at 480
-    "tl-suite": (verify_tl_suite, 12, 24),  # 30 s and 161 MiB at 22, 138 s and 599 MiB at 24, over 1 GiB at 26
+    "tl-suite": (verify_tl_suite, 12, 24),  # 8 s and 86 MiB at 22, 37 s and 285 MiB at 24
     "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 29 s at 64, 120 s at 96; est. 260 s at 120
 }
 

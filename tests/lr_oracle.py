@@ -1,8 +1,10 @@
-"""Littlewood-Richardson coefficients by symbol addition, the test oracle for ``lr_coeff``.
+"""Littlewood-Richardson coefficients by two test-only routes, the oracles for ``lr_coeff``.
 
-It shares only the partition check and the containment test with
-:func:`diagalg.symfunc.lr_coeff`, so the two routes agreeing is evidence
-for both.
+Symbol addition shares only the partition check and the containment
+test with :func:`diagalg.symfunc.lr_coeff`, so the two routes agreeing is
+evidence for both.  The recursive fill is the former ``lr_coeff``: the
+same cells in the same order, one call per cell, so it checks the
+explicit-stack fill step for step (and stops near Python's frame limit).
 """
 
 from diagalg.symfunc import Partition, check_partition, contains
@@ -80,4 +82,54 @@ def lr_coeff_by_symbol_addition(lam: Partition, mu: Partition, nu: Partition) ->
                 history.pop()
 
     add_rows(0, lam, [])
+    return total
+
+
+def lr_coeff_by_recursive_fill(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient by a fill that recurses once per cell.
+
+    Counts semistandard fillings of nu/lam with content mu whose reverse
+    reading word is a lattice word, visiting the cells in reverse reading
+    order (rows top to bottom, right to left within each row).
+    """
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    nu = check_partition(nu)
+    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
+        return 0
+    if not mu:
+        return 1 if lam == nu else 0
+    rows = len(nu)
+    lam_pad = lam + (0,) * (rows - len(lam))
+    grid = [[0] * nu[i] for i in range(rows)]
+    cells = [(i, j) for i in range(rows) for j in range(nu[i] - 1, lam_pad[i] - 1, -1)]
+    remaining = list(mu)
+    placed = [0] * len(mu)
+    total = 0
+
+    def fill(k: int) -> None:
+        nonlocal total
+        if k == len(cells):
+            total += 1
+            return
+        i, j = cells[k]
+        hi = len(mu)
+        if j + 1 < nu[i]:
+            hi = min(hi, grid[i][j + 1])  # rows weakly increase left to right
+        for v in range(1, hi + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if v > 1 and placed[v - 1] >= placed[v - 2]:
+                continue  # lattice word prefix condition
+            if i > 0 and j >= lam_pad[i - 1] and v <= grid[i - 1][j]:
+                continue  # columns strictly increase
+            grid[i][j] = v
+            remaining[v - 1] -= 1
+            placed[v - 1] += 1
+            fill(k + 1)
+            grid[i][j] = 0
+            remaining[v - 1] += 1
+            placed[v - 1] -= 1
+
+    fill(0)
     return total

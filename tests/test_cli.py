@@ -128,18 +128,26 @@ class TestMult:
         assert capsys.readouterr().out.splitlines() == ["e2: 3", "agree"]
 
     def test_e2_and_bvo_budgets(self, capsys, monkeypatch):
-        # e2 walks p + q - r lattice steps; bvo recurses about max(p, q, r) frames deep
+        # e2 walks p + q - r lattice steps; bvo fills about max(p, q, r)
+        # cells per Littlewood-Richardson coefficient, past Python's frame
+        # limit had the fill been recursive
         assert main(["mult", "-p", "10000000", "-q", "0", "-r", "0", "--engines", "e2"]) == 0
         assert capsys.readouterr().out.splitlines() == ["e2: 0", "agree"]
-        assert main(["mult", "-p", "700", "-q", "700", "-r", "0", "--engines", "bvo"]) == 0
-        assert capsys.readouterr().out.splitlines() == ["bvo: 1", "agree"]
+        for argv, value in (
+            (["-p", "800", "-q", "800", "-r", "0"], 1),
+            (["-p", "0", "-q", "800", "-r", "800"], 1),
+            (["-p", "800", "-q", "800", "-r", "800"], 401),
+        ):
+            assert main(["mult", *argv, "--engines", "bvo"]) == 0
+            assert capsys.readouterr().out.splitlines() == [f"bvo: {value}", "agree"]
         start = time.perf_counter()
-        e2, bvo = "e2 is limited to p + q - r <= 10000000", "bvo is limited to p, q and r <= 700"
+        e2, bvo = "e2 is limited to p + q - r <= 10000000", "bvo is limited to p, q and r <= 800"
         big = ["-p", "100000000", "-q", "100000000", "-r", "100000000"]
         for argv, message in (
             (["-p", "10000001", "-q", "0", "-r", "0", "--engines", "e2"], f"{e2}, got 10000001"),
             ([*big, "--engines", "e2"], f"{e2}, got 100000000"),
-            (["-p", "0", "-q", "0", "-r", "701", "--engines", "bvo"], f"{bvo}, got 701"),
+            (["-p", "0", "-q", "0", "-r", "801", "--engines", "bvo"], f"{bvo}, got 801"),
+            (["-p", "801", "-q", "801", "-r", "0", "--engines", "bvo"], f"{bvo}, got 801"),
             (["-p", "1000", "-q", "1000", "-r", "1000"], f"{bvo}, got 1000"),
             ([*big, "--engines", "bvo"], f"{bvo}, got 100000000"),
         ):

@@ -1,6 +1,6 @@
 """Multiplicity engines: closed form, enumerations, coefficient sum, symmetry."""
 
-from fractions import Fraction
+from enum import IntEnum
 from functools import cache
 
 import pytest
@@ -20,34 +20,19 @@ from diagalg.multiplicity import (
     restriction_dimension_total,
     symmetry_suite,
 )
-from diagalg.symfunc import centralizer_order, kronecker_coeff, mn_character, partitions_of
+from diagalg.symfunc import kronecker_coeff, partitions_of
+from kronecker_oracle import kronecker_by_fraction_sum
 from lr_oracle import lr_coeff_by_symbol_addition
 
 
 # Test-only reference for the coefficient sum: every partition of every
-# size, the symbol-addition LR route and the character-sum Kronecker
+# size, the symbol-addition LR route and the Fraction class-sum Kronecker
 # coefficient, so it shares no pruning and no shortcut with the engine.
 
 
 @cache
 def _lr_reference(lam, mu, nu):
     return lr_coeff_by_symbol_addition(lam, mu, nu)
-
-
-@cache
-def character_sum_kronecker(lam, mu, nu):
-    n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        return 0
-    total = sum(
-        Fraction(
-            mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho),
-            centralizer_order(rho),
-        )
-        for rho in partitions_of(n)
-    )
-    assert total.denominator == 1 and total >= 0
-    return int(total)
 
 
 @cache
@@ -91,7 +76,7 @@ def bvo_reference(nu, lam, mu):
                 for pi in partitions_of(l1):
                     c_nu = table_nu.get((alpha, beta, pi))
                     if c_nu:
-                        total += c_nu * c_lam * c_mu * character_sum_kronecker(pi, rho, sigma)
+                        total += c_nu * c_lam * c_mu * kronecker_by_fraction_sum(pi, rho, sigma)
     return total
 
 
@@ -126,6 +111,28 @@ def bvo_cases(draw, max_degree):
     # |nu| > |lam| + |mu| gives zero by the size count alone
     nu = draw(st.sampled_from(list(partitions_up_to(sum(lam) + sum(mu)))))
     return nu, lam, mu, m, n
+
+
+class Count(IntEnum):
+    THREE = 3
+    FOUR = 4
+
+
+class TestCountChecks:
+    ENGINES = (e_closed, e_lattice, e2_lattice)
+
+    def test_bad_counts_rejected_with_the_name_of_the_first(self):
+        for bad in (True, False, -1, -(10**12), 1.0, 2.5):
+            for engine in self.ENGINES:
+                for args, name in (((bad, -1, bad), "p"), ((3, bad, -1), "q"), ((3, 4, bad), "r")):
+                    with pytest.raises(ValueError) as caught:
+                        engine(*args)
+                    assert str(caught.value) == f"{name} must be a non-negative integer, got {bad!r}", (engine, args)
+
+    def test_int_subclass_counts_accepted(self):
+        for engine in self.ENGINES:
+            assert engine(Count.THREE, Count.FOUR, 5) == engine(3, 4, 5)
+            assert engine(4, 3, Count.FOUR) == engine(4, 3, 4)
 
 
 class TestClosedForm:
@@ -325,7 +332,7 @@ class TestKroneckerShortcut:
                 for mu in shapes:
                     for nu in shapes:
                         if {lam, mu, nu} & special:
-                            assert kronecker_coeff(lam, mu, nu) == character_sum_kronecker(lam, mu, nu)
+                            assert kronecker_coeff(lam, mu, nu) == kronecker_by_fraction_sum(lam, mu, nu)
                             cases += 1
         assert cases == 2_132
 

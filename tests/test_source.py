@@ -65,6 +65,7 @@ TRUSTED_CALLERS = {
     "enumerate_basis",
     "TLHalfDiagram.to_half_diagram",
     "DeltaPolynomial.__mul__",
+    "tl_basis",
 }
 
 
@@ -98,6 +99,14 @@ def test_compose_builds_no_validated_diagram():
     assert "SetPartitionDiagram" not in called
 
 
+def test_tl_basis_builds_no_validated_row():
+    tree = ast.parse((PACKAGE_DIR / "tl.py").read_text(encoding="utf-8"))
+    called = {
+        call.func.id for scope, call in _calls(tree) if scope == "tl_basis" and isinstance(call.func, ast.Name)
+    }
+    assert "TLHalfDiagram" not in called
+
+
 def test_verify_reports_built_only_by_run_suite():
     # run_suite names each report after its SUITES key; a suite that built
     # its own report could drift from that name.
@@ -127,7 +136,6 @@ def _scopes(node, scope=""):
 RECURSIVE_FUNCTIONS = {
     "set_partitions": "n",
     "partitions_inside.build": "len(outer)",
-    "lr_coeff.fill": "the skew cells, capped in the CLI by MULT_BVO_MAX_COUNT",
     "_char_on_beta": "len(rho)",
 }
 
@@ -149,13 +157,8 @@ def test_recursive_functions_are_allow_listed():
     assert found == set(RECURSIVE_FUNCTIONS), sorted(found ^ set(RECURSIVE_FUNCTIONS))
 
 
-# The only functions in geometry.py that promise a Fraction; every other
-# reading stays in doubled integers.
-FRACTION_BUILDERS = {"tangent_lengths", "conic_parameters"}
-
-
-def test_geometry_is_integer_arithmetic():
-    tree = ast.parse((PACKAGE_DIR / "geometry.py").read_text(encoding="utf-8"))
+def _float_arithmetic(tree):
+    """Float literals, the name ``float`` and true division anywhere in ``tree``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -164,8 +167,31 @@ def test_geometry_is_integer_arithmetic():
             found.append(f"true division at line {node.lineno}")
         elif isinstance(node, ast.Name) and node.id == "float":
             found.append(f"float at line {node.lineno}")
-    assert not found, found
-    builders = {
-        scope for scope, call in _calls(tree) if isinstance(call.func, ast.Name) and call.func.id == "Fraction"
-    }
+    return found
+
+
+def _fraction_builders(tree):
+    return {scope for scope, call in _calls(tree) if isinstance(call.func, ast.Name) and call.func.id == "Fraction"}
+
+
+# The only functions in geometry.py that promise a Fraction; every other
+# reading stays in doubled integers.
+FRACTION_BUILDERS = {"tangent_lengths", "conic_parameters"}
+
+
+def test_geometry_is_integer_arithmetic():
+    tree = ast.parse((PACKAGE_DIR / "geometry.py").read_text(encoding="utf-8"))
+    assert not _float_arithmetic(tree), _float_arithmetic(tree)
+    builders = _fraction_builders(tree)
     assert builders == FRACTION_BUILDERS, sorted(builders)
+
+
+def test_symfunc_is_integer_arithmetic():
+    # Kronecker coefficients are an integer class sum divided exactly at the
+    # end; the Fraction sum is the test oracle, not the engine.
+    tree = ast.parse((PACKAGE_DIR / "symfunc.py").read_text(encoding="utf-8"))
+    assert not _float_arithmetic(tree), _float_arithmetic(tree)
+    builders = _fraction_builders(tree)
+    assert not builders, sorted(builders)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "Fraction" not in imported

@@ -24,7 +24,8 @@ from diagalg.symfunc import (
 
 from math import comb, factorial
 
-from lr_oracle import lr_coeff_by_symbol_addition
+from kronecker_oracle import character_by_beta_set, kronecker_by_fraction_sum
+from lr_oracle import lr_coeff_by_recursive_fill, lr_coeff_by_symbol_addition
 
 
 def partitions_brute(n):
@@ -231,6 +232,30 @@ class TestLRCoeff:
         nu = data.draw(st.sampled_from(partitions_of(a_size + b_size)))
         assert lr_coeff(lam, mu, nu) == lr_coeff_by_symbol_addition(lam, mu, nu)
 
+    def test_explicit_stack_matches_recursive_fill(self):
+        # every (lam, mu, nu) with lam inside nu and |nu| <= 9
+        cases = 0
+        for size in range(10):
+            for nu in partitions_of(size):
+                for lam_size in range(size + 1):
+                    for lam in partitions_inside(lam_size, nu):
+                        for mu in partitions_of(size - lam_size):
+                            assert lr_coeff(lam, mu, nu) == lr_coeff_by_recursive_fill(lam, mu, nu), (lam, mu, nu)
+                            cases += 1
+        assert cases == 9_381
+
+    def test_deep_fillings_from_a_cold_cache(self):
+        # thousands of cells in one skew shape; the recursive fill would
+        # stop at Python's frame limit near 1,000
+        lr_coeff.cache_clear()
+        try:
+            assert lr_coeff((), (5000,), (5000,)) == 1
+            assert lr_coeff((3000,), (3000,), (3000, 3000)) == 1
+            assert lr_coeff((2999,), (3000,), (3000, 2999)) == 1
+            assert lr_coeff((), (3000, 1), (3000, 1)) == 1
+        finally:
+            lr_coeff.cache_clear()
+
     def test_branching_total(self):
         # sum over nu of c * f^nu equals C(|lam|+|mu|, |lam|) f^lam f^mu
         for a_size in range(5):
@@ -302,6 +327,12 @@ class TestCharacters:
         for n in range(1, 7):
             assert sum(factorial(n) // centralizer_order(rho) for rho in partitions_of(n)) == factorial(n)
 
+    def test_index_arithmetic_matches_beta_set_route(self):
+        for n in range(1, 11):
+            for lam in partitions_of(n):
+                for rho in partitions_of(n):
+                    assert mn_character(lam, rho) == character_by_beta_set(lam, rho), (lam, rho)
+
     def test_column_orthogonality_small(self):
         # sum over shapes of chi(rho)^2 equals the centralizer order at rho
         for n in range(1, 7):
@@ -350,6 +381,41 @@ class TestKronecker:
                         for nu in partitions_of(n)
                     )
                     assert total == syt_count(lam) * syt_count(mu)
+
+    def test_integer_sum_matches_fraction_sum_to_size_seven(self):
+        cases = 0
+        for n in range(8):
+            shapes = partitions_of(n)
+            for lam in shapes:
+                for mu in shapes:
+                    for nu in shapes:
+                        assert kronecker_coeff(lam, mu, nu) == kronecker_by_fraction_sum(lam, mu, nu), (lam, mu, nu)
+                        cases += 1
+        assert cases == sum(len(partitions_of(n)) ** 3 for n in range(8)) == 5_211
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(8, 12).flatmap(lambda n: st.tuples(*[st.sampled_from(partitions_of(n))] * 3)))
+    def test_integer_sum_matches_fraction_sum_at_sizes_eight_to_twelve(self, triple):
+        assert kronecker_coeff(*triple) == kronecker_by_fraction_sum(*triple)
+
+    def test_indivisible_or_negative_class_sum_raises(self, monkeypatch):
+        # The class sum of (2,1)^3 over 3! is 1/6 with chi = 1 on the
+        # identity class alone, and -1 with chi = -1 on every class.  With
+        # z = 7 on every class, no class size is an integer, though their
+        # floors (all 0) would sum to a multiple of 3!.
+        for name, stand_in in (
+            ("_char_on_beta", lambda beta, rho: int(rho == (1, 1, 1))),
+            ("_char_on_beta", lambda beta, rho: -1),
+            ("centralizer_order", lambda rho: 7),
+        ):
+            monkeypatch.setattr(symfunc, name, stand_in)
+            kronecker_coeff.cache_clear()
+            try:
+                with pytest.raises(ArithmeticError, match="^character sum must be a non-negative integer$"):
+                    kronecker_coeff((2, 1), (2, 1), (2, 1))
+            finally:
+                monkeypatch.undo()
+                kronecker_coeff.cache_clear()
 
     def test_non_integral_character_sum_raises(self, monkeypatch):
         # (2,1)^3 has neither a one-row nor a one-column argument, so it

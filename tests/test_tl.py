@@ -136,6 +136,13 @@ class TestWalkMatchesReference:
             accepted += 1
         assert 1_000 < accepted < 19_000
 
+    def test_unchecked_rows_pass_the_constructor(self):
+        for n in range(13):
+            for r in range(n % 2, n + 1, 2):
+                for row in tl_basis(n, r):
+                    checked = TLHalfDiagram(n, row.caps)
+                    assert (row, row.caps, row.labels) == (checked, checked.caps, checked.labels), (n, r)
+
     def test_walk_needs_no_stack_depth(self):
         start = time.perf_counter()
         assert len(tl_basis(24, 22)) == 23
