@@ -10,6 +10,7 @@ coefficients live in the integer polynomial ring.
 from __future__ import annotations
 
 from bisect import bisect
+from dataclasses import dataclass
 
 
 class InvariantViolation(ValueError):
@@ -33,6 +34,7 @@ def _merge_terms(items) -> dict:
     return out
 
 
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class DeltaPolynomial:
     """Integer-coefficient polynomial in the symbolic loop parameter delta.
 
@@ -40,7 +42,7 @@ class DeltaPolynomial:
     entries.  The zero polynomial has no terms.
     """
 
-    __slots__ = ("_terms",)
+    _terms: tuple[tuple[int, int], ...]
 
     def __init__(self, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
@@ -75,12 +77,6 @@ class DeltaPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DeltaPolynomial) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
 
     def __add__(self, other) -> "DeltaPolynomial":
         if not isinstance(other, DeltaPolynomial):
@@ -159,6 +155,7 @@ def _check_blocks(n: int, blocks, signed: bool) -> list[tuple[int, ...]]:
     return clean
 
 
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class SetPartitionDiagram:
     """A set partition of the 2n dots on a degree-n diagram boundary.
 
@@ -168,7 +165,8 @@ class SetPartitionDiagram:
     and hashing are structural.
     """
 
-    __slots__ = ("n", "blocks")
+    n: int
+    blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, blocks):
         top, bottom = [], []
@@ -204,16 +202,6 @@ class SetPartitionDiagram:
     def render(self) -> str:
         body = ",".join("{" + ",".join(_node_text(x) for x in b) + "}" for b in self.blocks)
         return "{" + body + "}"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetPartitionDiagram)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
         return f"SetPartitionDiagram({self.n}, {self.render()})"
@@ -336,24 +324,25 @@ def propagating_number(d: SetPartitionDiagram) -> int:
     return sum(1 for block in d.blocks if block[0] > 0 > block[-1])
 
 
-def _blocks_cross(keys_a: list[int], keys_b: list[int]) -> bool:
-    # Two blocks cross when their order keys interleave as ABAB or BABA.
-    merged = sorted((k, 0) for k in keys_a) + sorted((k, 1) for k in keys_b)
-    merged.sort()
-    runs = 1
-    for (_, s1), (_, s2) in zip(merged, merged[1:]):
-        if s1 != s2:
-            runs += 1
-    return runs >= 4
-
-
 def is_noncrossing(d: SetPartitionDiagram) -> bool:
-    """True when no two blocks interleave under the boundary order."""
+    """True when no two blocks interleave under the boundary order.
+
+    Reads the 2n dots in boundary order with a stack of the blocks begun
+    and not yet finished.  Blocks A and B cross exactly when a later dot of
+    A finds B, begun after A and not finished, above A on the stack.
+    """
+    # A canonical block lists its dots in boundary order, so its keys ascend.
     keyed = [[x - 1 if x > 0 else 2 * d.n + x for x in block] for block in d.blocks]
-    for a in range(len(keyed)):
-        for b in range(a + 1, len(keyed)):
-            if _blocks_cross(keyed[a], keyed[b]):
-                return False
+    owner = {k: b for b, keys in enumerate(keyed) for k in keys}
+    opened: list[int] = []
+    for k in range(2 * d.n):
+        b = owner[k]
+        if k == keyed[b][0]:
+            opened.append(b)
+        elif opened[-1] != b:
+            return False
+        if k == keyed[b][-1]:
+            opened.pop()
     return True
 
 
@@ -362,14 +351,20 @@ def is_tl_diagram(d: SetPartitionDiagram) -> bool:
     return all(len(block) == 2 for block in d.blocks) and is_noncrossing(d)
 
 
+@dataclass(init=False, repr=False, slots=True)
 class DiagramSum:
     """Formal combination of equal-degree diagrams with polynomial coefficients."""
 
-    __slots__ = ("n", "terms")
+    n: int
+    terms: dict
 
     def __init__(self, n: int, terms=()):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvariantViolation("degree must be a non-negative integer")
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         for key, coeff in items:
+            if not isinstance(key, SetPartitionDiagram):
+                raise InvariantViolation(f"sum key {key!r} is not a SetPartitionDiagram")
             if key.n != n:
                 raise InvariantViolation("all diagrams in a sum must share one degree")
             if not isinstance(coeff, DeltaPolynomial):
@@ -387,9 +382,6 @@ class DiagramSum:
         if self.n != other.n:
             raise InvariantViolation("sum requires equal degrees")
         return DiagramSum(self.n, [*self.terms.items(), *other.terms.items()])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiagramSum) and self.n == other.n and self.terms == other.terms
 
     def compose(self, other: "DiagramSum") -> "DiagramSum":
         """Bilinear extension of diagram composition."""

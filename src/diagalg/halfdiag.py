@@ -9,6 +9,7 @@ to a labeled block below, and the result is zero whenever a label is lost.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -24,6 +25,7 @@ from .diagrams import (
 from .symfunc import Partition, check_partition, partitions_of, syt_count
 
 
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class HalfDiagram:
     """A labeled set partition of {1..n}.
 
@@ -31,7 +33,9 @@ class HalfDiagram:
     of the labeled blocks within that canonical order.
     """
 
-    __slots__ = ("n", "blocks", "labeled")
+    n: int
+    blocks: tuple[tuple[int, ...], ...]
+    labeled: frozenset[int]
 
     def __init__(self, n: int, blocks, labeled=()):
         clean = [tuple(sorted(bl)) for bl in _check_blocks(n, blocks, signed=False)]
@@ -76,25 +80,16 @@ class HalfDiagram:
             pieces.append(text + "*" if i in self.labeled else text)
         return "{" + ",".join(pieces) + "}"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HalfDiagram)
-            and self.n == other.n
-            and self.blocks == other.blocks
-            and self.labeled == other.labeled
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks, self.labeled))
-
     def __repr__(self) -> str:
         return f"HalfDiagram({self.n}, {self.render()})"
 
 
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class ScaledHalfDiagram:
     """A half-diagram scaled by a delta polynomial, or the zero value."""
 
-    __slots__ = ("coeff", "diagram")
+    coeff: DeltaPolynomial
+    diagram: HalfDiagram | None
 
     def __init__(self, coeff: DeltaPolynomial, diagram: HalfDiagram | None):
         if not coeff or diagram is None:
@@ -120,16 +115,6 @@ class ScaledHalfDiagram:
             return "0"
         text = self.coeff.render()
         return self.diagram.render() if text == "1" else f"{text} · {self.diagram.render()}"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScaledHalfDiagram)
-            and self.coeff == other.coeff
-            and self.diagram == other.diagram
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.diagram))
 
     def __repr__(self) -> str:
         return f"ScaledHalfDiagram({self.render()})"

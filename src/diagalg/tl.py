@@ -13,6 +13,7 @@ degenerate-triangle condition |p - q| <= r <= p + q.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import comb
 
 from .diagrams import InvariantViolation, _merge_terms
@@ -20,10 +21,13 @@ from .halfdiag import HalfDiagram
 from .walled import WalledHalfDiagram, WalledIndex, index_of
 
 
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class TLHalfDiagram:
     """A planar half-diagram: non-crossing caps plus labeled single dots."""
 
-    __slots__ = ("n", "caps", "labels")
+    n: int
+    caps: tuple[tuple[int, int], ...]
+    labels: tuple[int, ...] = field(compare=False)
 
     def __init__(self, n: int, caps):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -93,12 +97,6 @@ class TLHalfDiagram:
         pieces += ["{" + str(dot) + "}*" for dot in self.labels]
         return "{" + ",".join(pieces) + "}"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TLHalfDiagram) and self.n == other.n and self.caps == other.caps
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.caps))
-
     def __repr__(self) -> str:
         return f"TLHalfDiagram({self.n}, {self.render()})"
 
@@ -141,6 +139,7 @@ def tl_basis_count(n: int, r: int) -> int:
     return comb(n, c) - (comb(n, c - 1) if c >= 1 else 0)
 
 
+@dataclass(init=False, repr=False, slots=True)
 class GrothElement:
     """Integer combination of half-diagram module classes, graded by degree.
 
@@ -148,11 +147,13 @@ class GrothElement:
     dropped.
     """
 
-    __slots__ = ("terms",)
+    terms: dict
 
     def __init__(self, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         for (degree, labels), coeff in items:
+            if type(degree) is not int or type(labels) is not int:  # bool included
+                raise InvariantViolation(f"class ({degree!r}, {labels!r}) needs integer degree and labels")
             if not 0 <= labels <= degree or (degree - labels) % 2:
                 raise InvariantViolation(
                     f"class ({degree}, {labels}) needs 0 <= labels <= degree with equal parity"
@@ -169,9 +170,6 @@ class GrothElement:
         if not isinstance(other, GrothElement):
             return NotImplemented
         return GrothElement([*self.terms.items(), *other.terms.items()])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrothElement) and self.terms == other.terms
 
     def to_json(self) -> dict:
         return {

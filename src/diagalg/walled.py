@@ -13,6 +13,7 @@ fall into five cases (three preserve the total label count, two lower it).
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb, factorial
 from typing import NamedTuple
@@ -54,6 +55,7 @@ def _position(m: int, n: int, dot: int) -> int:
     return m + n + 1 - k
 
 
+@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
 class WalledHalfDiagram:
     """A half-diagram on m + n dots with a wall after position m.
 
@@ -61,11 +63,13 @@ class WalledHalfDiagram:
     primed dot (n + 1 - i)', so the rightmost position is 1'.
     """
 
-    __slots__ = ("m", "n", "half")
+    m: int
+    n: int
+    half: HalfDiagram
 
     def __init__(self, m: int, n: int, half: HalfDiagram):
-        if m < 0 or n < 0:
-            raise InvariantViolation("side degrees must be non-negative")
+        if type(m) is not int or type(n) is not int or m < 0 or n < 0:  # bool included
+            raise InvariantViolation(f"side degrees must be non-negative integers, got {m!r} and {n!r}")
         if half.n != m + n:
             raise InvariantViolation(f"underlying half-diagram must have degree {m + n}")
         self.m = m
@@ -105,16 +109,6 @@ class WalledHalfDiagram:
             body = "{" + ",".join(_node_text(self._dot(p)) for p in block) + "}"
             pieces.append(body + "*" if i in self.half.labeled else body)
         return "{" + ",".join(pieces) + "}"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WalledHalfDiagram)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.half == other.half
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.half))
 
     def __repr__(self) -> str:
         return f"WalledHalfDiagram({self.m}|{self.n}, {self.render()})"

@@ -4,6 +4,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from diagalg.halfdiag import (
     enumerate_basis,
     set_partitions,
 )
-from diagalg.tl import GrothElement
+from diagalg.tl import GrothElement, TLHalfDiagram
+from diagalg.walled import WalledHalfDiagram, enumerate_walled
 from diagalg.verify import _random_diagram as random_diagram
 from diagalg.verify import _random_half_diagram as random_half_diagram
 
@@ -232,6 +234,8 @@ class TestDeltaPolynomial:
             scaled = DeltaPolynomial([(e, c * k) for e, c in a.terms()])
             assert (a * b).terms() == expected.terms()
             assert (a * k).terms() == (k * a).terms() == scaled.terms()
+            assert a * b == expected and hash(a * b) == hash(expected)
+            assert a * k == scaled and hash(k * a) == hash(scaled)
 
     def test_product_cancellation(self):
         delta = DeltaPolynomial.delta_power(1)
@@ -307,6 +311,21 @@ class TestCompose:
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             DiagramSum(2, {SetPartitionDiagram.identity(2): coeff})
 
+    @pytest.mark.parametrize(
+        "key",
+        [HalfDiagram(2, [[1], [2]]), "ab", 2, None],
+        ids=["half-diagram", "str", "int", "none"],
+    )
+    def test_diagram_sum_rejects_non_diagram_key(self, key):
+        message = re.escape(f"sum key {key!r} is not a SetPartitionDiagram")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            DiagramSum(2, {key: DeltaPolynomial.one()})
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2", -1], ids=["bool", "float", "str", "negative"])
+    def test_diagram_sum_rejects_bad_degree(self, n):
+        with pytest.raises(InvariantViolation, match="^degree must be a non-negative integer$"):
+            DiagramSum(n, {})
+
     def test_diagram_sum_with_foreign_operand_is_type_error(self):
         total = DiagramSum.from_diagram(SetPartitionDiagram.identity(2))
         for other in (1, DeltaPolynomial.one(), SetPartitionDiagram.identity(2)):
@@ -364,6 +383,97 @@ class TestCompose:
             assert propagating_number(d) <= min(propagating_number(a), propagating_number(b))
 
 
+class TestValueTypes:
+    """The value types compare and hash by their declared fields, whatever route built them."""
+
+    @staticmethod
+    def assert_same_value(built, checked):
+        assert built == checked and checked == built
+        assert hash(built) == hash(checked)
+
+    def test_compose_results_to_degree_three(self):
+        rng = random.Random(3)
+        for n in range(4):
+            diagrams = all_diagrams(n)
+            for d1 in diagrams:
+                for d2 in diagrams:
+                    _, d = compose(d1, d2)
+                    blocks = [rng.sample(block, len(block)) for block in reversed(d.blocks)]
+                    self.assert_same_value(d, SetPartitionDiagram(n, blocks))
+
+    def test_enumerated_rows_to_degree_five(self):
+        for n in range(6):
+            for r in range(n + 1):
+                rows = enumerate_basis(n, r)
+                for row in rows:
+                    self.assert_same_value(row, HalfDiagram(n, row.blocks, row.labeled))
+                assert len(set(rows)) == len(rows)
+                for w in enumerate_walled(n // 2, n - n // 2, r):
+                    checked = WalledHalfDiagram.from_blocks(w.m, w.n, w.half.blocks, w.half.labeled)
+                    self.assert_same_value(w, checked)
+
+    def test_scaled_action_results(self):
+        rng = random.Random(5)
+        cases = [
+            (d, v) for n in range(4) for d in all_diagrams(n) for r in range(n + 1) for v in enumerate_basis(n, r)
+        ]
+        for d, v in rng.sample(cases, 300):
+            got = act(d, v)
+            if got.is_zero:
+                self.assert_same_value(got, ScaledHalfDiagram.zero())
+                continue
+            top = HalfDiagram(d.n, got.diagram.blocks, got.diagram.labeled)
+            self.assert_same_value(got, ScaledHalfDiagram(DeltaPolynomial(got.coeff.terms()), top))
+
+    def test_planar_rows_compare_by_degree_and_caps(self):
+        row = TLHalfDiagram(4, [(2, 3)])
+        assert row.labels == (1, 4)
+        # the caps fix the labels, so they take no part in equality or hashing
+        self.assert_same_value(TLHalfDiagram._trusted(4, row.caps, ()), row)
+        assert row != TLHalfDiagram(4, [(1, 2)]) and row != TLHalfDiagram(5, [(2, 3)])
+
+    def test_distinct_values_differ(self):
+        one, delta = DeltaPolynomial.one(), DeltaPolynomial.delta_power(1)
+        assert one != delta and one != DeltaPolynomial.delta_power(0, 2)
+        assert HalfDiagram(2, [[1], [2]], [0]) != HalfDiagram(2, [[1], [2]], [1])
+        half = HalfDiagram(3, [[1], [2], [3]])
+        assert WalledHalfDiagram(1, 2, half) != WalledHalfDiagram(2, 1, half)
+        assert ScaledHalfDiagram(one, half) != ScaledHalfDiagram(delta, half)
+
+    @staticmethod
+    def samples():
+        d, half = SetPartitionDiagram.identity(2), HalfDiagram(2, [[1, 2]], [0])
+        return [
+            DeltaPolynomial.one(),
+            d,
+            DiagramSum.from_diagram(d),
+            half,
+            ScaledHalfDiagram(DeltaPolynomial.one(), half),
+            WalledHalfDiagram(1, 1, half),
+            TLHalfDiagram(2, [(1, 2)]),
+            GrothElement.module_class(2, 0),
+        ]
+
+    def test_foreign_operand_is_unequal(self):
+        for value in self.samples():
+            assert value == value
+            for other in (None, 1, "x", (), object()):
+                assert value != other and other != value and not value == other, value
+
+    def test_sums_stay_unhashable(self):
+        sums = [v for v in self.samples() if isinstance(v, (DiagramSum, GrothElement))]
+        assert len(sums) == 2
+        for value in sums:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+    def test_values_hold_no_instance_dict(self):
+        for value in self.samples():
+            assert not hasattr(value, "__dict__"), value
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+
 class TestStackingOracle:
     def test_compose_every_pair_to_degree_two(self):
         for n in range(3):
@@ -389,6 +499,7 @@ class TestStackingOracle:
                     # the read-out skips validation; the checked constructor is its oracle
                     checked = HalfDiagram(n, top.blocks, top.labeled)
                     assert (checked, checked.blocks, checked.labeled) == (top, top.blocks, top.labeled)
+                    assert hash(checked) == hash(top)
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_large_degree_pairs(self, n):
@@ -582,7 +693,44 @@ class TestPropagating:
             assert propagating_number(d) == 0
 
 
+def pairwise_noncrossing(d):
+    """The former check: sort the boundary positions of every pair of blocks and look for ABAB."""
+    key = boundary_key(d.n)
+    keyed = [[key(x) for x in block] for block in d.blocks]
+    for a, b in combinations(keyed, 2):
+        merged = sorted([(k, 0) for k in a] + [(k, 1) for k in b])
+        if 1 + sum(s1 != s2 for (_, s1), (_, s2) in zip(merged, merged[1:])) >= 4:
+            return False
+    return True
+
+
 class TestCrossing:
+    def test_scan_matches_pairwise_oracle_to_degree_four(self):
+        noncrossing = 0
+        for n in range(5):
+            for d in all_diagrams(n):
+                assert is_noncrossing(d) == pairwise_noncrossing(d), d
+                noncrossing += is_noncrossing(d)
+        # the noncrossing partitions of 2n dots number Catalan(2n)
+        assert noncrossing == 1 + 2 + 14 + 132 + 1430
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(5, 10).flatmap(diagrams))
+    def test_scan_matches_pairwise_oracle_sampled(self, d):
+        assert is_noncrossing(d) == pairwise_noncrossing(d)
+
+    def test_planar_words_stay_noncrossing(self):
+        # cut strands and adjacent merges are planar, and so is every product of them
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(2, 10)
+            d = SetPartitionDiagram.identity(n)
+            for _ in range(rng.randint(1, 8)):
+                i = rng.randint(1, n - 1)
+                g = generator("E", i, i + 1, n) if rng.random() < 0.6 else generator("P", i, None, n)
+                _, d = compose(d, g)
+            assert is_noncrossing(d) and pairwise_noncrossing(d), d
+
     def test_crossing_example(self):
         d = SetPartitionDiagram(4, [[1, 2, -3], [3, 4, -1, -2], [-4]])
         assert not is_noncrossing(d)

@@ -26,6 +26,27 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_hand_written_equality_or_hash():
+    # Value types are dataclasses, so equality and hashing read the declared
+    # fields; a hand-written copy could drift from them.
+    found = []
+    for path, tree in _parsed_sources():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                hand_written = [name for name in names if name in ("__eq__", "__hash__")]
+                found += [f"{path.name}:{node.lineno} {cls.name}.{name}" for name in hand_written]
+    assert not found, found
+
+
 def _is_memo_decorator(node):
     if isinstance(node, ast.Call):
         node = node.func

@@ -142,6 +142,7 @@ class TestWalkMatchesReference:
                 for row in tl_basis(n, r):
                     checked = TLHalfDiagram(n, row.caps)
                     assert (row, row.caps, row.labels) == (checked, checked.caps, checked.labels), (n, r)
+                    assert hash(row) == hash(checked)
 
     def test_walk_needs_no_stack_depth(self):
         start = time.perf_counter()
@@ -253,6 +254,16 @@ class TestGrothProduct:
             GrothElement({(2, 1): 1})
         with pytest.raises(InvariantViolation):
             GrothElement({(1, 2): 1})
+
+    @pytest.mark.parametrize(
+        "key",
+        [(2.0, 0), (2, 0.0), (True, True), (2, False), ("2", "0")],
+        ids=["float", "float-labels", "bool", "bool-labels", "str"],
+    )
+    def test_non_integer_class_rejected(self, key):
+        message = re.escape(f"class ({key[0]!r}, {key[1]!r}) needs integer degree and labels")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            GrothElement({key: 1})
 
     @pytest.mark.parametrize(
         "coeff", [1.5, True, Fraction(1, 2), "1"], ids=["float", "bool", "fraction", "str"]

@@ -1,5 +1,6 @@
 """Walled index extraction, the census, and the transition classifier."""
 
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
-from diagalg.halfdiag import half_diagram_count, set_partitions
+from diagalg.halfdiag import HalfDiagram, half_diagram_count, set_partitions
 from diagalg.walled import (
     TransitionCase,
     WalledHalfDiagram,
@@ -132,6 +133,17 @@ class TestIndex:
     def test_bool_side_degree_rejected(self, side):
         with pytest.raises(ValueError, match="^'m' and 'n' must be non-negative integers$"):
             WalledHalfDiagram.from_json({**WORKED, side: True})
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(1.0, 1), (True, 1), (1, True), ("1", 1), (-1, 3)],
+        ids=["float", "bool-m", "bool-n", "str", "negative"],
+    )
+    def test_constructor_rejects_non_integer_side_degree(self, m, n):
+        half = HalfDiagram(2, [[1, 2]])
+        message = re.escape(f"side degrees must be non-negative integers, got {m!r} and {n!r}")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            WalledHalfDiagram(m, n, half)
 
 
 class TestEnumerationMemory:
