@@ -232,23 +232,19 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-def _stack(upper: SetPartitionDiagram, lower) -> tuple[list[list[int]], list[int]]:
-    """Stack ``upper`` above ``lower``, a diagram or half-diagram of its degree; read the components.
+def _stack(upper: SetPartitionDiagram, lower: SetPartitionDiagram) -> list[list[int]]:
+    """Stack diagram ``upper`` above diagram ``lower``; list the outer dots of each component.
 
-    ``upper``'s bottom row is fused with the top of ``lower`` into a middle
-    row.  Returns ``(outer, middle)``: ``outer[c]`` holds the outer dots of
-    component c, named +k on ``upper``'s top row and -k on ``lower``'s bottom
-    row (a diagram only), in boundary order 1 < ... < n < n' < ... < 1';
-    ``middle[k - 1]`` is the component of middle dot k.  Components are
-    numbered by their first dot in the order top row, middle row, bottom row,
-    so those touching the top row come first, by least top dot, and a
-    component with an empty ``outer`` list lies wholly in the middle row.
+    The middle row fuses ``upper``'s bottom row with ``lower``'s top row.  Outer
+    dots are +k on ``upper``'s top row and -k on ``lower``'s bottom row, in
+    boundary order 1 < ... < n < n' < ... < 1'.  Components are numbered by
+    first dot in the order top, middle, bottom row, so those touching the top
+    row come first, by least top dot; an empty list lies wholly in the middle.
     """
     n = upper.n
-    has_bottom = isinstance(lower, SetPartitionDiagram)
     # Node of top dot k: k - 1; of middle dot k: n + k - 1; of bottom dot -k:
     # 3n - k, so each row's nodes run in boundary order.
-    uf = _UnionFind(3 * n if has_bottom else 2 * n)
+    uf = _UnionFind(3 * n)
     for block in upper.blocks:
         nodes = [k - 1 if k > 0 else n - k - 1 for k in block]
         for a, b in zip(nodes, nodes[1:]):
@@ -259,18 +255,15 @@ def _stack(upper: SetPartitionDiagram, lower) -> tuple[list[list[int]], list[int
             uf.union(a, b)
     number: dict[int, int] = {}
     outer: list[list[int]] = []
-    middle: list[int] = []
-    for x in range(len(uf.parent)):
+    for x in range(3 * n):
         c = number.setdefault(uf.find(x), len(number))
         if c == len(outer):
             outer.append([])
         if x < n:
             outer[c].append(x + 1)
-        elif x < 2 * n:
-            middle.append(c)
-        else:
+        elif x >= 2 * n:
             outer[c].append(x - 3 * n)
-    return outer, middle
+    return outer
 
 
 def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
@@ -282,7 +275,7 @@ def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetP
     """
     if d1.n != d2.n:
         raise InvariantViolation("composition requires equal degrees")
-    outer, _ = _stack(d1, d2)
+    outer = _stack(d1, d2)
     # Components touching the top row come first, by least top dot; bottom-only
     # ones start at distinct negative dots, so a tuple sort puts them in boundary order.
     top, bottom = [], []

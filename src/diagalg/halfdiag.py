@@ -20,7 +20,6 @@ from .diagrams import (
     SetPartitionDiagram,
     _check_blocks,
     _json_list,
-    _stack,
 )
 from .symfunc import Partition, check_partition, partitions_of, syt_count
 
@@ -92,6 +91,10 @@ class ScaledHalfDiagram:
     diagram: HalfDiagram | None
 
     def __init__(self, coeff: DeltaPolynomial, diagram: HalfDiagram | None):
+        if not isinstance(coeff, DeltaPolynomial):
+            raise InvariantViolation(f"coefficient {coeff!r} is not a DeltaPolynomial")
+        if diagram is not None and not isinstance(diagram, HalfDiagram):
+            raise InvariantViolation(f"scaled value {diagram!r} is not a HalfDiagram or None")
         if not coeff or diagram is None:
             coeff, diagram = DeltaPolynomial.zero(), None
         self.coeff = coeff
@@ -123,21 +126,47 @@ class ScaledHalfDiagram:
 def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
     """Stack ``d`` above ``v`` and read off the top row before any zero test.
 
-    The components of :func:`diagalg.diagrams._stack` that touch the top row
-    come first, by least top dot, so their outer dots are the top-row blocks
-    in canonical order.  Returns the count of the other components together
-    with the top-row half-diagram, whose blocks carry a label exactly when a
-    labeled block of ``v`` joins them.  Callers that need the module action
-    should use :func:`act`, which applies the label-count test.
+    Union-find runs over the blocks of ``v``; each block of ``d`` joins those
+    holding its bottom dots.  The blocks of ``d`` that touch the top row come
+    first, by least top dot, so grouping them by root keeps that order and
+    their merged top dots are the top-row blocks in canonical order.  ``v``
+    covers every middle dot, so every component missing the top row holds a
+    block of ``v``: the trapped count is the number of roots the top row
+    does not reach.  A top-row block is labeled when a labeled block of
+    ``v`` joins it.  :func:`act` applies the label-count test.
     """
     if d.n != v.n:
         raise InvariantViolation("action requires equal degrees")
-    outer, middle = _stack(d, v)
-    blocks = tuple(tuple(dots) for dots in outer if dots)
-    # A block of v lies in one component: the one of its least dot.
-    reached = {middle[v.blocks[i][0] - 1] for i in v.labeled}
-    labeled = frozenset(c for c in reached if c < len(blocks))
-    return len(outer) - len(blocks), HalfDiagram._trusted(d.n, blocks, labeled)
+    owner = {k: i for i, block in enumerate(v.blocks) for k in block}  # middle dot -> block of v
+    parent = list(range(len(v.blocks)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    roots, rows = len(parent), []  # rows: (top dots, first block of v reached or -1)
+    for block in d.blocks:
+        tops, first = [], -1
+        for k in block:
+            if k > 0:
+                tops.append(k)
+            elif first < 0:
+                first = find(owner[-k])
+            elif (a := find(owner[-k])) != first:
+                parent[a], roots = first, roots - 1
+        if tops:
+            rows.append((tops, first))
+    group, merged = {}, []  # group: root reached from the top row -> its block in merged
+    for tops, first in rows:
+        g = group.setdefault(find(first), len(merged)) if first >= 0 else len(merged)
+        if g < len(merged):
+            merged[g] += tops
+        else:
+            merged.append(tops)
+    blocks = tuple(tuple(sorted(dots)) for dots in merged)
+    labeled = frozenset(group[r] for r in map(find, v.labeled) if r in group)
+    return roots - len(group), HalfDiagram._trusted(d.n, blocks, labeled)
 
 
 def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:

@@ -70,6 +70,8 @@ class WalledHalfDiagram:
     def __init__(self, m: int, n: int, half: HalfDiagram):
         if type(m) is not int or type(n) is not int or m < 0 or n < 0:  # bool included
             raise InvariantViolation(f"side degrees must be non-negative integers, got {m!r} and {n!r}")
+        if not isinstance(half, HalfDiagram):
+            raise InvariantViolation(f"underlying half-diagram {half!r} is not a HalfDiagram")
         if half.n != m + n:
             raise InvariantViolation(f"underlying half-diagram must have degree {m + n}")
         self.m = m

@@ -149,22 +149,54 @@ def all_diagrams(n):
     ]
 
 
-@st.composite
-def partition_blocks(draw, nodes):
-    """Blocks of a set partition of ``nodes``: each node draws the tag of its block."""
-    tags = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=len(nodes), max_size=len(nodes)))
+def blocks_by_tag(nodes, tags):
+    """Group ``nodes`` into blocks by their tags, blocks in tag order."""
     return [[x for x, tag in zip(nodes, tags) if tag == b] for b in sorted(set(tags))]
 
 
 @st.composite
-def diagrams(draw, n):
-    return SetPartitionDiagram(n, draw(partition_blocks([*range(1, n + 1), *range(-1, -n - 1, -1)])))
+def partition_blocks(draw, nodes, most=None):
+    """Blocks of a set partition of ``nodes``: each node draws the tag of its block, one of ``most`` (default all)."""
+    tags = draw(st.lists(st.integers(0, (most or len(nodes)) - 1), min_size=len(nodes), max_size=len(nodes)))
+    return blocks_by_tag(nodes, tags)
 
 
 @st.composite
-def half_diagrams(draw, n):
-    blocks = draw(partition_blocks(list(range(1, n + 1))))
+def diagrams(draw, n, most=None):
+    return SetPartitionDiagram(n, draw(partition_blocks([*range(1, n + 1), *range(-1, -n - 1, -1)], most)))
+
+
+@st.composite
+def half_diagrams(draw, n, most=None):
+    blocks = draw(partition_blocks(list(range(1, n + 1)), most))
     return HalfDiagram(n, blocks, draw(st.sets(st.integers(0, len(blocks) - 1))))
+
+
+@st.composite
+def generator_words(draw, n):
+    """A product of up to eight generators, so strands mostly run straight through."""
+    d = SetPartitionDiagram.identity(n)
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from("EPS" if n > 1 else "P"))
+        i = draw(st.integers(1, n if kind == "P" else n - 1))
+        d = compose(d, generator(kind, i, None if kind == "P" else draw(st.integers(i + 1, n)), n))[1]
+    return d
+
+
+@st.composite
+def bottom_heavy_diagrams(draw, n):
+    """Top dots in at most three blocks; most bottom dots in blocks that miss the top row."""
+    top = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    bottom = draw(st.lists(st.integers(0, n + 2), min_size=n, max_size=n))
+    return SetPartitionDiagram(n, blocks_by_tag([*range(1, n + 1), *range(-1, -n - 1, -1)], top + bottom))
+
+
+def mixed_diagrams(n):
+    return st.one_of(diagrams(n), diagrams(n, most=3), generator_words(n), bottom_heavy_diagrams(n))
+
+
+def mixed_half_diagrams(n):
+    return st.one_of(half_diagrams(n), half_diagrams(n, most=3))
 
 
 class TestDeltaPolynomial:
@@ -564,43 +596,40 @@ class TestTrustedConstruction:
         assert bottom_only > 100
 
 
-def stack_pairs():
-    """Seeded (diagram, diagram) and (diagram, half-diagram) pairs at n = 1..6 and n = 100."""
+def stack_pairs(half):
+    """Seeded (diagram, diagram) pairs, or (diagram, half-diagram) ones with ``half``, at n = 1..6 and n = 100."""
     rng = random.Random(7)
     for n in range(1, 7):
         for _ in range(60):
             upper = random_diagram(rng, n)
-            yield upper, random_diagram(rng, n)
-            yield upper, random_half_diagram(rng, n)
+            yield upper, random_half_diagram(rng, n) if half else random_diagram(rng, n)
     n, dots = 100, [*range(1, 101), *range(-100, 0)]
     for _ in range(3):
         upper = SetPartitionDiagram(n, small_blocks(rng, dots))
-        yield upper, SetPartitionDiagram(n, small_blocks(rng, dots))
-        yield upper, HalfDiagram(n, small_blocks(rng, range(1, n + 1)))
+        if half:
+            blocks = small_blocks(rng, range(1, n + 1))
+            yield upper, HalfDiagram(n, blocks, [i for i in range(len(blocks)) if rng.random() < 0.5])
+        else:
+            yield upper, SetPartitionDiagram(n, small_blocks(rng, dots))
 
 
 class TestStackContract:
     def test_components_and_numbering(self):
-        for upper, lower in stack_pairs():
-            n = upper.n
-            outer, middle = _stack(upper, lower)
-            middle_of = [[k for k in range(1, n + 1) if middle[k - 1] == c] for c in range(len(outer))]
-            # each middle dot's number points at its own component
-            assert len(middle) == n
-            assert sorted((sorted(dots), mids) for dots, mids in zip(outer, middle_of)) == oracle_stack(upper, lower)
-            boundary = boundary_key(n)
-            for dots in outer:
-                assert dots == sorted(dots, key=boundary)
-            # components touching the top row come first, by least top dot
-            touching = [dots[0] for dots in outer if dots and dots[0] > 0]
-            assert touching == sorted(touching)
-            assert all(dots and dots[0] > 0 for dots in outer[: len(touching)])
-            # all components are numbered by first dot: top row, middle row, bottom row
-            first = [
-                (0, dots[0]) if dots and dots[0] > 0 else (1, mids[0]) if mids else (2, boundary(dots[0]))
-                for dots, mids in zip(outer, middle_of)
-            ]
-            assert first == sorted(first)
+        for upper, lower in stack_pairs(half=False):
+            boundary = boundary_key(upper.n)
+
+            def first_dot(component):
+                # components are numbered by first dot: top row, middle row, bottom row
+                dots, mids = component
+                top = [k for k in dots if k > 0]
+                return (0, top[0]) if top else (1, mids[0]) if mids else (2, boundary(dots[0]))
+
+            expected = [sorted(dots, key=boundary) for dots, mids in sorted(oracle_stack(upper, lower), key=first_dot)]
+            assert _stack(upper, lower) == expected
+
+    def test_act_top_matches_graph_search(self):
+        for d, v in stack_pairs(half=True):
+            assert act_top(d, v) == oracle_act_top(d, v)
 
 
 class TestAssociativityProperties:
@@ -621,6 +650,21 @@ class TestAssociativityProperties:
     def test_stack_then_act_to_degree_eight(self, case):
         d1, d2, v = case
         t, d12 = compose(d1, d2)
+        inner = act(d2, v)
+        twice = ScaledHalfDiagram.zero() if inner.is_zero else act(d1, inner.diagram).scaled(inner.coeff)
+        assert act(d12, v).scaled(DeltaPolynomial.delta_power(t)) == twice
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(mixed_diagrams(n), mixed_diagrams(n), mixed_half_diagrams(n))))
+    def test_stack_then_act_mixed_shapes_to_degree_forty(self, case):
+        d1, d2, v = case
+        t, d12 = compose(d1, d2)
+        t2, top2 = act_top(d2, v)
+        assert (t2, top2) == oracle_act_top(d2, v)
+        # before the zero test, stacking in one go and in turn trap the same components
+        t1, top1 = act_top(d1, top2)
+        t12, top12 = act_top(d12, v)
+        assert (t + t12, top12) == (t1 + t2, top1)
         inner = act(d2, v)
         twice = ScaledHalfDiagram.zero() if inner.is_zero else act(d1, inner.diagram).scaled(inner.coeff)
         assert act(d12, v).scaled(DeltaPolynomial.delta_power(t)) == twice

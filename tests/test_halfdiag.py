@@ -1,6 +1,7 @@
 """Half-diagram basis enumeration, the module action, and dimensions."""
 
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,28 @@ class TestHalfDiagram:
         hd = HalfDiagram.from_json(ACT_INPUT)
         assert HalfDiagram.from_json(hd.to_json()) == hd
         assert hd.r == 2
+
+
+class TestScaledHalfDiagram:
+    @pytest.mark.parametrize("coeff", [2, None, "δ"], ids=["int", "none", "str"])
+    def test_rejects_non_polynomial_coefficient(self, coeff):
+        message = re.escape(f"coefficient {coeff!r} is not a DeltaPolynomial")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            ScaledHalfDiagram(coeff, HalfDiagram(2, [[1], [2]], [0]))
+
+    @pytest.mark.parametrize(
+        "diagram", [SetPartitionDiagram.identity(2), "{1,2}*"], ids=["full-diagram", "str"]
+    )
+    def test_rejects_non_half_diagram(self, diagram):
+        message = re.escape(f"scaled value {diagram!r} is not a HalfDiagram or None")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            ScaledHalfDiagram(DeltaPolynomial.one(), diagram)
+
+    def test_zero_coefficient_or_no_diagram_is_zero(self):
+        v = HalfDiagram(2, [[1], [2]], [0])
+        for value in (ScaledHalfDiagram(DeltaPolynomial.zero(), v), ScaledHalfDiagram(DeltaPolynomial.one(), None)):
+            assert value == ScaledHalfDiagram.zero()
+            assert value.render() == "0"
 
 
 class TestAction:

@@ -120,6 +120,28 @@ def test_compose_builds_no_validated_diagram():
     assert "SetPartitionDiagram" not in called
 
 
+def test_stack_serves_only_compose():
+    # act_top runs its own union-find over half-diagram blocks; _stack is the
+    # diagram-over-diagram read-out and has one caller.
+    found = set()
+    for _, tree in _parsed_sources():
+        for scope, call in _calls(tree):
+            if isinstance(call.func, ast.Name) and call.func.id == "_stack":
+                found.add(scope)
+    assert found == {"compose"}, sorted(found)
+
+
+def test_act_top_builds_no_validated_half_diagram():
+    tree = ast.parse((PACKAGE_DIR / "halfdiag.py").read_text(encoding="utf-8"))
+    called = {
+        call.func.id
+        for scope, call in _calls(tree)
+        if scope.split(".")[0] == "act_top" and isinstance(call.func, ast.Name)
+    }
+    assert "find" in called
+    assert "HalfDiagram" not in called
+
+
 def test_tl_basis_builds_no_validated_row():
     tree = ast.parse((PACKAGE_DIR / "tl.py").read_text(encoding="utf-8"))
     called = {

@@ -145,6 +145,14 @@ class TestIndex:
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             WalledHalfDiagram(m, n, half)
 
+    @pytest.mark.parametrize(
+        "half", [SetPartitionDiagram.identity(2), "ab"], ids=["full-diagram", "str"]
+    )
+    def test_constructor_rejects_non_half_diagram(self, half):
+        message = re.escape(f"underlying half-diagram {half!r} is not a HalfDiagram")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            WalledHalfDiagram(1, 1, half)
+
 
 class TestEnumerationMemory:
     def test_walled_diagrams_share_canonical_data(self):
