@@ -24,7 +24,7 @@ USAGE_ERROR = 2
 INVARIANT_ERROR = 3
 
 # Largest m + n that `walled census` accepts.  The slowest census within
-# it, m = n = 20, takes about 20 ms on a 2-core x86 host at any r.
+# it, m = n = 20, takes about 10 ms on a 2-core x86 host at any r.
 CENSUS_MAX_DOTS = 40
 
 # Largest --max that `mult table` accepts: (max + 1)^3 rows, 132,651 at the

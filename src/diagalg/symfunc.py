@@ -158,6 +158,17 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
+@cache
+def _class_sizes(n: int) -> tuple[tuple[tuple[Partition, int], ...], int]:
+    """Each cycle type rho of n with its class size n!/z_rho, and any remainder of those divisions or-ed."""
+    order, sizes, stray = factorial(n), [], 0
+    for rho in partitions_of(n):
+        size, rem = divmod(order, centralizer_order(rho))
+        sizes.append((rho, size))
+        stray |= rem
+    return tuple(sizes), stray
+
+
 def _beta(lam: Partition) -> tuple[int, ...]:  # the first-column hook lengths, strictly decreasing
     return tuple(part + len(lam) - 1 - i for i, part in enumerate(lam))
 
@@ -214,13 +225,11 @@ def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         if shape[0] == 1:
             return int(a == conjugate(b))
     # chi_lam * chi_mu * chi_nu times the class size n!/z_rho, summed, then divided by n!
-    order, total, stray = factorial(n), 0, 0
-    b_lam, b_mu, b_nu = _beta(lam), _beta(mu), _beta(nu)
-    for rho in partitions_of(n):
-        size, rem = divmod(order, centralizer_order(rho))
+    sizes, stray = _class_sizes(n)
+    b_lam, b_mu, b_nu, total = _beta(lam), _beta(mu), _beta(nu), 0
+    for rho, size in sizes:
         total += _char_on_beta(b_lam, rho) * _char_on_beta(b_mu, rho) * _char_on_beta(b_nu, rho) * size
-        stray |= rem
-    g, rem = divmod(total, order)
+    g, rem = divmod(total, factorial(n))
     if stray or rem or g < 0:
         raise ArithmeticError("character sum must be a non-negative integer")
     return g

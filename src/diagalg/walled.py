@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb, factorial
+from operator import add
 from typing import NamedTuple
 
 from .diagrams import InvariantViolation, SetPartitionDiagram, _json_list, _node_text, generator
@@ -146,41 +147,71 @@ def census(m: int, n: int, r: int) -> dict[WalledIndex, int]:
     """Count the (m|n, r)-walled half-diagrams by index, sorted by index.
 
     A read-out of :func:`_census_table`, which builds no diagram and does
-    not depend on r: its entry G_c[L][R] counts the diagrams with c blocks
-    crossing the wall, L labeled left-only and R labeled right-only blocks.
-    Labeling T of the c through blocks gives index (c - T; T, L, R) the
-    count C(c, T) * G_c[L][R], so a call costs one product per index once
-    the table of (m|n) is built, and a sweep over r builds it once.  The
-    table is the costly part: O(m^2 + m n^3) additions of small multiples
-    for m >= n (and the mirror image for m < n), about 15 ms at m = n = 20.
-    Tests check the counts against :func:`enumerate_walled` with
-    :func:`index_of` and against a per-call dynamic program.
+    not depend on r.  With G_c[L][R] the number of diagrams with c blocks
+    crossing the wall, L labeled left-only and R labeled right-only blocks,
+    labeling T of the c gives index (c - T; T, L, R) the count
+    C(c, T) * G_c[L][R].  The r labels leave L + R = r - T, so each (U, T)
+    reads the one anti-diagonal of G_c that holds exactly its non-zero
+    counts, in ascending L.  A call costs a step per (U, T) and a product
+    and a dict entry per index it returns.  The table is the costly part:
+    O(m^2 + m n^3) additions of small multiples for m >= n (and the mirror
+    image for m < n), about 10 ms at m = n = 20.  Tests check the counts
+    against :func:`enumerate_walled` with :func:`index_of` and against a
+    per-call dynamic program.
     """
     if m < 0 or n < 0:
         raise InvariantViolation("side degrees must be non-negative")
-    table = _census_table(m, n)
+    firsts, layers = _census_table(m, n)
     out: dict[WalledIndex, int] = {}
-    for u in range(len(table)):
-        for t in range(min(r, len(table) - 1 - u) + 1):
-            c = u + t
-            rows, weight = table[c], comb(c, t)
-            for l in range(max(0, r - t - (n - c)), min(r - t, m - c) + 1):
-                out[WalledIndex(u, t, l, r - t - l)] = weight * rows[l][r - t - l]
+    key = tuple.__new__  # key(WalledIndex, values) skips the NamedTuple's Python-level __new__
+    top = len(layers) - 1
+    for u in range(top + 1):
+        for t in range(min(r, top - u) + 1):
+            weights, diagonals = layers[u + t]
+            s = r - t
+            if s < len(diagonals):
+                weight = weights[t]
+                for l, g in enumerate(diagonals[s], firsts[s + u + t]):
+                    out[key(WalledIndex, (u, t, l, s - l))] = weight * g
     return out
 
 
 @lru_cache(maxsize=32)
-def _census_table(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """G_c[L][R] for every through-block count c <= min(m, n), as ``table[c][L][R]``.
+def _census_table(
+    m: int, n: int
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]]:
+    """The census of (m|n) at every r, as ``(firsts, layers)``.
+
+    ``layers[c]`` is ``(weights, diagonals)`` for c blocks crossing the
+    wall: ``weights[T]`` is C(c, T), and ``diagonals[s]`` holds G_c[L][s - L]
+    for L from ``firsts[s + c]`` = max(0, s + c - n) up to min(s, m - c).
+    Those are all non-zero, and every other entry is zero, since a crossing
+    or labeled one-sided block needs a dot of its own side.
 
     Every call with the same (m|n) shares it, so it is built of tuples.
     :func:`_crossing_sums` is cheapest with the larger side placed first.
     Mirroring a diagram in the wall swaps L and R, so for m < n the sums
-    of (n|m) are the table itself, and for m >= n they are its transpose.
+    of (n|m) are G_c[L][R], and for m >= n they are G_c[R][L].
     """
-    if m < n:
-        return tuple(tuple(map(tuple, rows)) for rows in _crossing_sums(n, m))
-    return tuple(tuple(zip(*rows)) for rows in _crossing_sums(m, n))
+    layers, weights = [], ()
+    for c, rows in enumerate(_crossing_sums(max(m, n), min(m, n))):
+        half = (1, *map(add, weights, weights[1 : c // 2 + 1]))  # Pascal's rule up to C(c, c // 2)
+        weights = half + half[: (c + 1) // 2][::-1]  # C(c, T) = C(c, c - T): one int for both
+        # rows[x][y] counts x labeled one-sided blocks on the smaller side and y on
+        # the larger.  Shifting row x right by x puts the entries with x + y = s in
+        # column s, in ascending L read down for m < n and up for m >= n.  Only the
+        # first and last `top` columns are short; those lose their 0 padding.
+        top = len(rows) - 1
+        sheared = [[0] * x + row + [0] * (top - x) for x, row in enumerate(rows)]
+        diagonals = list(zip(*sheared) if m < n else zip(*reversed(sheared)))
+        tail = len(diagonals) - top
+        for s in range(top):
+            if m < n:
+                diagonals[s], diagonals[tail + s] = diagonals[s][: s + 1], diagonals[tail + s][s + 1 :]
+            else:
+                diagonals[s], diagonals[tail + s] = diagonals[s][top - s :], diagonals[tail + s][: top - s]
+        layers.append((weights, tuple(diagonals)))
+    return (0,) * n + tuple(range(m + 1)), tuple(layers)
 
 
 def _crossing_sums(m: int, n: int) -> list[list[list[int]]]:

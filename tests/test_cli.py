@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagalg import cli, tl, verify
+from diagalg import cli, multiplicity, tl, verify
 from diagalg.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -478,6 +478,56 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: verify {last} is limited to --max <= 1, got 2\n"
+
+
+class TestBudgetGuard:
+    """Each budget of the CLI, at its limit and one past it, exits 0 or 2 and prints no traceback.
+
+    The budgets that a run at the limit would take seconds to reach are
+    lowered to the drawn size; walled census runs at its real budget.
+    """
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("kind", ["e1", "e2", "bvo", "table", "census", "verify"])
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(st.tuples(*[st.integers(0, 14)] * 3), st.data())
+    def test_at_and_just_past_every_budget(self, kind, pqr, data):
+        p, q, r = pqr
+        if kind == "e2":
+            r = min(r, p + q)  # a walk of p + q - r >= 0 steps
+        size = {"e1": multiplicity.e_closed(p, q, r), "e2": p + q - r, "bvo": max(p, q, r), "table": p % 6}.get(kind)
+        m = data.draw(st.integers(0, cli.CENSUS_MAX_DOTS))
+        labels = data.draw(st.integers(-1, cli.CENSUS_MAX_DOTS + 2))
+        suite = data.draw(st.sampled_from([name for name, entry in verify.SUITES.items() if entry[2]]))
+        for past in (0, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                if kind in ("e1", "e2", "bvo"):
+                    constant = {"e1": "MULT_E1_MAX_SOLUTIONS", "e2": "MULT_E2_MAX_WALK", "bvo": "MULT_BVO_MAX_COUNT"}
+                    patch.setattr(cli, constant[kind], size - past)
+                    argv = ["mult", "-p", str(p), "-q", str(q), "-r", str(r), "--engines", kind]
+                elif kind == "table":
+                    patch.setattr(cli, "MULT_TABLE_MAX", size)
+                    argv = ["mult", "table", "--max", str(size + past), "--format", "csv" if q % 2 else "json"]
+                elif kind == "census":
+                    n = cli.CENSUS_MAX_DOTS + past - m
+                    argv = ["walled", "census", "-m", str(m), "-n", str(n), "-r", str(labels)]
+                else:
+                    ceiling = 1 + p % 2
+                    patch.setitem(verify.SUITES, suite, (verify.SUITES[suite][0], 1, ceiling))
+                    argv = ["verify", suite, "--max", str(ceiling + past)]
+                code, out, err = self._run(argv)
+            assert "Traceback" not in err
+            if past:
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert (code, err) == (0, ""), argv
 
 
 class TestDeterminism:

@@ -410,20 +410,24 @@ class TestKronecker:
         ):
             monkeypatch.setattr(symfunc, name, stand_in)
             kronecker_coeff.cache_clear()
+            symfunc._class_sizes.cache_clear()  # the class sizes are memoized per n
             try:
                 with pytest.raises(ArithmeticError, match="^character sum must be a non-negative integer$"):
                     kronecker_coeff((2, 1), (2, 1), (2, 1))
             finally:
                 monkeypatch.undo()
                 kronecker_coeff.cache_clear()
+                symfunc._class_sizes.cache_clear()
 
     def test_non_integral_character_sum_raises(self, monkeypatch):
         # (2,1)^3 has neither a one-row nor a one-column argument, so it
         # takes the character sum; doubled centralizers make it 1/2
         monkeypatch.setattr(symfunc, "centralizer_order", lambda rho: 2 * centralizer_order(rho))
         kronecker_coeff.cache_clear()
+        symfunc._class_sizes.cache_clear()  # the class sizes are memoized per n
         try:
             with pytest.raises(ArithmeticError, match="character sum must be a non-negative integer"):
                 kronecker_coeff((2, 1), (2, 1), (2, 1))
         finally:
             kronecker_coeff.cache_clear()
+            symfunc._class_sizes.cache_clear()

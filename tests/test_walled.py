@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagalg.cli import CENSUS_MAX_DOTS
 from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
 from diagalg.halfdiag import HalfDiagram, half_diagram_count, set_partitions
 from diagalg.walled import (
     TransitionCase,
     WalledHalfDiagram,
     WalledIndex,
+    _census_table,
     census,
     enumerate_walled,
     index_count_formula,
@@ -266,6 +268,21 @@ class TestCensus:
                 for left in range(r - t + 1):
                     idx = WalledIndex(u, t, left, r - t - left)
                     assert tally.get(idx, 0) == index_count_formula(m, n, idx), (m, n, idx)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_key_order_and_type_to_the_dots_budget(self, data):
+        # beyond the per-call reference's m, n <= 10, up to what `walled census` accepts
+        size = data.draw(st.integers(0, CENSUS_MAX_DOTS))
+        m = data.draw(st.integers(0, size))
+        n = size - m
+        r = data.draw(st.integers(0, size))
+        _census_table.cache_clear()
+        cold = census(m, n, r)
+        assert list(cold) == sorted(cold)
+        assert all(type(idx) is WalledIndex for idx in cold)
+        assert list(census(m, n, r).items()) == list(cold.items())
+        assert census(m, n, -1) == {} == census(m, n, size + 1)
 
     def test_negative_side_rejected(self):
         for m, n in ((-1, 2), (2, -1), (-1, 0)):
