@@ -13,7 +13,6 @@ from .diagrams import (
     compose,
     generator,
     is_noncrossing,
-    is_tl_diagram,
     propagating_number,
 )
 from .geometry import (
@@ -103,7 +102,6 @@ __all__ = [
     "half_diagram_count",
     "index_of",
     "is_noncrossing",
-    "is_tl_diagram",
     "kronecker_coeff",
     "lattice_line_count",
     "lr_coeff",

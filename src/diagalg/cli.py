@@ -133,6 +133,8 @@ def _cmd_mult(args) -> int:
             print(json.dumps([{"p": p, "q": q, "r": r, "E": e} for p, q, r, e in rows]))
         return 0
 
+    if args.format == "csv":
+        raise _CliError("--format csv is only for mult table", USAGE_ERROR)
     if args.p is None or args.q is None or args.r is None:
         raise _CliError("mult needs -p, -q and -r (or the 'table' mode)", USAGE_ERROR)
     # Every engine choice rejects a negative count with the same message.
@@ -294,6 +296,8 @@ def _parse_class(text: str) -> tuple[int, int]:
 
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
+        if args.n < 0:
+            raise _CliError(f"tl basis needs -n >= 0, got {args.n}", USAGE_ERROR)
         _check_budget(args.n, _tl_basis_max_degree(), "tl basis", "-n <= {}")
         count = tl.tl_basis_count(args.n, args.r)
         if args.count_only:

@@ -339,11 +339,6 @@ def is_noncrossing(d: SetPartitionDiagram) -> bool:
     return True
 
 
-def is_tl_diagram(d: SetPartitionDiagram) -> bool:
-    """True when every block pairs exactly two dots and the diagram is planar."""
-    return all(len(block) == 2 for block in d.blocks) and is_noncrossing(d)
-
-
 @dataclass(init=False, repr=False, slots=True)
 class DiagramSum:
     """Formal combination of equal-degree diagrams with polynomial coefficients."""

@@ -129,19 +129,28 @@ def _three_part_table(
     return out
 
 
-def _strand_splits(size_nu: int, size_lam: int, size_mu: int):
-    """Yield (l1, l2, |alpha|, |beta|) for each split of the strand budget.
+def _split_tables(nu: Partition, lam: Partition, size_mu: int):
+    """Yield (l1, l2, |beta|, nu table, lam table) for each strand split that can contribute.
 
-    Only the splits of l1 + 2*l2 = |lam| + |mu| - |nu| that leave both
-    |alpha| = |lam| - l1 - l2 and |beta| = |mu| - l1 - l2 non-negative.
+    The splits are those of l1 + 2*l2 = |lam| + |mu| - |nu| that leave both
+    |alpha| = |lam| - l1 - l2 and |beta| = |mu| - l1 - l2 non-negative; a
+    split is skipped when its nu or lam table is empty.  The mu table of a
+    split is ``_three_part_table(mu, l2, l1, |beta|)``, grouped
+    gamma -> beta -> sigma for :func:`_join`.
     """
-    budget = size_lam + size_mu - size_nu
+    size_lam = sum(lam)
+    budget = size_lam + size_mu - sum(nu)
     for l2 in range(budget // 2 + 1):
         l1 = budget - 2 * l2
         a_size = size_lam - l1 - l2
         b_size = size_mu - l1 - l2
-        if a_size >= 0 and b_size >= 0:
-            yield l1, l2, a_size, b_size
+        if a_size < 0 or b_size < 0:
+            continue
+        table_nu = _three_part_table(nu, a_size, b_size, l1)  # alpha -> pi -> beta
+        if table_nu:
+            table_lam = _three_part_table(lam, a_size, l1, l2)  # alpha -> gamma -> rho
+            if table_lam:
+                yield l1, l2, b_size, table_nu, table_lam
 
 
 def _join(table_nu, table_lam, table_mu) -> int:
@@ -188,8 +197,8 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     The double sum over strand bookkeeping (l1, l2) with
     l1 + 2*l2 = (m + n - |nu|) - (m - |lam|) - (n - |mu|), and over shape
     tuples weighted by three-part Littlewood-Richardson coefficients and a
-    Kronecker coefficient: each split whose nu table is non-empty adds the
-    :func:`_join` of its three tables.  Exact integers throughout.
+    Kronecker coefficient: each split whose nu and lam tables are non-empty
+    adds the :func:`_join` of its three tables.  Exact integers throughout.
     """
     nu = check_partition(nu)
     lam = check_partition(lam)
@@ -202,12 +211,8 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
     total = 0
-    for l1, l2, a_size, b_size in _strand_splits(size_nu, size_lam, size_mu):
-        table_nu = _three_part_table(nu, a_size, b_size, l1)   # alpha -> pi -> beta
-        if table_nu:
-            table_lam = _three_part_table(lam, a_size, l1, l2)  # alpha -> gamma -> rho
-            table_mu = _three_part_table(mu, l2, l1, b_size)    # gamma -> beta -> sigma
-            total += _join(table_nu, table_lam, table_mu)
+    for l1, l2, b_size, table_nu, table_lam in _split_tables(nu, lam, size_mu):
+        total += _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
     return total
 
 
@@ -311,14 +316,9 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
         right.setdefault(sum(mu), []).append((mu, dim_standard(n, mu)))
     total = 0
     for lam in partitions_up_to(m):
-        size_lam = sum(lam)
         dim_lam = dim_standard(m, lam)
         for size_mu, mus in right.items():
-            for l1, l2, a_size, b_size in _strand_splits(r, size_lam, size_mu):
-                table_nu = _three_part_table(nu, a_size, b_size, l1)
-                table_lam = _three_part_table(lam, a_size, l1, l2) if table_nu else None
-                if not table_lam:
-                    continue
+            for l1, l2, b_size, table_nu, table_lam in _split_tables(nu, lam, size_mu):
                 for mu, dim_mu in mus:
                     coeff = _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
                     total += coeff * dim_lam * dim_mu

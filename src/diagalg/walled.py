@@ -198,19 +198,13 @@ def _census_table(
         half = (1, *map(add, weights, weights[1 : c // 2 + 1]))  # Pascal's rule up to C(c, c // 2)
         weights = half + half[: (c + 1) // 2][::-1]  # C(c, T) = C(c, c - T): one int for both
         # rows[x][y] counts x labeled one-sided blocks on the smaller side and y on
-        # the larger.  Shifting row x right by x puts the entries with x + y = s in
-        # column s, in ascending L read down for m < n and up for m >= n.  Only the
-        # first and last `top` columns are short; those lose their 0 padding.
-        top = len(rows) - 1
-        sheared = [[0] * x + row + [0] * (top - x) for x, row in enumerate(rows)]
-        diagonals = list(zip(*sheared) if m < n else zip(*reversed(sheared)))
-        tail = len(diagonals) - top
-        for s in range(top):
-            if m < n:
-                diagonals[s], diagonals[tail + s] = diagonals[s][: s + 1], diagonals[tail + s][s + 1 :]
-            else:
-                diagonals[s], diagonals[tail + s] = diagonals[s][top - s :], diagonals[tail + s][: top - s]
-        layers.append((weights, tuple(diagonals)))
+        # the larger, all non-zero: each goes on diagonal x + y.  L is x for m < n
+        # and y for m >= n, so visiting x up or down puts each diagonal in ascending L.
+        diagonals = [[] for _ in range(len(rows) + len(rows[0]) - 1)]
+        for x in range(len(rows)) if m < n else reversed(range(len(rows))):
+            for s, g in enumerate(rows[x], x):
+                diagonals[s].append(g)
+        layers.append((weights, tuple(map(tuple, diagonals))))
     return (0,) * n + tuple(range(m + 1)), tuple(layers)
 
 

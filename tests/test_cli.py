@@ -104,6 +104,13 @@ class TestMult:
         assert main(["mult", "table", "--max", "0", "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines() == ["p,q,r,E", "0,0,0,1"]
 
+    def test_csv_outside_table_usage_error(self, capsys):
+        for argv in (["mult", "-p", "2", "-q", "2", "-r", "2"], ["mult"]):
+            assert main([*argv, "--format", "csv"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --format csv is only for mult table\n"
+
     def test_e1_solution_budget(self, capsys, monkeypatch):
         # p = q = r = 2k has k + 1 solutions; 199,998 is at the budget of 100,000
         start = time.perf_counter()
@@ -296,6 +303,15 @@ class TestTL:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out.strip() == "6564120420"
 
+    def test_basis_negative_degree_usage_error(self, capsys):
+        for extra in ([], ["--count-only"]):
+            assert main(["tl", "basis", "-n", "-1", "-r", "0", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: tl basis needs -n >= 0, got -1\n"
+        assert main(["tl", "basis", "-n", "0", "-r", "0", "--count-only"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_basis_size_budget(self, capsys, monkeypatch):
         start = time.perf_counter()
         assert main(["tl", "basis", "-n", "22", "-r", "0"]) == 2
@@ -478,6 +494,43 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: verify {last} is limited to --max <= 1, got 2\n"
+
+
+class TestColor:
+    """DIAGALG_COLOR=1 wraps the pass/fail line of verify and mult in green or red."""
+
+    GREEN, RED, RESET = "\033[32m", "\033[31m", "\033[0m"
+
+    @staticmethod
+    def _failing_suite(report, top):
+        report.check(False, "forced failure")
+
+    def _lines(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "forced-failure", (self._failing_suite, 1, 1))
+        assert main(["verify", "bell-identity", "--max", "2"]) == 0
+        assert main(["verify", "forced-failure"]) == 1
+        assert main(["mult", "-p", "2", "-q", "2", "-r", "2"]) == 0
+        monkeypatch.setattr(multiplicity, "e2_lattice", lambda p, q, r: -1)
+        assert main(["mult", "-p", "2", "-q", "2", "-r", "2"]) == 1
+        return capsys.readouterr().out.splitlines()
+
+    def test_set_wraps_pass_and_fail_lines(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIAGALG_COLOR", "1")
+        lines = self._lines(capsys, monkeypatch)
+        verdicts = [line for line in lines if line.startswith("\033[")]
+        assert len(verdicts) == 4, lines
+        passed, failed, agree, disagree = verdicts
+        assert passed.startswith(self.GREEN + "bell-identity: PASS [") and passed.endswith(self.RESET)
+        assert failed.startswith(self.RED + "forced-failure: FAIL (1 failures) [") and failed.endswith(self.RESET)
+        assert (agree, disagree) == (self.GREEN + "agree" + self.RESET, self.RED + "DISAGREE" + self.RESET)
+
+    def test_unset_prints_plain_lines(self, capsys, monkeypatch):
+        monkeypatch.delenv("DIAGALG_COLOR", raising=False)
+        lines = self._lines(capsys, monkeypatch)
+        assert not any("\033" in line for line in lines), lines
+        assert lines[0].startswith("bell-identity: PASS [")
+        assert lines[1].startswith("forced-failure: FAIL (1 failures) [")
+        assert "agree" in lines and "DISAGREE" in lines
 
 
 class TestBudgetGuard:

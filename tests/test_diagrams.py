@@ -19,7 +19,6 @@ from diagalg.diagrams import (
     compose,
     generator,
     is_noncrossing,
-    is_tl_diagram,
     propagating_number,
 )
 from diagalg.halfdiag import (
@@ -789,18 +788,11 @@ class TestCrossing:
     def test_swap_crosses(self):
         assert not is_noncrossing(generator("S", 1, 2, 2))
 
-
-class TestTLPredicate:
     def test_nested_caps(self):
-        d = SetPartitionDiagram(2, [[1, 2], [-1, -2]])
-        assert is_tl_diagram(d)
+        assert is_noncrossing(SetPartitionDiagram(2, [[1, 2], [-1, -2]]))
 
-    def test_cut_strand_is_not_planar_pairing(self):
-        assert not is_tl_diagram(generator("P", 1, None, 2))
+    def test_cut_strand_noncrossing(self):
+        assert is_noncrossing(generator("P", 1, None, 2))
 
     def test_worked_planar_example(self):
-        d = SetPartitionDiagram(4, [[2, 3], [-1, -2], [1, -3], [4, -4]])
-        assert is_tl_diagram(d)
-
-    def test_crossing_pairing_rejected(self):
-        assert not is_tl_diagram(generator("S", 1, 2, 2))
+        assert is_noncrossing(SetPartitionDiagram(4, [[2, 3], [-1, -2], [1, -3], [4, -4]]))
