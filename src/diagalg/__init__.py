@@ -5,6 +5,8 @@ diagram composition, integers for all counts and coefficients, and
 rational halves for the triangle geometry.
 """
 
+from types import ModuleType as _Module
+
 from .diagrams import (
     DeltaPolynomial,
     DiagramSum,
@@ -69,52 +71,7 @@ from .walled import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DeltaPolynomial",
-    "DiagramSum",
-    "E1Solution",
-    "GrothElement",
-    "HalfDiagram",
-    "InvariantViolation",
-    "Partition",
-    "ScaledHalfDiagram",
-    "SetPartitionDiagram",
-    "TLHalfDiagram",
-    "TransitionCase",
-    "WalledHalfDiagram",
-    "WalledIndex",
-    "act",
-    "bell",
-    "bvo_multiplicity",
-    "census",
-    "check_partition",
-    "compose",
-    "conic_eccentricity_count",
-    "conic_parameters",
-    "dim_standard",
-    "e2_lattice",
-    "e_closed",
-    "e_lattice",
-    "enumerate_basis",
-    "generator",
-    "geometric_multiplicity",
-    "groth_multiply",
-    "half_diagram_count",
-    "index_of",
-    "is_noncrossing",
-    "kronecker_coeff",
-    "lattice_line_count",
-    "lr_coeff",
-    "mn_character",
-    "parity_tangency",
-    "partitions_of",
-    "propagating_number",
-    "stirling2",
-    "symmetry_suite",
-    "syt_count",
-    "tangent_lengths",
-    "tl_basis",
-    "tl_basis_count",
-    "tl_e",
-    "tl_walled_dim_check",
-]
+# The imports above are the one list of public names.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _Module)
+)

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification or agreement failure, 2 usage error
 or malformed JSON, 3 structural invariant violation in an input diagram.
+Handlers raise ``ValueError`` for the first and ``InvariantViolation`` for
+the second; :func:`main` alone maps them to 2 and 3.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from bisect import bisect_left
 from math import isqrt
 
 from . import geometry, multiplicity, tl, verify, walled
-from .diagrams import InvariantViolation, SetPartitionDiagram, compose
+from .diagrams import DeltaPolynomial, DiagramSum, InvariantViolation, SetPartitionDiagram, compose
 from .halfdiag import HalfDiagram, act
 from .multiplicity import one_part
 
@@ -69,16 +71,10 @@ def _tl_basis_max_degree() -> int:
     return bisect_left(range(TL_BASIS_MAX_DEGREE), True, key=lambda n: _largest_tl_count(n) >= 10**digits) - 1
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _check_budget(value: int, budget: int, subject: str, limit: str, tail: str = "") -> None:
     """Exit 2 with "<subject> is limited to <limit, budget filled in>, got <value><tail>" above ``budget``."""
     if value > budget:
-        raise _CliError(f"{subject} is limited to {limit.format(budget)}, got {value}{tail}", USAGE_ERROR)
+        raise ValueError(f"{subject} is limited to {limit.format(budget)}, got {value}{tail}")
 
 
 def _color(text: str, code: str) -> str:
@@ -95,27 +91,27 @@ def _load_json(path: str):
             with open(path, "r", encoding="utf-8") as handle:
                 raw = handle.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", USAGE_ERROR)
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _CliError(f"invalid JSON in {path}: {exc}", USAGE_ERROR)
+        raise ValueError(f"invalid JSON in {path}: {exc}")
 
 
 def _build(loader, data, what: str):
     try:
         return loader(data)
     except InvariantViolation as exc:
-        raise _CliError(f"invalid {what}: {exc}", INVARIANT_ERROR)
+        raise InvariantViolation(f"invalid {what}: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise _CliError(f"malformed {what}: {exc}", USAGE_ERROR)
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 def _cmd_mult(args) -> int:
     if args.mode == "table":
         top = args.max
         if top < 0:
-            raise _CliError(f"mult table needs --max >= 0, got {top}", USAGE_ERROR)
+            raise ValueError(f"mult table needs --max >= 0, got {top}")
         _check_budget(top, MULT_TABLE_MAX, "mult table", "--max <= {}")
         rows = [
             (p, q, r, multiplicity.e_closed(p, q, r))
@@ -134,9 +130,9 @@ def _cmd_mult(args) -> int:
         return 0
 
     if args.format == "csv":
-        raise _CliError("--format csv is only for mult table", USAGE_ERROR)
+        raise ValueError("--format csv is only for mult table")
     if args.p is None or args.q is None or args.r is None:
-        raise _CliError("mult needs -p, -q and -r (or the 'table' mode)", USAGE_ERROR)
+        raise ValueError("mult needs -p, -q and -r (or the 'table' mode)")
     # Every engine choice rejects a negative count with the same message.
     p, q, r = (
         multiplicity._check_count(v, name) for v, name in ((args.p, "p"), (args.q, "q"), (args.r, "r"))
@@ -147,9 +143,8 @@ def _cmd_mult(args) -> int:
     if "e1" in wanted or args.solutions:
         expected = multiplicity.e_closed(p, q, r)
         if expected > MULT_E1_MAX_SOLUTIONS:
-            raise _CliError(
-                f"e1 and --solutions enumerate at most {MULT_E1_MAX_SOLUTIONS} solutions, got {expected}{hint}",
-                USAGE_ERROR,
+            raise ValueError(
+                f"e1 and --solutions enumerate at most {MULT_E1_MAX_SOLUTIONS} solutions, got {expected}{hint}"
             )
     if "e2" in wanted:
         _check_budget(p + q - r, MULT_E2_MAX_WALK, "e2", "p + q - r <= {}", hint)
@@ -203,87 +198,65 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _emit(args, payload, lines) -> int:
+    """Print ``payload`` as JSON under --format json, else each of ``lines``; exit 0."""
+    if args.format == "json":
+        print(json.dumps(payload))
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
 def _cmd_compose(args) -> int:
     d1 = _build(SetPartitionDiagram.from_json, _load_json(args.left), "diagram")
     d2 = _build(SetPartitionDiagram.from_json, _load_json(args.right), "diagram")
-    try:
-        t, d = compose(d1, d2)
-    except InvariantViolation as exc:
-        raise _CliError(str(exc), INVARIANT_ERROR)
-    prefix = "" if t == 0 else ("δ · " if t == 1 else f"δ^{t} · ")
-    rendering = f"{prefix}{d.render()}"
-    if args.format == "json":
-        print(json.dumps({"t": t, "diagram": d.to_json(), "rendering": rendering}))
-    else:
-        print(rendering)
-    return 0
+    t, d = compose(d1, d2)
+    rendering = DiagramSum.from_diagram(d, DeltaPolynomial.delta_power(t)).render()
+    return _emit(args, {"t": t, "diagram": d.to_json(), "rendering": rendering}, [rendering])
 
 
 def _cmd_act(args) -> int:
     d = _build(SetPartitionDiagram.from_json, _load_json(args.diagram), "diagram")
     v = _build(HalfDiagram.from_json, _load_json(args.half), "half-diagram")
-    try:
-        result = act(d, v)
-    except InvariantViolation as exc:
-        raise _CliError(str(exc), INVARIANT_ERROR)
-    if args.format == "json":
-        if result.is_zero:
-            print(json.dumps({"zero": True}))
-        else:
-            print(
-                json.dumps(
-                    {
-                        "zero": False,
-                        "coeff": result.coeff.to_json(),
-                        "half_diagram": result.diagram.to_json(),
-                    }
-                )
-            )
+    result = act(d, v)
+    if result.is_zero:
+        payload = {"zero": True}
     else:
-        print(result.render())
-    return 0
+        payload = {"zero": False, "coeff": result.coeff.to_json(), "half_diagram": result.diagram.to_json()}
+    return _emit(args, payload, [result.render()])
 
 
 def _cmd_walled(args) -> int:
     if args.mode == "index":
         w = _build(walled.WalledHalfDiagram.from_json, _load_json(args.input), "walled half-diagram")
-        idx = walled.index_of(w)
-        if args.format == "json":
-            print(json.dumps({"index": idx.render()}))
-        else:
-            print(idx.render())
-        return 0
+        index = walled.index_of(w).render()
+        return _emit(args, {"index": index}, [index])
     _check_budget(args.m + args.n, CENSUS_MAX_DOTS, "walled census", "m + n <= {} dots")
-    tally = walled.census(args.m, args.n, args.r)
-    payload = {idx.render(): count for idx, count in tally.items()}
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for key, count in payload.items():
-            print(f"{key}: {count}")
-    return 0
+    if args.m < 0 or args.n < 0:
+        raise ValueError("side degrees must be non-negative")
+    if args.r < 0:
+        raise ValueError(f"walled census needs -r >= 0, got {args.r}")
+    payload = {idx.render(): count for idx, count in walled.census(args.m, args.n, args.r).items()}
+    return _emit(args, payload, (f"{key}: {count}" for key, count in payload.items()))
 
 
 def _cmd_geometry(args) -> int:
     summary = geometry.geometry_summary(args.p, args.q, args.r)
-    if args.format == "json":
-        print(json.dumps(summary))
-    else:
-        ta, tb, tc = summary["tangent_lengths"]
-        print(f"tangent lengths: {ta}, {tb}, {tc}")
-        print(f"circle count:    {summary['circle_count']}")
-        conic = summary["conic"]
-        print(
-            f"conic:           {conic['kind']} with a={conic['a']}, c={conic['c']}, "
-            f"gap={conic['gap']} -> count {summary['conic_count']}"
+    conic = summary["conic"]
+    lines = [
+        "tangent lengths: " + ", ".join(summary["tangent_lengths"]),
+        f"circle count:    {summary['circle_count']}",
+        f"conic:           {conic['kind']} with a={conic['a']}, c={conic['c']}, "
+        f"gap={conic['gap']} -> count {summary['conic_count']}",
+    ]
+    if "parity" in summary:
+        parity = summary["parity"]
+        lines.append(
+            f"parity:          tangents integral {parity['tangents_integral']}, "
+            f"side sum even {parity['side_sum_even']}"
         )
-        if "parity" in summary:
-            parity = summary["parity"]
-            print(
-                f"parity:          tangents integral {parity['tangents_integral']}, "
-                f"side sum even {parity['side_sum_even']}"
-            )
-    return 0
+    return _emit(args, summary, lines)
 
 
 def _parse_class(text: str) -> tuple[int, int]:
@@ -291,13 +264,15 @@ def _parse_class(text: str) -> tuple[int, int]:
         degree, _, labels = text.partition(":")
         return int(degree), int(labels)
     except ValueError:
-        raise _CliError(f"class argument must look like 'degree:labels', got {text!r}", USAGE_ERROR)
+        raise ValueError(f"class argument must look like 'degree:labels', got {text!r}")
 
 
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
         if args.n < 0:
-            raise _CliError(f"tl basis needs -n >= 0, got {args.n}", USAGE_ERROR)
+            raise ValueError(f"tl basis needs -n >= 0, got {args.n}")
+        if args.r < 0:
+            raise ValueError(f"tl basis needs -r >= 0, got {args.r}")
         _check_budget(args.n, _tl_basis_max_degree(), "tl basis", "-n <= {}")
         count = tl.tl_basis_count(args.n, args.r)
         if args.count_only:
@@ -314,19 +289,9 @@ def _cmd_tl(args) -> int:
             for d in basis:
                 print(d.render())
         return 0
-    m, p = _parse_class(args.left)
-    n, q = _parse_class(args.right)
-    try:
-        left = tl.GrothElement.module_class(m, p)
-        right = tl.GrothElement.module_class(n, q)
-    except InvariantViolation as exc:
-        raise _CliError(str(exc), INVARIANT_ERROR)
-    product = tl.groth_multiply(left, right)
-    if args.format == "text":
-        print(product.render())
-    else:
-        print(json.dumps(product.to_json()))
-    return 0
+    (m, p), (n, q) = _parse_class(args.left), _parse_class(args.right)
+    product = tl.groth_multiply(tl.GrothElement.module_class(m, p), tl.GrothElement.module_class(n, q))
+    return _emit(args, product.to_json(), [product.render()])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,16 +381,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _CliError as exc:
+    except ValueError as exc:  # InvariantViolation included
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return INVARIANT_ERROR if isinstance(exc, InvariantViolation) else USAGE_ERROR
 
 
 if __name__ == "__main__":

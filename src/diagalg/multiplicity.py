@@ -199,6 +199,12 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     tuples weighted by three-part Littlewood-Richardson coefficients and a
     Kronecker coefficient: each split whose nu and lam tables are non-empty
     adds the :func:`_join` of its three tables.  Exact integers throughout.
+
+    m and n only gate admissibility (|lam| <= m, |mu| <= n, |nu| <= m + n);
+    the value depends on (nu, lam, mu) alone.  In the BVO reading it is the
+    reduced Kronecker coefficient of the three shapes, the stable value of
+    g(nu[N], lam[N], mu[N]) with shape[N] = (N - |shape|, *shape) for large
+    N, checked by the stability test in tests/test_multiplicity.py.
     """
     nu = check_partition(nu)
     lam = check_partition(lam)

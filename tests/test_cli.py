@@ -277,6 +277,12 @@ class TestWalled:
             assert main(["walled", "census", "-m", m, "-n", n, "-r", "0"]) == 2
             assert capsys.readouterr().err == "error: side degrees must be non-negative\n"
 
+    def test_census_negative_labels_usage_error(self, capsys):
+        for fmt in ("json", "text"):
+            assert main(["walled", "census", "-m", "2", "-n", "2", "-r", "-1", "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: walled census needs -r >= 0, got -1\n")
+
 
 class TestGeometry:
     def test_text_output(self, capsys):
@@ -311,6 +317,12 @@ class TestTL:
             assert captured.err == "error: tl basis needs -n >= 0, got -1\n"
         assert main(["tl", "basis", "-n", "0", "-r", "0", "--count-only"]) == 0
         assert capsys.readouterr().out == "1\n"
+
+    def test_basis_negative_labels_usage_error(self, capsys):
+        for extra in ([], ["--count-only"]):
+            assert main(["tl", "basis", "-n", "3", "-r", "-1", *extra]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: tl basis needs -r >= 0, got -1\n")
 
     def test_basis_size_budget(self, capsys, monkeypatch):
         start = time.perf_counter()
@@ -358,7 +370,7 @@ class TestTL:
         with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             patch.setattr(cli, "TL_BASIS_MAX_DOTS", 3 * n + 40)
             code = main(["tl", "basis", "-n", str(n), "-r", str(r)])
-        assert code == (0 if n * tl.tl_basis_count(n, r) <= 3 * n + 40 else 2)
+        assert code == (0 if r >= 0 and n * tl.tl_basis_count(n, r) <= 3 * n + 40 else 2)
 
     def test_basis_degree_budget(self, capsys, monkeypatch):
         # the largest count at -n 14298 has 4,300 digits, the most Python prints of an int
@@ -576,7 +588,7 @@ class TestBudgetGuard:
                     argv = ["verify", suite, "--max", str(ceiling + past)]
                 code, out, err = self._run(argv)
             assert "Traceback" not in err
-            if past:
+            if past or (kind == "census" and labels < 0):
                 assert (code, out) == (2, ""), argv
                 assert err.startswith("error: ") and err.count("\n") == 1, err
             else:

@@ -2,6 +2,7 @@
 
 from enum import IntEnum
 from functools import cache
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,42 @@ class TestCoefficientSum:
                     assert total == dim_standard(m + n, nu), (nu, m, n)
                     cases += 1
         assert cases == 428
+
+
+class TestReducedKronecker:
+    """bvo_multiplicity read as the reduced Kronecker coefficient g(nu, lam, mu).
+
+    The stability route shares only kronecker_coeff with the engine, and
+    kronecker_coeff has its own oracle, kronecker_by_fraction_sum.
+    """
+
+    SHAPES = tuple(partitions_up_to(4))
+
+    @staticmethod
+    def _value(nu, lam, mu):
+        # the smallest admissible degrees; the value does not depend on them
+        return bvo_multiplicity(nu, lam, mu, max(sum(lam), sum(nu)), sum(mu))
+
+    def test_stable_limit_of_kronecker_coefficients(self):
+        # g(nu[N], lam[N], mu[N]) with shape[N] = (N - |shape|, *shape) is
+        # constant from N = 1 + |nu| + |lam| + |mu| + the largest first part on
+        nonzero = 0
+        for nu, lam, mu in product(self.SHAPES, repeat=3):
+            big = 1 + sum(nu) + sum(lam) + sum(mu) + max((*nu, *lam, *mu), default=0)
+            padded = [(big - sum(shape), *shape) for shape in (nu, lam, mu)]
+            value = self._value(nu, lam, mu)
+            assert value == kronecker_coeff(*padded), (nu, lam, mu)
+            nonzero += value > 0
+        assert len(self.SHAPES) ** 3 == 1_728
+        assert nonzero == 1_065
+
+    def test_symmetric_in_all_three_shapes(self):
+        multisets = 0
+        for triple in combinations_with_replacement(self.SHAPES, 3):
+            values = {self._value(*order) for order in permutations(triple)}
+            assert len(values) == 1, (triple, values)
+            multisets += 1
+        assert multisets == 364
 
 
 class TestKroneckerShortcut:

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import diagalg
+from diagalg import cli
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "diagalg"
 
@@ -90,15 +91,19 @@ TRUSTED_CALLERS = {
 }
 
 
-def _calls(node, scope=""):
-    """(qualified name of the innermost enclosing def or class, call) for every call under ``node``."""
+def _scoped(node, scope=""):
+    """(qualified name of the innermost enclosing def or class, node) for every other node under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _calls(child, f"{scope}.{child.name}" if scope else child.name)
+            yield from _scoped(child, f"{scope}.{child.name}" if scope else child.name)
             continue
-        if isinstance(child, ast.Call):
-            yield scope, child
-        yield from _calls(child, scope)
+        yield scope, child
+        yield from _scoped(child, scope)
+
+
+def _calls(node, scope=""):
+    """(qualified name of the innermost enclosing def or class, call) for every call under ``node``."""
+    return ((where, child) for where, child in _scoped(node, scope) if isinstance(child, ast.Call))
 
 
 def test_trusted_constructions_are_allow_listed():
@@ -160,6 +165,35 @@ def test_verify_reports_built_only_by_run_suite():
                 found.add(scope)
     assert found == {"run_suite"}, sorted(found)
 
+
+def test_cli_exit_codes_decided_in_main():
+    # Handlers raise ValueError, or InvariantViolation for a broken input;
+    # main alone maps them to exit codes 2 and 3.
+    own = [v for v in vars(cli).values() if isinstance(v, type) and issubclass(v, BaseException)]
+    assert not [v.__name__ for v in own if v.__module__ == cli.__name__]
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    codes, catches = set(), set()
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Name) and node.id in ("USAGE_ERROR", "INVARIANT_ERROR"):
+            if isinstance(node.ctx, ast.Load):
+                codes.add(scope)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if any(getattr(name, "id", None) == "InvariantViolation" for name in ast.walk(node.type)):
+                catches.add(scope)
+    assert codes == {"main"}, sorted(codes)
+    assert catches <= {"main", "_build"}, sorted(catches)
+
+
+def test_cli_chooses_json_or_text_in_emit():
+    # mult, verify and tl basis keep their own branch so that text mode
+    # never builds a payload it does not print; the other commands use _emit.
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    callers = {"print": set(), "_emit": set()}
+    for scope, call in _calls(tree):
+        if isinstance(call.func, ast.Name) and call.func.id in callers:
+            callers[call.func.id].add(scope)
+    assert callers["print"] == {"_cmd_mult", "_cmd_verify", "_cmd_tl", "_emit", "main"}, sorted(callers["print"])
+    assert callers["_emit"] == {"_cmd_compose", "_cmd_act", "_cmd_walled", "_cmd_geometry", "_cmd_tl"}
 
 
 def _scopes(node, scope=""):
