@@ -25,8 +25,8 @@ from .multiplicity import one_part
 USAGE_ERROR = 2
 INVARIANT_ERROR = 3
 
-# Largest m + n that `walled census` accepts.  The slowest census within
-# it, m = n = 20, takes about 10 ms on a 2-core x86 host at any r.
+# Largest m + n that `walled census` accepts.  Its costliest table, at m = n = 20,
+# builds in about 1 ms cold on a 2-core x86 host, and a cold call takes 1.5 ms.
 CENSUS_MAX_DOTS = 40
 
 # Largest --max that `mult table` accepts: (max + 1)^3 rows, 132,651 at the

@@ -447,7 +447,7 @@ def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
 SUITES = {
     "compose-assoc": (verify_compose_assoc, 5, 96),  # 30 s at 60, 114 s at 80; est. 270 s at 96
     "action-assoc": (verify_action_assoc, None, None),
-    # 1.0 s at 16, 1.9 s at 18, 6.0 s at 22, 57 s at 32, 128 s and 37 MiB at 36
+    # 1.4 s at 16, 8 s at 22; 57 s at 32, 128 s and 37 MiB at 36
     "census-factorization": (verify_census_factorization, 4, 36),
     "transition-lemma": (verify_transition_lemma, 3, 4),  # 1.1 s at 3, 71 s at 4
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56

@@ -94,9 +94,12 @@ def test_criterion_07_walled_census_factorization():
     index alone, with kL = U+T+L and kR = U+T+R; that factor is the
     multinomial kL! * kR! / (U! * T! * L! * R!), not U! * T!.  The expected
     values are written out here rather than taken from
-    walled.index_count_formula, so this checks the census and the closed
-    form independently.  The U! * T! product is refuted at (1|2, 1), index
-    (1;0,0,1), and that refutation is asserted too.
+    walled.index_count_formula.  The census table is built from the same
+    factorization, so this pins the multinomial form but is not independent
+    of the census; independence comes from enumeration and from
+    _brute_census and _census_reference in tests/test_walled.py.  The
+    U! * T! product is refuted at (1|2, 1), index (1;0,0,1), and that
+    refutation is asserted too.
     """
     start = time.perf_counter()
     totals_ok = True

@@ -147,6 +147,21 @@ def test_act_top_builds_no_validated_half_diagram():
     assert "HalfDiagram" not in called
 
 
+def test_census_builds_no_diagram():
+    # census counts from the one-sided half-diagram counts alone; enumeration
+    # is its test oracle, so the census must not reach for it
+    tree = ast.parse((PACKAGE_DIR / "walled.py").read_text(encoding="utf-8"))
+    named = {scope: set() for scope in ("census", "_census_table")}
+    for scope, node in _scoped(tree):
+        if scope in named and isinstance(node, (ast.Name, ast.Attribute)):
+            named[scope].add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert "_census_table" in named["census"]
+    assert "half_diagram_count" in named["_census_table"]
+    for scope, names in named.items():
+        found = names & {"enumerate_basis", "enumerate_walled", "HalfDiagram", "WalledHalfDiagram"}
+        assert not found, (scope, sorted(found))
+
+
 def test_tl_basis_builds_no_validated_row():
     tree = ast.parse((PACKAGE_DIR / "tl.py").read_text(encoding="utf-8"))
     called = {

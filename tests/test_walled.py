@@ -272,7 +272,8 @@ class TestCensus:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.data())
     def test_key_order_and_type_to_the_dots_budget(self, data):
-        # beyond the per-call reference's m, n <= 10, up to what `walled census` accepts
+        # beyond the exhaustive m, n <= 10 grid of test_matches_per_call_reference, up to
+        # what `walled census` accepts; the per-call program shares no code with the table
         size = data.draw(st.integers(0, CENSUS_MAX_DOTS))
         m = data.draw(st.integers(0, size))
         n = size - m
@@ -282,6 +283,7 @@ class TestCensus:
         assert list(cold) == sorted(cold)
         assert all(type(idx) is WalledIndex for idx in cold)
         assert list(census(m, n, r).items()) == list(cold.items())
+        assert list(cold.items()) == list(_census_reference(m, n, r).items()), (m, n, r)
         assert census(m, n, -1) == {} == census(m, n, size + 1)
 
     def test_negative_side_rejected(self):
