@@ -18,7 +18,7 @@ from bisect import bisect_left
 from math import isqrt
 
 from . import geometry, multiplicity, tl, verify, walled
-from .diagrams import DeltaPolynomial, DiagramSum, InvariantViolation, SetPartitionDiagram, compose
+from .diagrams import DeltaPolynomial, DiagramSum, InvariantViolation, SetPartitionDiagram, _check_count, compose
 from .halfdiag import HalfDiagram, act
 from .multiplicity import one_part
 
@@ -109,9 +109,7 @@ def _build(loader, data, what: str):
 
 def _cmd_mult(args) -> int:
     if args.mode == "table":
-        top = args.max
-        if top < 0:
-            raise ValueError(f"mult table needs --max >= 0, got {top}")
+        top = _check_count(args.max, "--max")
         _check_budget(top, MULT_TABLE_MAX, "mult table", "--max <= {}")
         rows = [
             (p, q, r, multiplicity.e_closed(p, q, r))
@@ -134,9 +132,7 @@ def _cmd_mult(args) -> int:
     if args.p is None or args.q is None or args.r is None:
         raise ValueError("mult needs -p, -q and -r (or the 'table' mode)")
     # Every engine choice rejects a negative count with the same message.
-    p, q, r = (
-        multiplicity._check_count(v, name) for v, name in ((args.p, "p"), (args.q, "q"), (args.r, "r"))
-    )
+    p, q, r = (_check_count(v, name) for v, name in ((args.p, "p"), (args.q, "q"), (args.r, "r")))
     engines = {}
     wanted = ("closed", "e1", "e2", "bvo") if args.engines == "all" else (args.engines,)
     hint = "; for the count use --engines closed"
@@ -233,11 +229,8 @@ def _cmd_walled(args) -> int:
         index = walled.index_of(w).render()
         return _emit(args, {"index": index}, [index])
     _check_budget(args.m + args.n, CENSUS_MAX_DOTS, "walled census", "m + n <= {} dots")
-    if args.m < 0 or args.n < 0:
-        raise ValueError("side degrees must be non-negative")
-    if args.r < 0:
-        raise ValueError(f"walled census needs -r >= 0, got {args.r}")
-    payload = {idx.render(): count for idx, count in walled.census(args.m, args.n, args.r).items()}
+    census = walled.census(args.m, args.n, _check_count(args.r, "r"))
+    payload = {idx.render(): count for idx, count in census.items()}
     return _emit(args, payload, (f"{key}: {count}" for key, count in payload.items()))
 
 
@@ -269,10 +262,7 @@ def _parse_class(text: str) -> tuple[int, int]:
 
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
-        if args.n < 0:
-            raise ValueError(f"tl basis needs -n >= 0, got {args.n}")
-        if args.r < 0:
-            raise ValueError(f"tl basis needs -r >= 0, got {args.r}")
+        _check_count(args.r, "r")
         _check_budget(args.n, _tl_basis_max_degree(), "tl basis", "-n <= {}")
         count = tl.tl_basis_count(args.n, args.r)
         if args.count_only:

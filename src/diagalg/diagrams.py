@@ -17,6 +17,19 @@ class InvariantViolation(ValueError):
     """An input value breaks a structural invariant; the message names it."""
 
 
+def _check_count(value: int, name: str, error: type[ValueError] = ValueError) -> int:
+    """Return ``value`` if it is a non-negative int (not a bool), else raise ``error`` naming it.
+
+    Value constructors pass :class:`InvariantViolation`; argument checks keep
+    the default :class:`ValueError`.
+    """
+    if type(value) is int and value >= 0:  # fast accept; bool and other subclasses take the full check
+        return value
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise error(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _merge_terms(items) -> dict:
     """Sum the coefficients of equal keys, dropping a key as soon as its sum is zero.
 
@@ -47,8 +60,7 @@ class DeltaPolynomial:
     def __init__(self, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         for exp, coeff in items:
-            if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
-                raise InvariantViolation("delta exponents must be non-negative integers")
+            _check_count(exp, "delta exponent", InvariantViolation)
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise InvariantViolation(f"delta coefficient {coeff!r} is not an integer")
         self._terms = tuple(sorted(_merge_terms(items).items()))
@@ -133,8 +145,7 @@ def _check_blocks(n: int, blocks, signed: bool) -> list[tuple[int, ...]]:
 
     The dots are +-1..+-n with ``signed`` (a diagram), else 1..n (a half-diagram).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvariantViolation("degree must be a non-negative integer")
+    _check_count(n, "degree", InvariantViolation)
     low = -n if signed else 1
     seen: set[int] = set()
     clean: list[tuple[int, ...]] = []
@@ -347,8 +358,7 @@ class DiagramSum:
     terms: dict
 
     def __init__(self, n: int, terms=()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise InvariantViolation("degree must be a non-negative integer")
+        _check_count(n, "degree", InvariantViolation)
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         for key, coeff in items:
             if not isinstance(key, SetPartitionDiagram):

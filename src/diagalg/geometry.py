@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .multiplicity import _check_count, e_closed
+from .diagrams import _check_count
+from .multiplicity import e_closed
 
 
 def _doubled(p: int, q: int, r: int) -> tuple[tuple[int, int, int], int, int, int, str]:

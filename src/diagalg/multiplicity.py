@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
+from .diagrams import _check_count
 from .halfdiag import dim_standard, partitions_up_to
 from .symfunc import Partition, check_partition, kronecker_coeff, lr_coeff, partitions_inside
 
@@ -32,14 +33,6 @@ class E1Solution(NamedTuple):
 
     def to_json(self) -> dict[str, int]:
         return self._asdict()
-
-
-def _check_count(value: int, name: str) -> int:
-    if type(value) is int and value >= 0:  # fast accept; bool and other subclasses take the full check
-        return value
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
 
 
 def e_closed(p: int, q: int, r: int) -> int:

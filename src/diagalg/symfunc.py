@@ -231,5 +231,5 @@ def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         total += _char_on_beta(b_lam, rho) * _char_on_beta(b_mu, rho) * _char_on_beta(b_nu, rho) * size
     g, rem = divmod(total, factorial(n))
     if stray or rem or g < 0:
-        raise ArithmeticError("character sum must be a non-negative integer")
+        raise ArithmeticError("character sum is not a non-negative integer")
     return g

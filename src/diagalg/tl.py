@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .diagrams import InvariantViolation, _merge_terms
+from .diagrams import InvariantViolation, _check_count, _merge_terms
 from .halfdiag import HalfDiagram
 from .walled import WalledHalfDiagram, WalledIndex, index_of
 
@@ -30,8 +30,7 @@ class TLHalfDiagram:
     labels: tuple[int, ...] = field(compare=False)
 
     def __init__(self, n: int, caps):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise InvariantViolation("degree must be a non-negative integer")
+        _check_count(n, "degree", InvariantViolation)
         partner: dict[int, int] = {}
         for cap in caps:
             try:
@@ -109,7 +108,9 @@ def tl_basis(n: int, r: int) -> tuple[TLHalfDiagram, ...]:
     innermost cap.  A step is taken only when the open caps plus the labels
     still needed fit in the dots left.  That prune is exact: every partial
     row ends in a diagram, so no work goes to branches that yield none.
+    A label count r outside 0..n, or off the parity of n, gives no diagram.
     """
+    _check_count(n, "n")
     if r < 0 or r > n or (n - r) % 2:
         return ()
     results: list[TLHalfDiagram] = []
@@ -132,7 +133,11 @@ def tl_basis(n: int, r: int) -> tuple[TLHalfDiagram, ...]:
 
 
 def tl_basis_count(n: int, r: int) -> int:
-    """Ballot-number count of planar half-diagrams: C(n, c) - C(n, c - 1)."""
+    """Ballot-number count of planar half-diagrams: C(n, c) - C(n, c - 1) with c = (n - r) / 2.
+
+    Zero for a label count r outside 0..n or off the parity of n.
+    """
+    _check_count(n, "n")
     if r < 0 or r > n or (n - r) % 2:
         return 0
     c = (n - r) // 2

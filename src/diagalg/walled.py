@@ -15,10 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import combinations
 from math import comb, factorial
 from typing import NamedTuple
 
-from .diagrams import InvariantViolation, SetPartitionDiagram, _json_list, _node_text, generator
+from .diagrams import InvariantViolation, SetPartitionDiagram, _check_count, _json_list, _node_text, generator
 from .halfdiag import HalfDiagram, act_top, enumerate_basis, half_diagram_count
 
 
@@ -68,8 +69,8 @@ class WalledHalfDiagram:
     half: HalfDiagram
 
     def __init__(self, m: int, n: int, half: HalfDiagram):
-        if type(m) is not int or type(n) is not int or m < 0 or n < 0:  # bool included
-            raise InvariantViolation(f"side degrees must be non-negative integers, got {m!r} and {n!r}")
+        _check_count(m, "m", InvariantViolation)
+        _check_count(n, "n", InvariantViolation)
         if not isinstance(half, HalfDiagram):
             raise InvariantViolation(f"underlying half-diagram {half!r} is not a HalfDiagram")
         if half.n != m + n:
@@ -86,9 +87,7 @@ class WalledHalfDiagram:
     def from_json(cls, data) -> "WalledHalfDiagram":
         if not isinstance(data, dict) or not {"m", "n", "blocks"} <= set(data):
             raise ValueError("walled JSON must be an object with 'm', 'n' and 'blocks'")
-        m, n = data["m"], data["n"]
-        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in (m, n)):
-            raise ValueError("'m' and 'n' must be non-negative integers")
+        m, n = _check_count(data["m"], "'m'"), _check_count(data["n"], "'n'")
         dots = _json_list(data, "blocks", of_lists=True)
         blocks = [[_position(m, n, dot) for dot in block] for block in dots]
         return cls.from_blocks(m, n, blocks, _json_list(data, "labeled", of_lists=False))
@@ -156,10 +155,10 @@ def census(m: int, n: int, r: int) -> dict[WalledIndex, int]:
     O(m n min(m, n)) products of two one-sided counts; within m + n <= 40
     the costliest is (20|20), about 1 ms cold on a 2-core x86 host.  Tests
     check the counts against :func:`enumerate_walled` with :func:`index_of`,
-    a brute-force census and a per-call dynamic program.
+    a brute-force census and a per-call dynamic program.  A label count r
+    outside 0..m + n gives an empty census.
     """
-    if m < 0 or n < 0:
-        raise InvariantViolation("side degrees must be non-negative")
+    m, n = _check_count(m, "m"), _check_count(n, "n")
     firsts, layers = _census_table(m, n)
     out: dict[WalledIndex, int] = {}
     key = tuple.__new__  # key(WalledIndex, values) skips the NamedTuple's Python-level __new__
@@ -254,19 +253,11 @@ def tensor_generators(m: int, n: int) -> tuple[tuple[str, SetPartitionDiagram], 
     side, built directly on the m + n positions.
     """
     gens: list[tuple[str, SetPartitionDiagram]] = []
-    total = m + n
-    for i in range(1, m + 1):
-        gens.append((f"p[{i}]#left", generator("P", i, None, total)))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            gens.append((f"e[{i},{j}]#left", generator("E", i, j, total)))
-            gens.append((f"s[{i},{j}]#left", generator("S", i, j, total)))
-    for i in range(1, n + 1):
-        gens.append((f"p[{i}]#right", generator("P", m + i, None, total)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            gens.append((f"e[{i},{j}]#right", generator("E", m + i, m + j, total)))
-            gens.append((f"s[{i},{j}]#right", generator("S", m + i, m + j, total)))
+    for side, offset, size in (("left", 0, m), ("right", m, n)):
+        gens += [(f"p[{i}]#{side}", generator("P", offset + i, None, m + n)) for i in range(1, size + 1)]
+        for i, j in combinations(range(1, size + 1), 2):
+            gens.append((f"e[{i},{j}]#{side}", generator("E", offset + i, offset + j, m + n)))
+            gens.append((f"s[{i},{j}]#{side}", generator("S", offset + i, offset + j, m + n)))
     return tuple(gens)
 
 

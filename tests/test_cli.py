@@ -100,7 +100,7 @@ class TestMult:
         assert main(["mult", "table", "--max", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: mult table needs --max >= 0, got -1\n"
+        assert captured.err == "error: --max must be a non-negative integer, got -1\n"
         assert main(["mult", "table", "--max", "0", "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines() == ["p,q,r,E", "0,0,0,1"]
 
@@ -273,15 +273,15 @@ class TestWalled:
         assert capsys.readouterr().err == "error: walled census is limited to m + n <= 40 dots, got 41\n"
 
     def test_census_negative_side_usage_error(self, capsys):
-        for m, n in (("-1", "2"), ("2", "-1")):
+        for m, n, side in (("-1", "2", "m"), ("2", "-1", "n")):
             assert main(["walled", "census", "-m", m, "-n", n, "-r", "0"]) == 2
-            assert capsys.readouterr().err == "error: side degrees must be non-negative\n"
+            assert capsys.readouterr().err == f"error: {side} must be a non-negative integer, got -1\n"
 
     def test_census_negative_labels_usage_error(self, capsys):
         for fmt in ("json", "text"):
             assert main(["walled", "census", "-m", "2", "-n", "2", "-r", "-1", "--format", fmt]) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", "error: walled census needs -r >= 0, got -1\n")
+            assert (captured.out, captured.err) == ("", "error: r must be a non-negative integer, got -1\n")
 
 
 class TestGeometry:
@@ -314,7 +314,7 @@ class TestTL:
             assert main(["tl", "basis", "-n", "-1", "-r", "0", *extra]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: tl basis needs -n >= 0, got -1\n"
+            assert captured.err == "error: n must be a non-negative integer, got -1\n"
         assert main(["tl", "basis", "-n", "0", "-r", "0", "--count-only"]) == 0
         assert capsys.readouterr().out == "1\n"
 
@@ -322,7 +322,7 @@ class TestTL:
         for extra in ([], ["--count-only"]):
             assert main(["tl", "basis", "-n", "3", "-r", "-1", *extra]) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", "error: tl basis needs -r >= 0, got -1\n")
+            assert (captured.out, captured.err) == ("", "error: r must be a non-negative integer, got -1\n")
 
     def test_basis_size_budget(self, capsys, monkeypatch):
         start = time.perf_counter()

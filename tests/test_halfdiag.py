@@ -25,6 +25,8 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
+from diagalg.walled import census
+from diagalg.tl import tl_basis, tl_basis_count
 from diagalg.verify import _random_diagram as random_diagram
 from diagalg.verify import _random_half_diagram as random_half_diagram
 
@@ -232,3 +234,29 @@ class TestDimensions:
             total = sum(dim_standard(n, nu) ** 2 for nu in partitions_up_to(n))
             assert total == bell(2 * n)
         assert bell(8) == 4140
+
+
+# Each builder as (degree, label count) -> value, the name its degree goes
+# by, and what it gives for the label count -1.
+DEGREE_BUILDERS = {
+    "enumerate_basis": (enumerate_basis, "n", []),
+    "half_diagram_count": (half_diagram_count, "n", 0),
+    "tl_basis": (tl_basis, "n", ()),
+    "tl_basis_count": (tl_basis_count, "n", 0),
+    "census_m": (lambda d, r: census(d, 1, r), "m", {}),
+    "census_n": (lambda d, r: census(1, d, r), "n", {}),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", -1], ids=["bool", "float", "str", "negative"])
+@pytest.mark.parametrize("builder", DEGREE_BUILDERS)
+def test_builders_reject_a_bad_degree_with_one_message(builder, bad):
+    build, name, empty = DEGREE_BUILDERS[builder]
+    for cached in (1, 2):  # a memo holding the equal int must not let True or 2.0 through
+        build(cached, 0)
+    message = re.escape(f"{name} must be a non-negative integer, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$") as caught:
+        build(bad, 0)
+    assert type(caught.value) is ValueError
+    # A label count outside 0..n is not an error: it counts nothing.
+    assert build(2, -1) == empty

@@ -170,6 +170,20 @@ def test_tl_basis_builds_no_validated_row():
     assert "TLHalfDiagram" not in called
 
 
+def test_one_non_negative_integer_check():
+    # Degrees, label counts and delta exponents all go through
+    # diagrams._check_count, the one place that tests and words the rule.
+    found = []
+    for path, tree in _parsed_sources():
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and "must be a non-negative integer" in str(c.value)
+                for c in ast.walk(node)
+            ):
+                found.append(f"{path.stem}.{scope}")
+    assert found == ["diagrams._check_count"], found
+
+
 def test_verify_reports_built_only_by_run_suite():
     # run_suite names each report after its SUITES key; a suite that built
     # its own report could drift from that name.

@@ -133,7 +133,7 @@ class TestIndex:
 
     @pytest.mark.parametrize("side", ["m", "n"])
     def test_bool_side_degree_rejected(self, side):
-        with pytest.raises(ValueError, match="^'m' and 'n' must be non-negative integers$"):
+        with pytest.raises(ValueError, match=f"^'{side}' must be a non-negative integer, got True$"):
             WalledHalfDiagram.from_json({**WORKED, side: True})
 
     @pytest.mark.parametrize(
@@ -143,7 +143,8 @@ class TestIndex:
     )
     def test_constructor_rejects_non_integer_side_degree(self, m, n):
         half = HalfDiagram(2, [[1, 2]])
-        message = re.escape(f"side degrees must be non-negative integers, got {m!r} and {n!r}")
+        side, value = ("n", n) if type(m) is int and m >= 0 else ("m", m)
+        message = re.escape(f"{side} must be a non-negative integer, got {value!r}")
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             WalledHalfDiagram(m, n, half)
 
@@ -287,9 +288,10 @@ class TestCensus:
         assert census(m, n, -1) == {} == census(m, n, size + 1)
 
     def test_negative_side_rejected(self):
-        for m, n in ((-1, 2), (2, -1), (-1, 0)):
-            with pytest.raises(InvariantViolation, match="side degrees must be non-negative"):
+        for m, n, side in ((-1, 2, "m"), (2, -1, "n"), (-1, 0, "m")):
+            with pytest.raises(ValueError, match=f"^{side} must be a non-negative integer, got -1$") as caught:
                 census(m, n, 0)
+            assert type(caught.value) is ValueError
 
     def test_every_admissible_index_realized(self):
         tally = census(2, 2, 1)
