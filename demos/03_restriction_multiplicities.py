@@ -1,9 +1,11 @@
 """The restriction multiplicity computed four independent ways.
 
-For label counts p, q, r the multiplicity is the number of non-negative
-integer solutions (T, U, L, R) of
+For label counts p, q, r the multiplicity is the number of walled
+indices (U; T, L, R) of non-negative integers that solve
 
-    T + L + R = r,    L + T + U = p,    R + U + T = q.
+    T + L + R = r,    L + T + U = p,    R + U + T = q;
+
+e_lattice returns them as WalledIndex values, in increasing T.
 
 The four routes: a piecewise closed form, brute-force enumeration of the
 system, a lattice-point count on the line x + 2y = p + q - r, and the

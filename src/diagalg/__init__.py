@@ -35,7 +35,6 @@ from .halfdiag import (
     stirling2,
 )
 from .multiplicity import (
-    E1Solution,
     bvo_multiplicity,
     e2_lattice,
     e_closed,

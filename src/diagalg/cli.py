@@ -162,7 +162,7 @@ def _cmd_mult(args) -> int:
     if args.format == "json":
         payload = {"p": p, "q": q, "r": r, "engines": engines, "agree": agree}
         if args.solutions:
-            payload["solutions"] = [s.to_json() for s in solutions]
+            payload["solutions"] = [s._asdict() for s in solutions]
         print(json.dumps(payload))
     else:
         for name, value in engines.items():

@@ -184,14 +184,14 @@ def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:
     return ScaledHalfDiagram(DeltaPolynomial.delta_power(t), top)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n misses and meets the check
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Set partitions of {1..n} as block tuples, in restricted-growth order.
 
     Dot n joins each block of a partition of {1..n-1} in turn, then opens a
     block of its own, so blocks stay sorted and ordered by least element.
     """
-    if n == 0:
+    if _check_count(n, "n") == 0:
         return ((),)
     out: list[tuple[tuple[int, ...], ...]] = []
     for blocks in set_partitions(n - 1):
@@ -229,13 +229,14 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Number of set partitions of an n-set into k blocks."""
+    """Number of set partitions of an n-set into k blocks, zero for k outside 0..n."""
+    _check_count(n, "n")
     return _stirling_row(n)[k] if 0 <= k <= n else 0
 
 
 def bell(n: int) -> int:
     """Number of set partitions of an n-set."""
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(_stirling_row(_check_count(n, "n")))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a bool or float n misses and meets the check

@@ -1,7 +1,7 @@
 """The restriction multiplicity of half-diagram modules, by several routes.
 
-For one-part labels p, q, r the multiplicity counts the non-negative
-integer solutions of the linear system
+For one-part labels p, q, r the multiplicity counts the walled indices
+(U; T, L, R) of non-negative integers that solve the linear system
 
     T + L + R = r,    L + T + U = p,    R + U + T = q,
 
@@ -16,23 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import NamedTuple
 
 from .diagrams import _check_count
 from .halfdiag import dim_standard, partitions_up_to
 from .symfunc import Partition, check_partition, kronecker_coeff, lr_coeff, partitions_inside
-
-
-class E1Solution(NamedTuple):
-    """One solution of the three-equation system, by block-count meaning."""
-
-    through_labeled: int
-    through_unlabeled: int
-    left_labeled: int
-    right_labeled: int
-
-    def to_json(self) -> dict[str, int]:
-        return self._asdict()
+from .walled import WalledIndex
 
 
 def e_closed(p: int, q: int, r: int) -> int:
@@ -51,8 +39,14 @@ def e_closed(p: int, q: int, r: int) -> int:
     return (p + q - r) // 2 + 1
 
 
-def e_lattice(p: int, q: int, r: int) -> tuple[int, list[E1Solution]]:
+def e_lattice(p: int, q: int, r: int) -> tuple[int, list[WalledIndex]]:
     """Exhaustive enumeration of the system's non-negative solutions, by T.
+
+    Each solution is a walled index (U; T, L, R), by the paper's
+    decomposition of half-diagrams: cut at the wall, an (m|n, r)-walled
+    half-diagram has U + T + L marked blocks on the left, U + T + R on the
+    right and r = T + L + R labels.  So for m >= p and n >= q the solutions
+    are the keys of ``census(m, n, r)`` with side sums p and q.
 
     Subtracting the first equation from the sum of the other two gives
     2U = p + q - r - T, so each T forces U and leaves at most one solution.
@@ -61,10 +55,10 @@ def e_lattice(p: int, q: int, r: int) -> tuple[int, list[E1Solution]]:
     visited, in increasing order.
     """
     p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
-    solutions: list[E1Solution] = []
+    solutions: list[WalledIndex] = []
     for t in range((p + q - r) % 2, min(r, p + q - r, r - abs(p - q)) + 1, 2):
         u = (p + q - r - t) // 2
-        solutions.append(E1Solution(t, u, p - t - u, q - t - u))
+        solutions.append(WalledIndex(u, t, p - t - u, q - t - u))
     return len(solutions), solutions
 
 

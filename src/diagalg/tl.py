@@ -221,6 +221,7 @@ def tl_e(p: int, q: int, r: int, m: int, n: int) -> int:
     count r off the parity of m + n names a class absent from degree
     m + n, so its multiplicity is 0.
     """
+    m, n = _check_count(m, "m"), _check_count(n, "n")
     if p % 2 != m % 2:
         raise ValueError(f"label count p={p} must have the parity of m = {m}")
     if q % 2 != n % 2:

@@ -230,6 +230,7 @@ def index_count_formula(m: int, n: int, idx: WalledIndex) -> int:
 
     Zero when either side cannot host its marked blocks.
     """
+    m, n = _check_count(m, "m"), _check_count(n, "n")
     u, t, l, r = idx
     k_left = u + t + l
     k_right = u + t + r

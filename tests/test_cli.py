@@ -22,6 +22,7 @@ COMPOSE_LEFT = {"n": 6, "blocks": [[1, 2, -2], [3], [4, 6, -6], [5], [-1], [-3],
 COMPOSE_RIGHT = {"n": 6, "blocks": [[1], [2], [3, 4, 5], [6, -4, -6], [-1, -2, -3], [-5]]}
 ACT_DIAGRAM = {"n": 6, "blocks": [[1, 2, -2], [3, 4], [5, -4], [6, -5], [-1], [-3], [-6]]}
 ACT_INPUT = {"n": 6, "blocks": [[1, 3], [2], [4], [5], [6]], "labeled": [0, 3]}
+ACT_NONZERO_DIAGRAM = {"n": 6, "blocks": [[1, 2, -2], [3, -3], [4], [5, -4], [6, -5], [-1], [-6]]}
 WALLED_INPUT = {
     "m": 8,
     "n": 7,
@@ -61,6 +62,23 @@ class TestMult:
                 "right_labeled": 0,
             }
         ]
+
+    def test_solutions_text_output(self, capsys):
+        assert main(["mult", "-p", "2", "-q", "2", "-r", "2", "--solutions"]) == 0
+        assert capsys.readouterr().out == (
+            "closed: 2\ne1: 2\ne2: 2\nbvo: 2\n"
+            "  solution: through_labeled=0 through_unlabeled=1 left=1 right=1\n"
+            "  solution: through_labeled=2 through_unlabeled=0 left=0 right=0\n"
+            "agree\n"
+        )
+
+    def test_solutions_json_output(self, capsys):
+        # Each solution is a walled index, keyed in the order U, T, L, R.
+        assert main(["mult", "-p", "1", "-q", "1", "-r", "1", "--solutions", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"p": 1, "q": 1, "r": 1, "engines": {"closed": 1, "e1": 1, "e2": 1, "bvo": 1}, "agree": true, '
+            '"solutions": [{"through_unlabeled": 0, "through_labeled": 1, "left_labeled": 0, "right_labeled": 0}]}\n'
+        )
 
     def test_table_csv_row_count(self, capsys):
         assert main(["mult", "table", "--max", "3", "--format", "csv"]) == 0
@@ -207,6 +225,17 @@ class TestComposeAndAct:
         v = write(tmp_path, "v.json", ACT_INPUT)
         assert main(["act", d, v]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_act_non_zero_result(self, tmp_path, capsys):
+        d = write(tmp_path, "d.json", ACT_NONZERO_DIAGRAM)
+        v = write(tmp_path, "v.json", ACT_INPUT)
+        assert main(["act", d, v]) == 0
+        assert capsys.readouterr().out == "δ · {{1,2},{3}*,{4},{5},{6}*}\n"
+        assert main(["act", d, v, "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"zero": false, "coeff": [{"delta_pow": 1, "coeff": 1}], '
+            '"half_diagram": {"n": 6, "blocks": [[1, 2], [3], [4], [5], [6]], "labeled": [1, 4]}}\n'
+        )
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

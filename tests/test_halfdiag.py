@@ -25,8 +25,8 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
-from diagalg.walled import census
-from diagalg.tl import tl_basis, tl_basis_count
+from diagalg.walled import WalledIndex, census, index_count_formula
+from diagalg.tl import tl_basis, tl_basis_count, tl_e
 from diagalg.verify import _random_diagram as random_diagram
 from diagalg.verify import _random_half_diagram as random_half_diagram
 
@@ -245,6 +245,18 @@ DEGREE_BUILDERS = {
     "tl_basis_count": (tl_basis_count, "n", 0),
     "census_m": (lambda d, r: census(d, 1, r), "m", {}),
     "census_n": (lambda d, r: census(1, d, r), "n", {}),
+    "stirling2": (stirling2, "n", 0),
+}
+
+# The other functions that check a degree, each as degree -> value (their
+# other arguments fixed) and the name the degree goes by.
+OTHER_DEGREE_CHECKS = {
+    "set_partitions": (set_partitions, "n"),
+    "bell": (bell, "n"),
+    "index_count_formula_m": (lambda d: index_count_formula(d, 1, WalledIndex(0, 0, 0, 0)), "m"),
+    "index_count_formula_n": (lambda d: index_count_formula(1, d, WalledIndex(0, 0, 0, 0)), "n"),
+    "tl_e_m": (lambda d: tl_e(0, 0, 0, d, 0), "m"),
+    "tl_e_n": (lambda d: tl_e(0, 0, 0, 0, d), "n"),
 }
 
 
@@ -260,3 +272,14 @@ def test_builders_reject_a_bad_degree_with_one_message(builder, bad):
     assert type(caught.value) is ValueError
     # A label count outside 0..n is not an error: it counts nothing.
     assert build(2, -1) == empty
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", -1], ids=["bool", "float", "str", "negative"])
+@pytest.mark.parametrize("function", OTHER_DEGREE_CHECKS)
+def test_other_functions_reject_a_bad_degree_with_one_message(function, bad):
+    call, name = OTHER_DEGREE_CHECKS[function]
+    call(2)  # set_partitions(2) also memoizes 0 and 1, which True would hit
+    message = re.escape(f"{name} must be a non-negative integer, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$") as caught:
+        call(bad)
+    assert type(caught.value) is ValueError

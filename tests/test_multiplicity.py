@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
-    E1Solution,
     admissible_degree_pairs,
     bvo_multiplicity,
     e2_lattice,
@@ -22,6 +21,7 @@ from diagalg.multiplicity import (
     symmetry_suite,
 )
 from diagalg.symfunc import kronecker_coeff, partitions_of
+from diagalg.walled import WalledIndex, census
 from kronecker_oracle import kronecker_by_fraction_sum
 from lr_oracle import lr_coeff_by_symbol_addition
 
@@ -99,7 +99,7 @@ def e_lattice_reference(p, q, r):
             left = p - t - u
             right = q - t - u
             if left >= 0 and right >= 0 and t + left + right == r:
-                solutions.append(E1Solution(t, u, left, right))
+                solutions.append(WalledIndex(u, t, left, right))
     return len(solutions), solutions
 
 
@@ -161,12 +161,12 @@ class TestSystemEnumeration:
     def test_one_one_one(self):
         count, sols = e_lattice(1, 1, 1)
         assert count == 1
-        assert sols == [E1Solution(1, 0, 0, 0)]
+        assert sols == [WalledIndex(0, 1, 0, 0)]
 
     def test_one_one_zero(self):
         count, sols = e_lattice(1, 1, 0)
         assert count == 1
-        assert sols == [E1Solution(0, 1, 0, 0)]
+        assert sols == [WalledIndex(1, 0, 0, 0)]
 
     def test_zero_first_parameter(self):
         for q in range(7):
@@ -177,7 +177,7 @@ class TestSystemEnumeration:
     def test_two_two_two_solutions(self):
         count, sols = e_lattice(2, 2, 2)
         assert count == 2
-        assert set(sols) == {E1Solution(2, 0, 0, 0), E1Solution(0, 1, 1, 1)}
+        assert set(sols) == {WalledIndex(0, 2, 0, 0), WalledIndex(1, 0, 1, 1)}
 
     def test_matches_reference_up_to_thirty(self):
         for p in range(31):
@@ -199,6 +199,27 @@ class TestSystemEnumeration:
                         assert shared + s.left_labeled == p
                         assert shared + s.right_labeled == q
                         assert s.through_labeled + s.left_labeled + s.right_labeled == r
+
+    def test_solutions_are_the_census_indices_with_these_side_sums(self):
+        # The paper's decomposition of half-diagrams: cut at the wall, an
+        # (m|n, r)-walled half-diagram of index (U; T, L, R) carries
+        # U + T + L marked blocks on the left and U + T + R on the right.
+        cases = 0
+        for p, q in product(range(8), repeat=2):
+            for r in range(p + q + 2):
+                found = e_lattice(p, q, r)[1]
+                for m, n in ((p, q), (p + 1, q + 2)):
+                    if m + n < r:
+                        continue
+                    layer = [
+                        idx
+                        for idx in census(m, n, r)
+                        if idx.through_unlabeled + idx.through_labeled + idx.left_labeled == p
+                        and idx.through_unlabeled + idx.through_labeled + idx.right_labeled == q
+                    ]
+                    assert found == sorted(layer, key=lambda idx: idx.through_labeled), (p, q, r, m, n)
+                    cases += 1
+        assert cases == 1088
 
 
 class TestLatticeCount:

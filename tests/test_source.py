@@ -184,6 +184,22 @@ def test_one_non_negative_integer_check():
     assert found == ["diagrams._check_count"], found
 
 
+INDEX_FIELDS = ("through_unlabeled", "through_labeled", "left_labeled", "right_labeled")
+
+
+def test_one_class_for_the_walled_index():
+    # The index (U; T, L, R) has one type; a second class with these fields
+    # in another order would compare equal to it with the roles swapped.
+    found = {}
+    for path, tree in _parsed_sources():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+                if set(INDEX_FIELDS) & set(fields):
+                    found[f"{path.stem}.{cls.name}"] = tuple(fields)
+    assert found == {"walled.WalledIndex": INDEX_FIELDS}, found
+
+
 def test_verify_reports_built_only_by_run_suite():
     # run_suite names each report after its SUITES key; a suite that built
     # its own report could drift from that name.
