@@ -130,11 +130,13 @@ def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
     Union-find runs over the blocks of ``v``; each block of ``d`` joins those
     holding its bottom dots.  The blocks of ``d`` that touch the top row come
     first, by least top dot, so grouping them by root keeps that order and
-    their merged top dots are the top-row blocks in canonical order.  ``v``
-    covers every middle dot, so every component missing the top row holds a
-    block of ``v``: the trapped count is the number of roots the top row
-    does not reach.  A top-row block is labeled when a labeled block of
-    ``v`` joins it.  :func:`act` applies the label-count test.
+    their merged top dots are the top-row blocks in canonical order.  A
+    canonical block lists its top dots in order, so a group's dots need
+    sorting only when a joined block's first top dot lies below the group's
+    last.  ``v`` covers every middle dot, so every component missing the
+    top row holds a block of ``v``: the trapped count is the number of roots
+    the top row does not reach.  A top-row block is labeled when a labeled
+    block of ``v`` joins it.  :func:`act` applies the label-count test.
     """
     if d.n != v.n:
         raise InvariantViolation("action requires equal degrees")
@@ -152,21 +154,30 @@ def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
         for k in block:
             if k > 0:
                 tops.append(k)
-            elif first < 0:
-                first = find(owner[-k])
-            elif (a := find(owner[-k])) != first:
+                continue
+            a = owner[-k]
+            while parent[a] != a:  # find(a), inlined
+                parent[a] = a = parent[parent[a]]
+            if first < 0:
+                first = a
+            elif a != first:
                 parent[a], roots = first, roots - 1
         if tops:
             rows.append((tops, first))
-    group, merged = {}, []  # group: root reached from the top row -> its block in merged
+    group, merged, unsorted = {}, [], False  # group: root reached from the top row -> its block in merged
     for tops, first in rows:
-        g = group.setdefault(find(first), len(merged)) if first >= 0 else len(merged)
-        if g < len(merged):
-            merged[g] += tops
-        else:
-            merged.append(tops)
-    blocks = tuple(tuple(sorted(dots)) for dots in merged)
-    labeled = frozenset(group[r] for r in map(find, v.labeled) if r in group)
+        if first >= 0:
+            g = group.setdefault(find(first), len(merged))
+            if g < len(merged):
+                dots = merged[g]
+                unsorted = unsorted or dots[-1] > tops[0]
+                dots += tops
+                continue
+        merged.append(tops)
+    if unsorted:
+        merged = [sorted(dots) for dots in merged]
+    blocks = tuple([tuple(dots) for dots in merged])
+    labeled = frozenset([group[r] for r in map(find, v.labeled) if r in group])
     return roots - len(group), HalfDiagram._trusted(d.n, blocks, labeled)
 
 

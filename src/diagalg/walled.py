@@ -123,9 +123,10 @@ def index_of(w: WalledHalfDiagram) -> WalledIndex:
 def _index(m: int, half: HalfDiagram) -> WalledIndex:
     """The index of ``half`` with the wall after position m."""
     u = t = l = r = 0
+    labeled = half.labeled
     for i, block in enumerate(half.blocks):
         left, right = block[0] <= m, block[-1] > m
-        if i not in half.labeled:
+        if i not in labeled:
             u += left and right
         elif left and right:
             t += 1
@@ -133,7 +134,7 @@ def _index(m: int, half: HalfDiagram) -> WalledIndex:
             l += 1
         else:
             r += 1
-    return WalledIndex(u, t, l, r)
+    return tuple.__new__(WalledIndex, (u, t, l, r))
 
 
 def enumerate_walled(m: int, n: int, r: int) -> list[WalledHalfDiagram]:
@@ -228,13 +229,14 @@ def index_count_formula(m: int, n: int, idx: WalledIndex) -> int:
     (1|2, 1), index (1;0,0,1), it gives 1, but the two diagrams
     {{1,2'},{1'}*} and {{1,1'},{2'}*} have that index.
 
-    Zero when either side cannot host its marked blocks.
+    Zero when an entry is negative or either side cannot host its marked
+    blocks.
     """
     m, n = _check_count(m, "m"), _check_count(n, "n")
     u, t, l, r = idx
     k_left = u + t + l
     k_right = u + t + r
-    if k_left > m or k_right > n:
+    if min(u, t, l, r) < 0 or k_left > m or k_right > n:
         return 0
     return (
         half_diagram_count(m, k_left)
@@ -302,26 +304,39 @@ _CASE_BY_DELTA = {
 }
 
 
+# The last diagram :func:`transition` read and its index, replaced as one
+# pair.  A sweep applies every generator to the same diagram in a row, so
+# each diagram's old index is computed once.  Matched by identity: the pair
+# holds ``w`` itself, so its id cannot be reused while it is here.
+_last_index: tuple = (None, None)
+
+
 def transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> Transition:
     """Apply a tensor-algebra generator and classify the index move.
 
     The new index is read off the stacked diagram's top row before the
     zero test of the module action, so the label-dropping cases IV and V
-    are still reported with their index delta.
+    are still reported with their index delta.  The old index comes from a
+    one-entry memo of the last diagram seen; it equals :func:`index_of`.
     """
+    global _last_index
     if g.n != w.m + w.n:
         raise InvariantViolation("generator degree must match the walled diagram")
     if g not in _tensor_generator_set(w.m, w.n):
         raise ValueError("diagram is not a juxtaposed one-sided generator or the identity")
-    old = index_of(w)
+    last, old = _last_index
+    if w is not last:
+        old = index_of(w)
+        _last_index = (w, old)
     _, top = act_top(g, w.half)
     new = _index(w.m, top)
     if new == old:
-        return Transition(old, new, TransitionCase.UNCHANGED)
-    delta = tuple(b - a for a, b in zip(old, new))
-    case = _CASE_BY_DELTA.get(delta)
+        return tuple.__new__(Transition, (old, new, TransitionCase.UNCHANGED))
+    u, t, l, r = old
+    u2, t2, l2, r2 = new
+    case = _CASE_BY_DELTA.get((u2 - u, t2 - t, l2 - l, r2 - r))
     if case is None:
         raise TransitionClassificationError(
             f"index moved {old.render()} -> {new.render()}, outside the admissible cases"
         )
-    return Transition(old, new, case)
+    return tuple.__new__(Transition, (old, new, case))

@@ -64,6 +64,13 @@ class TestHalfDiagram:
         assert HalfDiagram.from_json(hd.to_json()) == hd
         assert hd.r == 2
 
+    @pytest.mark.parametrize("data", [[ACT_INPUT], "n", {"n": 2}], ids=["list", "str", "no-blocks"])
+    def test_from_json_needs_an_object_with_n_and_blocks(self, data):
+        message = "half-diagram JSON must be an object with 'n' and 'blocks'"
+        with pytest.raises(ValueError, match=f"^{message}$") as caught:
+            HalfDiagram.from_json(data)
+        assert type(caught.value) is ValueError
+
 
 class TestScaledHalfDiagram:
     @pytest.mark.parametrize("coeff", [2, None, "δ"], ids=["int", "none", "str"])
@@ -79,6 +86,11 @@ class TestScaledHalfDiagram:
         message = re.escape(f"scaled value {diagram!r} is not a HalfDiagram or None")
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             ScaledHalfDiagram(DeltaPolynomial.one(), diagram)
+
+    def test_repr(self):
+        scaled = ScaledHalfDiagram(DeltaPolynomial.delta_power(1), HalfDiagram(2, [[1], [2]], [1]))
+        assert repr(scaled) == "ScaledHalfDiagram(δ · {{1},{2}*})"
+        assert repr(ScaledHalfDiagram.zero()) == "ScaledHalfDiagram(0)"
 
     def test_zero_coefficient_or_no_diagram_is_zero(self):
         v = HalfDiagram(2, [[1], [2]], [0])

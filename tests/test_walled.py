@@ -1,6 +1,8 @@
 """Walled index extraction, the census, and the transition classifier."""
 
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -14,6 +16,7 @@ from diagalg.cli import CENSUS_MAX_DOTS
 from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
 from diagalg.halfdiag import HalfDiagram, half_diagram_count, set_partitions
 from diagalg.walled import (
+    _CASE_BY_DELTA,
     TransitionCase,
     WalledHalfDiagram,
     WalledIndex,
@@ -25,6 +28,7 @@ from diagalg.walled import (
     tensor_generators,
     transition,
 )
+from test_diagrams import oracle_act_top
 
 def _set_partitions(dots):
     """Set partitions of a list of dots, by inserting the first dot everywhere."""
@@ -127,9 +131,43 @@ class TestIndex:
         idx = WalledIndex(2, 2, 1, 1)
         assert WalledIndex.parse(idx.render()) == idx
 
+    @pytest.mark.parametrize("text", ["1;2,3", "1,2,3,4", "1;2,3,4,5", ""])
+    def test_parse_rejects_text_without_four_entries(self, text):
+        message = re.escape(f"index text must look like 'U;T,L,R', got {text!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WalledIndex.parse(text)
+
     def test_json_round_trip(self):
         w = WalledHalfDiagram.from_json(WORKED)
         assert WalledHalfDiagram.from_json(w.to_json()) == w
+
+    @pytest.mark.parametrize(
+        "data", [[WORKED], "walled", {"m": 1, "n": 1}, {"blocks": [[1, -1]]}],
+        ids=["list", "str", "no-blocks", "no-sides"],
+    )
+    def test_from_json_needs_an_object_with_m_n_and_blocks(self, data):
+        message = "walled JSON must be an object with 'm', 'n' and 'blocks'"
+        with pytest.raises(ValueError, match=f"^{message}$") as caught:
+            WalledHalfDiagram.from_json(data)
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "dot, message",
+        [(3, "left dot 3 exceeds m=2"), (-3, "right dot 3' exceeds n=2"), (0, "right dot 0' exceeds n=2")],
+        ids=["left", "right", "zero"],
+    )
+    def test_from_json_rejects_a_dot_beyond_its_side(self, dot, message):
+        data = {"m": 2, "n": 2, "blocks": [[1, 2], [-2, -1], [dot]]}
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            WalledHalfDiagram.from_json(data)
+
+    def test_constructor_rejects_a_degree_mismatch(self):
+        with pytest.raises(InvariantViolation, match="^underlying half-diagram must have degree 2$"):
+            WalledHalfDiagram(1, 1, HalfDiagram(3, [[1, 2, 3]]))
+
+    def test_repr(self):
+        w = WalledHalfDiagram.from_blocks(1, 1, [[1], [2]], labeled=[0])
+        assert repr(w) == "WalledHalfDiagram(1|1, {{1}*,{1'}})"
 
     @pytest.mark.parametrize("side", ["m", "n"])
     def test_bool_side_degree_rejected(self, side):
@@ -293,6 +331,15 @@ class TestCensus:
                 census(m, n, 0)
             assert type(caught.value) is ValueError
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_formula_counts_nothing_for_a_negative_entry(self, slot):
+        for value in (-1, -2):
+            entries = [0, 0, 0, 0]
+            entries[slot] = value
+            assert index_count_formula(2, 1, WalledIndex(*entries)) == 0
+            entries[(slot + 1) % 4] = 1  # a positive entry beside it must not lift the sum to a valid count
+            assert index_count_formula(3, 3, WalledIndex(*entries)) == 0
+
     def test_every_admissible_index_realized(self):
         tally = census(2, 2, 1)
         assert tally[WalledIndex(1, 0, 1, 0)] > 0
@@ -356,7 +403,114 @@ class TestTransition:
                             if move.case is not TransitionCase.UNCHANGED:
                                 assert move.new < move.old
 
+    def test_rejects_a_degree_mismatch(self):
+        w = WalledHalfDiagram.from_blocks(1, 1, [[1], [2]])
+        with pytest.raises(InvariantViolation, match="^generator degree must match the walled diagram$"):
+            transition(generator("P", 1, None, 3), w)
+
     def test_generator_counts(self):
         # per side: n cut generators plus C(n,2) merges and C(n,2) swaps
         assert len(tensor_generators(3, 3)) == 2 * (3 + 3 + 3)
         assert len(tensor_generators(1, 1)) == 2
+
+
+class TestTransitionMemo:
+    """``transition`` keeps the last diagram's index; every answer must match a fresh computation."""
+
+    @staticmethod
+    def _check(g, w, tops=None):
+        """``transition(g, w)``, checked; ``tops`` keeps the oracle's top rows by (g, half) for reuse."""
+        move = transition(g, w)
+        assert move.old == index_of(w)
+        tops = {} if tops is None else tops
+        if (g, w.half) not in tops:
+            tops[g, w.half] = oracle_act_top(g, w.half)[1]
+        assert move.new == index_of(WalledHalfDiagram(w.m, w.n, tops[g, w.half]))
+        return move
+
+    def test_interleaved_diagrams(self):
+        w1 = WalledHalfDiagram.from_blocks(2, 2, [[1, 4], [2], [3]], labeled=[1])
+        w2 = WalledHalfDiagram.from_blocks(2, 2, [[1, 2, 3], [4]], labeled=[0, 1])
+        assert index_of(w1) != index_of(w2)
+        for _, g in tensor_generators(2, 2):
+            for w in (w1, w2, w1, w1, w2):
+                self._check(g, w)
+
+    def test_equal_copy_is_a_distinct_object(self):
+        w = WalledHalfDiagram.from_blocks(2, 2, [[1, 4], [2], [3]], labeled=[0])
+        copy = WalledHalfDiagram(2, 2, HalfDiagram(4, [[1, 4], [2], [3]], [0]))
+        assert copy == w and copy is not w
+        for _, g in tensor_generators(2, 2):
+            assert self._check(g, w) == self._check(g, copy)
+
+    def test_after_a_call_that_raises(self):
+        w1 = WalledHalfDiagram.from_blocks(1, 1, [[1, 2]], labeled=[0])
+        w2 = WalledHalfDiagram.from_blocks(1, 1, [[1], [2]])
+        g = generator("P", 1, None, 2)
+        self._check(g, w1)
+        with pytest.raises(InvariantViolation):
+            transition(generator("P", 1, None, 3), w2)
+        self._check(g, w1)
+        with pytest.raises(ValueError, match="^diagram is not a juxtaposed"):
+            transition(SetPartitionDiagram(2, [[1, 2, -1, -2]]), w2)
+        self._check(g, w2)
+        self._check(g, w1)
+
+    def test_fresh_objects_whose_ids_may_repeat(self):
+        # A memo keyed by id() would read a freed diagram's index for a new
+        # object at the same address; this one holds the diagram itself.
+        g = generator("P", 1, None, 2)
+        shapes = [([[1, 2]], [0]), ([[1, 2]], []), ([[1], [2]], [0]), ([[1], [2]], [1])]
+        for step in range(200):
+            blocks, labeled = shapes[step % len(shapes)]
+            self._check(g, WalledHalfDiagram.from_blocks(1, 1, blocks, labeled))
+
+    def test_threads_share_the_memo(self):
+        # The pair is read and replaced whole, so a thread that loses it to
+        # another between read and use still holds a consistent pair.
+        cells = [(1, 2), (2, 1), (2, 2), (1, 3)]
+        work = [(w, [g for _, g in tensor_generators(m, n)]) for m, n in cells for w in enumerate_walled(m, n, 1)]
+        errors = []
+
+        def sweep(offset):
+            try:
+                for w, gens in work[offset:] + work[:offset]:
+                    expected = index_of(w)
+                    for g in gens:
+                        if transition(g, w).old != expected:
+                            errors.append((w, g))
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k * 7,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_sweep_against_the_graph_search(self):
+        # every (m|n) with m + n <= 5: old index, new index and case, each checked by another route.
+        # The cells of one degree share their half-diagrams and many generators, so each oracle top
+        # row is found once.
+        moves, tops = 0, {}
+        for m in range(6):
+            for n in range(6 - m):
+                gens = [g for _, g in tensor_generators(m, n)]
+                for r in range(m + n + 1):
+                    for w in enumerate_walled(m, n, r):
+                        for g in gens:
+                            move = self._check(g, w, tops)
+                            delta = tuple(b - a for a, b in zip(move.old, move.new))
+                            if move.case is TransitionCase.UNCHANGED:
+                                assert delta == (0, 0, 0, 0)
+                            else:
+                                assert _CASE_BY_DELTA[delta] is move.case
+                            moves += 1
+        assert moves == 56260
