@@ -13,8 +13,9 @@ general standard-module coefficient sum (Littlewood-Richardson and
 Kronecker coefficients), which also covers multi-row indices.
 """
 
-from diagalg import bvo_multiplicity, e2_lattice, e_closed, e_lattice, symmetry_suite
+from diagalg import bvo_multiplicity, e2_lattice, e_closed, e_lattice
 from diagalg.multiplicity import admissible_degree_pairs, one_part
+from diagalg.verify import run_suite
 
 for p, q, r in [(2, 2, 2), (5, 3, 4), (1, 1, 3), (6, 6, 4)]:
     count, solutions = e_lattice(p, q, r)
@@ -32,9 +33,8 @@ print()
 print("two-row index (1,1) against single labels:",
       bvo_multiplicity((1, 1), (1,), (1,), 1, 1))
 
-# The five standing identities at one triple.
-report = symmetry_suite(5, 3, 4)
+# The five standing boundary and reflection identities, and symmetry in
+# p and q, checked by the symmetry-lemma suite on every triple up to 5.
+report = run_suite("symmetry-lemma", 5)
 print()
-print(f"symmetry report at (5, 3, 4): ok = {report.ok}")
-for item, detail in report.details.items():
-    print(f"  {item}: {detail}")
+print(f"symmetry-lemma suite up to 5: ok = {report.ok}, {report.cases} cases")

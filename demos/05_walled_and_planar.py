@@ -12,12 +12,12 @@ the module classes multiply by the degenerate-triangle rule.
 from diagalg import (
     GrothElement,
     WalledHalfDiagram,
+    WalledIndex,
     census,
     groth_multiply,
     index_of,
     tl_basis,
     tl_basis_count,
-    tl_walled_dim_check,
 )
 from diagalg.walled import index_count_formula, tensor_generators, transition
 
@@ -51,5 +51,12 @@ print("planar basis sizes at degree 6:",
 print("degree 6, two labels:", [d.render() for d in tl_basis(6, 2)][:4], "...")
 product = groth_multiply(GrothElement.module_class(2, 2), GrothElement.module_class(3, 1))
 print("[V_2(2)] · [V_3(1)] =", product.render())
+
+# The planar (3|3) diagrams of index 1;0,2,0 against the product of the
+# one-sided planar counts with 1 + 2 and 1 + 0 labels.
+slice_count = sum(
+    index_of(WalledHalfDiagram(3, 3, d.to_half_diagram())) == WalledIndex(1, 0, 2, 0)
+    for d in tl_basis(6, 2)
+)
 print("walled planar census slice vs product:",
-      tl_walled_dim_check(3, 3, 1, 2, 0))
+      (slice_count, tl_basis_count(3, 3) * tl_basis_count(3, 1)))

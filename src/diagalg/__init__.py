@@ -40,7 +40,6 @@ from .multiplicity import (
     e_closed,
     e_lattice,
     lattice_line_count,
-    symmetry_suite,
 )
 from .symfunc import (
     Partition,
@@ -58,7 +57,6 @@ from .tl import (
     tl_basis,
     tl_basis_count,
     tl_e,
-    tl_walled_dim_check,
 )
 from .walled import (
     TransitionCase,

@@ -8,13 +8,13 @@ For one-part labels p, q, r the multiplicity counts the walled indices
 and this module computes it four independent ways: a closed piecewise
 formula, direct enumeration of the system, a lattice-point count on a
 half-integer line, and the general standard-module coefficient sum over
-Littlewood-Richardson and Kronecker coefficients.  A symmetry checker
-bundles the boundary and reflection identities the value satisfies.
+Littlewood-Richardson and Kronecker coefficients.  The boundary and
+reflection identities the value satisfies are checked by the
+``symmetry-lemma`` suite of :mod:`diagalg.verify`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .diagrams import _check_count
@@ -214,75 +214,6 @@ def admissible_degree_pairs(p: int, q: int, r: int) -> tuple[tuple[int, int], tu
     m = max(p, r - q, 1)
     n = max(q, 1)
     return (m, n), (m + 1, n + 2)
-
-
-@dataclass
-class SymmetryReport:
-    """Outcome of the five boundary and symmetry assertions for one triple."""
-
-    p: int
-    q: int
-    r: int
-    results: dict[str, bool] = field(default_factory=dict)
-    details: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.results.values())
-
-
-def symmetry_suite(p: int, q: int, r: int) -> SymmetryReport:
-    """Check the five standing identities of the multiplicity at one triple.
-
-    1. vanishing above the band: value 0 whenever p + q < r;
-    2. value 1 on the band boundary (p + q = r or |p - q| = r);
-    3. with a zero parameter, value 1 exactly when the other two agree;
-    4. independence from the algebra degrees, sampled at two admissible pairs;
-    5. reflection symmetry r -> p + q + |p - q| - r.
-    """
-    report = SymmetryReport(p, q, r)
-    closed = e_closed(p, q, r)
-    count, _ = e_lattice(p, q, r)
-
-    if p + q < r:
-        report.results["vanishing"] = closed == 0 and count == 0
-    else:
-        report.results["vanishing"] = True
-    report.details["vanishing"] = f"value {closed}"
-
-    if p + q == r or abs(p - q) == r:
-        report.results["boundary_one"] = closed == 1 and count == 1
-    else:
-        report.results["boundary_one"] = True
-    report.details["boundary_one"] = f"value {closed}"
-
-    if 0 in (p, q, r):
-        rest = [p, q, r]
-        rest.remove(0)
-        expected = 1 if rest[0] == rest[1] else 0
-        report.results["zero_parameter"] = closed == expected and count == expected
-        report.details["zero_parameter"] = f"value {closed}, expected {expected}"
-    else:
-        report.results["zero_parameter"] = True
-        report.details["zero_parameter"] = "no zero parameter"
-
-    pairs = admissible_degree_pairs(p, q, r)
-    values = [bvo_multiplicity(one_part(r), one_part(p), one_part(q), m, n) for m, n in pairs]
-    report.results["degree_independence"] = values[0] == values[1] == count
-    report.details["degree_independence"] = f"values {values} at degrees {pairs}"
-
-    mirror = p + q + abs(p - q) - r
-    if mirror < 0:
-        # r lies beyond the whole band, so its mirror image does too
-        report.results["reflection"] = closed == 0 and count == 0
-        report.details["reflection"] = f"value {closed}, mirror position {mirror} out of range"
-    else:
-        mirrored_closed = e_closed(p, q, mirror)
-        mirrored_count, _ = e_lattice(p, q, mirror)
-        report.results["reflection"] = closed == mirrored_closed and count == mirrored_count
-        report.details["reflection"] = f"value {closed} vs {mirrored_closed} at r'={mirror}"
-
-    return report
 
 
 def one_part(k: int) -> Partition:

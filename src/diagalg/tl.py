@@ -18,7 +18,6 @@ from math import comb
 
 from .diagrams import InvariantViolation, _check_count, _merge_terms
 from .halfdiag import HalfDiagram
-from .walled import WalledHalfDiagram, WalledIndex, index_of
 
 
 @dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
@@ -233,30 +232,3 @@ def tl_e(p: int, q: int, r: int, m: int, n: int) -> int:
         return 0
     u = doubled_u // 2
     return 1 if p - u >= 0 and q - u >= 0 else 0
-
-
-def tl_walled_dim_check(
-    m: int, n: int, crossing_caps: int, left_labels: int, right_labels: int
-) -> tuple[int, int]:
-    """Walled planar census slice against its two-sided factorization.
-
-    Left side: the number of planar walled half-diagrams on (m | n) whose
-    index is (crossing_caps; 0, left_labels, right_labels).  Right side:
-    the product of the one-sided basis counts at crossing_caps + side
-    labels.  The through-labeled count is asserted to vanish on every
-    enumerated diagram rather than assumed.
-    """
-    if (crossing_caps + left_labels) % 2 != m % 2 or (crossing_caps + right_labels) % 2 != n % 2:
-        raise ValueError("index is not realizable: side parities do not match")
-    r = left_labels + right_labels
-    wanted = WalledIndex(crossing_caps, 0, left_labels, right_labels)
-    lhs = 0
-    for diagram in tl_basis(m + n, r):
-        walled = WalledHalfDiagram(m, n, diagram.to_half_diagram())
-        idx = index_of(walled)
-        if idx.through_labeled:
-            raise InvariantViolation("a labeled single dot cannot cross the wall")
-        if idx == wanted:
-            lhs += 1
-    rhs = tl_basis_count(m, crossing_caps + left_labels) * tl_basis_count(n, crossing_caps + right_labels)
-    return lhs, rhs

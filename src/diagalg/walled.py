@@ -35,14 +35,6 @@ class WalledIndex(NamedTuple):
         u, t, l, r = self
         return f"{u};{t},{l},{r}"
 
-    @classmethod
-    def parse(cls, text: str) -> "WalledIndex":
-        head, _, tail = text.partition(";")
-        parts = [head] + tail.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"index text must look like 'U;T,L,R', got {text!r}")
-        return cls(*(int(x) for x in parts))
-
 
 def _position(m: int, n: int, dot: int) -> int:
     """Signed dot name (+k left of the wall, -k for k') to row position."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagalg import verify
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
     admissible_degree_pairs,
@@ -18,7 +19,6 @@ from diagalg.multiplicity import (
     lattice_line_count,
     one_part,
     restriction_dimension_total,
-    symmetry_suite,
 )
 from diagalg.symfunc import kronecker_coeff, partitions_of
 from diagalg.walled import WalledIndex, census
@@ -396,24 +396,25 @@ class TestKroneckerShortcut:
 
 
 class TestSymmetrySuite:
+    # Single triples of the five identities the symmetry-lemma suite checks;
+    # each engine is read directly.
     def test_boundary_case(self):
-        report = symmetry_suite(3, 2, 5)
-        assert report.ok and report.results["boundary_one"]
+        assert e_closed(3, 2, 5) == e_lattice(3, 2, 5)[0] == 1
 
     def test_reflection_out_of_band(self):
-        report = symmetry_suite(4, 1, 2)
-        assert report.ok and report.results["reflection"]
+        # r = 2 lies below the band [3, 5] and its mirror 6 above it
+        for r in (2, 6):
+            assert e_closed(4, 1, r) == e_lattice(4, 1, r)[0] == 0
 
     def test_reflection_in_band(self):
-        report = symmetry_suite(5, 3, 4)
-        assert report.ok
+        assert e_closed(5, 3, 4) == e_closed(5, 3, 6) == 2
         assert e_lattice(5, 3, 4)[0] == e_lattice(5, 3, 6)[0]
 
     def test_grid_passes(self):
-        for p in range(7):
-            for q in range(7):
-                for r in range(7):
-                    assert symmetry_suite(p, q, r).ok, (p, q, r)
+        # every triple with entries up to 6, six checks each
+        report = verify.run_suite("symmetry-lemma", 6)
+        assert report.ok, report.failures
+        assert report.cases == 6 * 7**3
 
     def test_symmetric_in_p_q(self):
         for p in range(8):

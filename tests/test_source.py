@@ -211,6 +211,18 @@ def test_verify_reports_built_only_by_run_suite():
     assert found == {"run_suite"}, sorted(found)
 
 
+def test_one_report_type():
+    # Every check in the package reports through verify; a second report
+    # type would be a second place to check and to word failures.
+    found = [
+        f"{path.stem}.{cls.name}"
+        for path, tree in _parsed_sources()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name.endswith("Report")
+    ]
+    assert found == ["verify.VerifyReport"], found
+
+
 def test_cli_exit_codes_decided_in_main():
     # Handlers raise ValueError, or InvariantViolation for a broken input;
     # main alone maps them to exit codes 2 and 3.

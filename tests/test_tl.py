@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from diagalg import tl
+from diagalg import tl, verify, walled
 from diagalg.diagrams import InvariantViolation
 from diagalg.halfdiag import HalfDiagram
 from diagalg.multiplicity import e_lattice
@@ -19,8 +19,8 @@ from diagalg.tl import (
     tl_basis,
     tl_basis_count,
     tl_e,
-    tl_walled_dim_check,
 )
+from diagalg.walled import WalledHalfDiagram, WalledIndex, index_of
 
 
 def tl_basis_reference(n, r):
@@ -157,6 +157,7 @@ class TestTLHalfDiagram:
         # caps {2,5} and {3,4} nested, labels on 1 and 6
         diagram = TLHalfDiagram(6, [(2, 5), (3, 4)])
         assert diagram.labels == (1, 6)
+        assert diagram.r == 2
         assert diagram in tl_basis(6, 2)
 
     def test_crossing_caps_rejected(self):
@@ -244,6 +245,11 @@ class TestGrothProduct:
                     left = GrothElement.module_class(m, 0)
                     right = GrothElement.module_class(n, q)
                     assert groth_multiply(left, right) == GrothElement.module_class(m + n, q)
+
+    def test_empty_product_renders_zero(self):
+        product = groth_multiply(GrothElement(), GrothElement.module_class(1, 1))
+        assert product == GrothElement()
+        assert product.render() == "0"
 
     def test_two_times_two(self):
         v22 = GrothElement.module_class(2, 2)
@@ -340,35 +346,31 @@ class TestPinnedMultiplicity:
                             assert value == min(1, len(pinned))
 
 
+def planar_walled_count(m, n, idx):
+    """Planar (m|n) walled half-diagrams of index ``idx``, counted one by one."""
+    r = idx.through_labeled + idx.left_labeled + idx.right_labeled
+    return sum(index_of(WalledHalfDiagram(m, n, row.to_half_diagram())) == idx for row in tl_basis(m + n, r))
+
+
 class TestWalledFactorization:
+    # The count of planar walled diagrams of index (U; 0, L, R) is the
+    # product of the one-sided counts with U + L and U + R labels; the
+    # tl-suite verify suite checks it for m, n <= 5.
     def test_single_crossing_cap(self):
-        assert tl_walled_dim_check(1, 1, 1, 0, 0) == (1, 1)
+        assert planar_walled_count(1, 1, WalledIndex(1, 0, 0, 0)) == 1 == tl_basis_count(1, 1) ** 2
 
     def test_all_singletons(self):
-        assert tl_walled_dim_check(2, 2, 0, 2, 2) == (1, 1)
+        assert planar_walled_count(2, 2, WalledIndex(0, 0, 2, 2)) == 1 == tl_basis_count(2, 2) ** 2
 
     def test_mixed(self):
-        assert tl_walled_dim_check(2, 2, 1, 1, 1) == (1, 1)
-
-    def test_parity_guard(self):
-        with pytest.raises(ValueError):
-            tl_walled_dim_check(2, 2, 1, 0, 1)
+        assert planar_walled_count(2, 2, WalledIndex(1, 0, 1, 1)) == 1 == tl_basis_count(2, 2) ** 2
 
     def test_crossing_label_raises(self, monkeypatch):
         # a plain raise, so the check survives python -O
-        monkeypatch.setattr(tl, "index_of", lambda walled: tl.WalledIndex(0, 1, 0, 0))
-        with pytest.raises(InvariantViolation, match="a labeled single dot cannot cross the wall"):
-            tl_walled_dim_check(1, 1, 1, 0, 0)
+        monkeypatch.setattr(walled, "index_of", lambda w: WalledIndex(0, 1, 0, 0))
+        with pytest.raises(InvariantViolation, match="^a labeled single dot cannot cross the wall$"):
+            verify.run_suite("tl-suite", 1)
 
     def test_equality_to_degree_five(self):
-        for m in range(1, 6):
-            for n in range(1, 6):
-                for u in range(min(m, n) + 1):
-                    for left in range(m - u + 1):
-                        if (u + left) % 2 != m % 2:
-                            continue
-                        for right in range(n - u + 1):
-                            if (u + right) % 2 != n % 2:
-                                continue
-                            lhs, rhs = tl_walled_dim_check(m, n, u, left, right)
-                            assert lhs == rhs, (m, n, u, left, right)
+        report = verify.run_suite("tl-suite", 5)
+        assert report.ok, report.failures

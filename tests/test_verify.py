@@ -1,0 +1,85 @@
+"""Pinned reports of the verify suites, and their failure messages under a broken engine."""
+
+import pytest
+
+from diagalg import multiplicity, tl, verify, walled
+from diagalg.walled import Transition, TransitionCase, WalledIndex
+
+
+def _pinned(name, limit):
+    payload = verify.run_suite(name, limit).to_json()
+    assert payload.pop("duration_seconds") >= 0
+    return payload
+
+
+@pytest.mark.parametrize(
+    "name, limit, cases",
+    [
+        ("symmetry-lemma", 1, 48),
+        ("symmetry-lemma", 5, 1_296),
+        ("symmetry-lemma", None, 13_182),
+        ("tl-suite", 1, 363),
+        ("tl-suite", 5, 642),
+        ("tl-suite", None, 719),
+    ],
+)
+def test_report_is_pinned(name, limit, cases):
+    assert _pinned(name, limit) == {"suite": name, "cases": cases, "failures": [], "ok": True}
+
+
+def test_symmetry_lemma_failure_wording(monkeypatch):
+    # a closed form that reads 0 at (1, 0, 1) breaks the boundary and the
+    # zero-parameter identities there; its mirror is itself, so the
+    # reflection still holds
+    real = multiplicity.e_closed
+    monkeypatch.setattr(multiplicity, "e_closed", lambda p, q, r: 0 if (p, q, r) == (1, 0, 1) else real(p, q, r))
+    assert _pinned("symmetry-lemma", 1) == {
+        "suite": "symmetry-lemma",
+        "cases": 48,
+        "failures": [
+            "(1,0,1) item boundary_one: value 0",
+            "(1,0,1) item zero_parameter: value 0, expected 1",
+        ],
+        "ok": False,
+    }
+
+
+def test_tl_suite_failure_wording(monkeypatch):
+    # one wrong ballot count, at one dot with one label, reaches the basis
+    # count, the degree total and both planar walled counts of (1|1)
+    real = tl.tl_basis_count
+    monkeypatch.setattr(tl, "tl_basis_count", lambda n, r: 2 if (n, r) == (1, 1) else real(n, r))
+    assert _pinned("tl-suite", 1) == {
+        "suite": "tl-suite",
+        "cases": 363,
+        "failures": [
+            "planar basis count at (1, 1) is 1",
+            "degree 1: planar total 2 != C(n, n//2)",
+            "walled planar count at (1|1, 0;0,1,1): 1 != 4",
+            "walled planar count at (1|1, 1;0,0,0): 1 != 4",
+        ],
+        "ok": False,
+    }
+
+
+def test_transition_lemma_reports_an_unclassified_move(monkeypatch):
+    def unclassified(g, w):
+        raise walled.TransitionClassificationError("index delta fits no case")
+
+    monkeypatch.setattr(walled, "transition", unclassified)
+    report = verify.run_suite("transition-lemma", 1)
+    assert report.cases == 12
+    assert len(report.failures) == 12
+    assert report.failures[:2] == [
+        "p[1]#left on {{1,1'}}: index delta fits no case",
+        "p[1]#right on {{1,1'}}: index delta fits no case",
+    ]
+
+
+def test_transition_lemma_reports_a_move_up(monkeypatch):
+    up = Transition(WalledIndex(0, 0, 1, 0), WalledIndex(1, 0, 0, 0), TransitionCase.CASE_I)
+    monkeypatch.setattr(walled, "transition", lambda g, w: up)
+    report = verify.run_suite("transition-lemma", 1)
+    assert report.cases == 12
+    assert len(report.failures) == 12
+    assert report.failures[0] == "p[1]#left on {{1,1'}} moved index up: 0;0,1,0 -> 1;0,0,0"

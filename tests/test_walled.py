@@ -127,16 +127,6 @@ class TestIndex:
                 w = WalledHalfDiagram.from_blocks(m, n, blocks, labeled=range(m + n))
                 assert index_of(w) == WalledIndex(0, 0, m, n)
 
-    def test_index_parse_round_trip(self):
-        idx = WalledIndex(2, 2, 1, 1)
-        assert WalledIndex.parse(idx.render()) == idx
-
-    @pytest.mark.parametrize("text", ["1;2,3", "1,2,3,4", "1;2,3,4,5", ""])
-    def test_parse_rejects_text_without_four_entries(self, text):
-        message = re.escape(f"index text must look like 'U;T,L,R', got {text!r}")
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            WalledIndex.parse(text)
-
     def test_json_round_trip(self):
         w = WalledHalfDiagram.from_json(WORKED)
         assert WalledHalfDiagram.from_json(w.to_json()) == w
