@@ -14,8 +14,6 @@ import io
 import json
 import os
 import sys
-from bisect import bisect_left
-from math import isqrt
 
 from . import geometry, multiplicity, tl, verify, walled
 from .diagrams import DeltaPolynomial, DiagramSum, InvariantViolation, SetPartitionDiagram, _check_count, compose
@@ -47,28 +45,9 @@ MULT_BVO_MAX_COUNT = 800
 
 # Most dots (-n times the count) that `tl basis` lists: -n 20 -r 0 as JSON
 # takes about 1 s.  Largest -n it takes, --count-only included: every count
-# up to it has at most 4,300 digits, the most Python prints of an int by
-# default.  A lower int-to-str limit lowers it when the command runs.
+# up to it has at most 4,300 digits, Python's default int-to-str limit.
 TL_BASIS_MAX_DOTS = 340_000
 TL_BASIS_MAX_DEGREE = 14_298
-
-
-def _largest_tl_count(n: int) -> int:
-    """The largest planar count at degree n, at the largest r of n's parity with r^2 <= n + 2.
-
-    count(n, r + 2) >= count(n, r) exactly when (r + 2)^2 <= n + 2.
-    """
-    r = isqrt(n + 2)
-    return tl.tl_basis_count(n, r - (r - n) % 2)
-
-
-def _tl_basis_max_degree() -> int:
-    """Largest -n, at most TL_BASIS_MAX_DEGREE, whose counts all print under Python's int-to-str limit."""
-    digits = sys.get_int_max_str_digits()  # 0 for no limit
-    if not digits or _largest_tl_count(TL_BASIS_MAX_DEGREE) < 10**digits:
-        return TL_BASIS_MAX_DEGREE
-    # The largest count grows with n, so the degrees past the limit are a suffix.
-    return bisect_left(range(TL_BASIS_MAX_DEGREE), True, key=lambda n: _largest_tl_count(n) >= 10**digits) - 1
 
 
 def _check_budget(value: int, budget: int, subject: str, limit: str, tail: str = "") -> None:
@@ -263,7 +242,7 @@ def _parse_class(text: str) -> tuple[int, int]:
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
         _check_count(args.r, "r")
-        _check_budget(args.n, _tl_basis_max_degree(), "tl basis", "-n <= {}")
+        _check_budget(args.n, TL_BASIS_MAX_DEGREE, "tl basis", "-n <= {}")
         count = tl.tl_basis_count(args.n, args.r)
         if args.count_only:
             print(count)

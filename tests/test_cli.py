@@ -237,6 +237,23 @@ class TestComposeAndAct:
             '"half_diagram": {"n": 6, "blocks": [[1, 2], [3], [4], [5], [6]], "labeled": [1, 4]}}\n'
         )
 
+    def test_compose_reads_stdin_for_a_dash(self, tmp_path, capsys, monkeypatch):
+        a = write(tmp_path, "a.json", COMPOSE_LEFT)
+        b = write(tmp_path, "b.json", COMPOSE_RIGHT)
+        assert main(["compose", a, b]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(COMPOSE_RIGHT)))
+        assert main(["compose", a, "-"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_unreadable_path_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        ok = write(tmp_path, "ok.json", COMPOSE_LEFT)
+        assert main(["compose", ok, missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {missing}: ")
+
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -432,19 +449,18 @@ class TestTL:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: tl basis is limited to -n <= 14298, got 14299\n"
 
-    def test_degree_budget_follows_a_lower_digit_limit(self):
-        # every count up to -n 2137 has at most 640 digits; the largest at -n 2138 (-r 46) has 641
-        done = self._tl_basis_in_subprocess(["-n", "14298", "-r", "118", "--count-only"], PYTHONINTMAXSTRDIGITS="640")
+    def test_a_count_too_long_for_a_lower_digit_limit_exits_2(self):
+        # Python refuses to print the count, in print or in the dots-budget message;
+        # only the start of its message is the same in every version
+        for argv in (["-n", "14298", "-r", "118", "--count-only"], ["-n", "14298", "-r", "118"]):
+            done = self._tl_basis_in_subprocess(argv, PYTHONINTMAXSTRDIGITS="640")
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
+        done = self._tl_basis_in_subprocess(["-n", "3000", "-r", "2998", "--count-only"], PYTHONINTMAXSTRDIGITS="640")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "2999\n", "")
+        done = self._tl_basis_in_subprocess(["-n", "14299", "-r", "119", "--count-only"], PYTHONINTMAXSTRDIGITS="640")
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == "error: tl basis is limited to -n <= 2137, got 14298\n"
-        done = self._tl_basis_in_subprocess(["-n", "2137", "-r", "45", "--count-only"], PYTHONINTMAXSTRDIGITS="640")
-        assert (done.returncode, done.stderr) == (0, "")
-        assert len(done.stdout.strip()) <= 640
-        assert tl.tl_basis_count(2138, 46) >= 10**640
-
-    def test_largest_count_is_the_peak_over_every_label_count(self):
-        for n in range(300):
-            assert cli._largest_tl_count(n) == max(tl.tl_basis_count(n, r) for r in range(n + 1))
+        assert done.stderr == "error: tl basis is limited to -n <= 14298, got 14299\n"
 
     def test_groth_expansion(self, capsys):
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1"]) == 0
@@ -462,6 +478,30 @@ class TestVerify:
         assert main(["verify", "bell-identity"]) == 0
         out = capsys.readouterr().out
         assert "bell-identity: PASS" in out
+
+    def test_all_suites_pass_at_their_default_bounds(self, capsys, monkeypatch):
+        monkeypatch.delenv("DIAGALG_COLOR", raising=False)
+        reports = verify.run_all()
+        assert [r.suite for r in reports] == list(verify.SUITES)
+        assert all(r.ok and r.cases > 0 for r in reports)
+        # the CLI prints the same reports in each format; the suites run once
+        monkeypatch.setattr(verify, "run_all", lambda limit: reports)
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == "".join(f"{r.summary()}\n" for r in reports)
+        assert main(["verify", "all", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [r.to_json() for r in reports]
+
+    def test_text_report_lists_twenty_failures_then_counts_the_rest(self, capsys, monkeypatch):
+        def many_failures(report, top):
+            for k in range(23):
+                report.check(False, f"failure {k}")
+
+        monkeypatch.delenv("DIAGALG_COLOR", raising=False)
+        monkeypatch.setitem(verify.SUITES, "many-failures", (many_failures, 1, 1))
+        assert main(["verify", "many-failures"]) == 1
+        head, *rest = capsys.readouterr().out.splitlines()
+        assert head.startswith("many-failures: FAIL (23 failures) [23 cases, ")
+        assert rest == [f"    failure {k}" for k in range(20)] + ["    ... and 3 more"]
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "no-such-suite"]) == 2

@@ -106,6 +106,21 @@ def oracle_act_top(d, v):
     return t, HalfDiagram(d.n, blocks, labeled)
 
 
+def compose_by_action(d1, d2):
+    """(interior count, diagram) of ``compose(d1, d2)``, read off ``act_top`` on the 2n-dot reading.
+
+    ``d1`` beside n straight strands acts on ``d2`` read as one unlabeled
+    row of 2n dots: top dot k at position k, bottom dot -k at 2n + 1 - k.
+    Position p > n of the top row is read back as dot p - 2n - 1.
+    """
+    n = d1.n
+    upper = SetPartitionDiagram(2 * n, [*d1.blocks, *((k, -k) for k in range(n + 1, 2 * n + 1))])
+    row = HalfDiagram(2 * n, [[k if k > 0 else 2 * n + 1 + k for k in block] for block in d2.blocks])
+    t, top = act_top(upper, row)
+    assert top.labeled == frozenset()
+    return t, SetPartitionDiagram(n, [[p if p <= n else p - 2 * n - 1 for p in block] for block in top.blocks])
+
+
 def boundary_key(n):
     """Position of a dot in the boundary order 1 < ... < n < n' < ... < 1': k maps to k - 1, k' to 2n - k."""
     return lambda dot: dot - 1 if dot > 0 else 2 * n + dot
@@ -216,6 +231,7 @@ class TestDeltaPolynomial:
         assert DeltaPolynomial.delta_power(2).render() == "δ^2"
         mixed = DeltaPolynomial(((2, 3), (0, 1)))
         assert mixed.render() == "3·δ^2 + 1"
+        assert repr(mixed) == "DeltaPolynomial('3·δ^2 + 1')"
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -304,6 +320,14 @@ class TestDiagramInvariants:
         with pytest.raises(InvariantViolation):
             SetPartitionDiagram(2, [[1, 2, 3], [-1, -2]])
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(InvariantViolation, match="^blocks must be non-empty$"):
+            SetPartitionDiagram(1, [[1, -1], []])
+
+    def test_json_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="^diagram JSON must be an object with 'n' and 'blocks'$"):
+            SetPartitionDiagram.from_json([[1, -1]])
+
     def test_json_round_trip(self):
         d = SetPartitionDiagram(6, FIG_LEFT)
         assert SetPartitionDiagram.from_json(d.to_json()) == d
@@ -358,6 +382,11 @@ class TestCompose:
         message = re.escape(f"degree must be a non-negative integer, got {n!r}")
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             DiagramSum(n, {})
+
+    def test_diagram_sum_render_and_repr(self):
+        assert DiagramSum(2).render() == "0"
+        total = DiagramSum(2, {SetPartitionDiagram.identity(2): DeltaPolynomial.delta_power(1)})
+        assert repr(total) == "DiagramSum(δ · {{1,1'},{2,2'}})"
 
     def test_diagram_sum_with_foreign_operand_is_type_error(self):
         total = DiagramSum.from_diagram(SetPartitionDiagram.identity(2))
@@ -549,6 +578,20 @@ class TestStackingOracle:
             interior += got[0]
         assert interior > 0
 
+    def test_compose_is_the_action_on_the_two_row_reading(self):
+        pairs = [(d1, d2) for n in range(3) for d1 in all_diagrams(n) for d2 in all_diagrams(n)]
+        rng = random.Random(43)
+        for n in [*range(1, 11), 50, 100]:
+            for _ in range(50 if n <= 10 else 3):
+                pairs.append((random_diagram(rng, n), random_diagram(rng, n)))
+                pairs.append(tuple(SetPartitionDiagram(n, small_blocks(rng, signed_dots(n))) for _ in range(2)))
+        interior = 0
+        for d1, d2 in pairs:
+            got = compose(d1, d2)
+            assert compose_by_action(d1, d2) == got
+            interior += got[0]
+        assert interior > 0
+
     def test_oracle_reads_the_worked_example(self):
         got = oracle_compose(SetPartitionDiagram(6, FIG_LEFT), SetPartitionDiagram(6, FIG_RIGHT))
         assert got == (2, SetPartitionDiagram(6, FIG_RESULT))
@@ -712,6 +755,8 @@ class TestGenerators:
             generator("S", 1, 4, 3)
         with pytest.raises(ValueError):
             generator("X", 1, 2, 3)
+        with pytest.raises(ValueError, match="^generator P takes a single index$"):
+            generator("P", 1, 2, 3)
         # generators and the identity stay on the validating constructor
         with pytest.raises(InvariantViolation, match="^dot True out of range for degree 3$"):
             generator("P", True, None, 3)

@@ -159,6 +159,7 @@ class TestTLHalfDiagram:
         assert diagram.labels == (1, 6)
         assert diagram.r == 2
         assert diagram in tl_basis(6, 2)
+        assert repr(diagram) == "TLHalfDiagram(6, {{2,5},{3,4},{1}*,{6}*})"
 
     def test_crossing_caps_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -250,6 +251,7 @@ class TestGrothProduct:
         product = groth_multiply(GrothElement(), GrothElement.module_class(1, 1))
         assert product == GrothElement()
         assert product.render() == "0"
+        assert repr(GrothElement({(2, 0): 1, (2, 2): 3})) == "GrothElement([V_2(0)] + 3·[V_2(2)])"
 
     def test_two_times_two(self):
         v22 = GrothElement.module_class(2, 2)

@@ -18,6 +18,7 @@ from diagalg.halfdiag import HalfDiagram, half_diagram_count, set_partitions
 from diagalg.walled import (
     _CASE_BY_DELTA,
     TransitionCase,
+    TransitionClassificationError,
     WalledHalfDiagram,
     WalledIndex,
     _census_table,
@@ -392,6 +393,14 @@ class TestTransition:
                             move = transition(g, w)  # must classify, never raise
                             if move.case is not TransitionCase.UNCHANGED:
                                 assert move.new < move.old
+
+    def test_a_move_outside_every_case_raises(self, monkeypatch):
+        # with no admissible delta left, the case III cut of the through block {1, 4} at 1 fits none
+        monkeypatch.setattr("diagalg.walled._CASE_BY_DELTA", {})
+        w = WalledHalfDiagram.from_blocks(2, 2, [[1, 4], [2], [3]])
+        message = re.escape("index moved 1;0,0,0 -> 0;0,0,0, outside the admissible cases")
+        with pytest.raises(TransitionClassificationError, match=f"^{message}$"):
+            transition(generator("P", 1, None, 4), w)
 
     def test_rejects_a_degree_mismatch(self):
         w = WalledHalfDiagram.from_blocks(1, 1, [[1], [2]])
