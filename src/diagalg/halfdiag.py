@@ -125,29 +125,31 @@ class ScaledHalfDiagram:
 
 
 def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
-    """Stack ``d`` above ``v`` and read off the top row before any zero test.
-
-    Union-find runs over the blocks of ``v``; each block of ``d`` joins those
-    holding its bottom dots.  The blocks of ``d`` that touch the top row come
-    first, by least top dot, so grouping them by root keeps that order and
-    their merged top dots are the top-row blocks in canonical order.  A
-    canonical block lists its top dots in order, so a group's dots need
-    sorting only when a joined block's first top dot lies below the group's
-    last.  ``v`` covers every middle dot, so every component missing the
-    top row holds a block of ``v``: the trapped count is the number of roots
-    the top row does not reach.  A top-row block is labeled when a labeled
-    block of ``v`` joins it.  :func:`act` applies the label-count test.
-    """
+    """Stack ``d`` above ``v``: the trapped count and top row from :func:`_glue`, before :func:`act`'s zero test."""
     if d.n != v.n:
         raise InvariantViolation("action requires equal degrees")
+    t, merged, labeled = _glue(d, v)
+    return t, HalfDiagram._trusted(d.n, tuple([tuple(dots) for dots in merged]), labeled)
+
+
+def _glue(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, list[list[int]], frozenset[int]]:
+    """The trapped count, top-row dot lists and labeled top-row indices of ``d`` stacked above ``v``.
+
+    The stacking kernel of :func:`act_top` and :func:`walled.transition`,
+    which check that the degrees are equal.  Union-find runs over the blocks
+    of ``v``; each block of ``d`` joins those holding its bottom dots.  The
+    blocks of ``d`` that touch the top row come first, by least top dot, so
+    grouping them by root keeps that order and their merged top dots are
+    the top-row blocks in canonical order, each a sorted list.  A canonical
+    block lists its top dots in order, so a group's dots need sorting only
+    when a joined block's first top dot lies below the group's last.  ``v``
+    covers every middle dot, so every component missing the top row holds a
+    block of ``v``: the trapped count is the number of roots the top row
+    does not reach.  A top-row block is labeled when a labeled block of
+    ``v`` joins it.
+    """
     owner = {k: i for i, block in enumerate(v.blocks) for k in block}  # middle dot -> block of v
-    parent = list(range(len(v.blocks)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
+    parent = list(range(len(v.blocks)))  # each find below is inlined, with path halving
     roots, rows = len(parent), []  # rows: (top dots, first block of v reached or -1)
     for block in d.blocks:
         tops, first = [], -1
@@ -156,7 +158,7 @@ def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
                 tops.append(k)
                 continue
             a = owner[-k]
-            while parent[a] != a:  # find(a), inlined
+            while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             if first < 0:
                 first = a
@@ -165,9 +167,11 @@ def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
         if tops:
             rows.append((tops, first))
     group, merged, unsorted = {}, [], False  # group: root reached from the top row -> its block in merged
-    for tops, first in rows:
-        if first >= 0:
-            g = group.setdefault(find(first), len(merged))
+    for tops, a in rows:
+        if a >= 0:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            g = group.setdefault(a, len(merged))
             if g < len(merged):
                 dots = merged[g]
                 unsorted = unsorted or dots[-1] > tops[0]
@@ -176,9 +180,13 @@ def act_top(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, HalfDiagram]:
         merged.append(tops)
     if unsorted:
         merged = [sorted(dots) for dots in merged]
-    blocks = tuple([tuple(dots) for dots in merged])
-    labeled = frozenset([group[r] for r in map(find, v.labeled) if r in group])
-    return roots - len(group), HalfDiagram._trusted(d.n, blocks, labeled)
+    labeled = []
+    for a in v.labeled:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        if a in group:
+            labeled.append(group[a])
+    return roots - len(group), merged, frozenset(labeled)
 
 
 def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:

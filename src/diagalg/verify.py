@@ -495,7 +495,7 @@ SUITES = {
     "action-assoc": (verify_action_assoc, None, None),
     # 1.4 s at 16, 8 s at 22; 57 s at 32, 128 s and 37 MiB at 36
     "census-factorization": (verify_census_factorization, 4, 36),
-    "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.6 s at 3, 50 s at 4
+    "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.6 s at 3, 42 s at 4
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
     "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
     "four-way-agreement": (verify_four_way_agreement, 8, 120),  # 22 s at 64, 106 s at 96; est. 250 s at 120

@@ -20,7 +20,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .diagrams import InvariantViolation, SetPartitionDiagram, _check_count, _json_list, _node_text, generator
-from .halfdiag import HalfDiagram, act_top, enumerate_basis, half_diagram_count
+from .halfdiag import HalfDiagram, _glue, enumerate_basis, half_diagram_count
 
 
 class WalledIndex(NamedTuple):
@@ -109,14 +109,13 @@ class WalledHalfDiagram:
 
 def index_of(w: WalledHalfDiagram) -> WalledIndex:
     """Classify every block by wall crossing and label to form the index."""
-    return _index(w.m, w.half)
+    return _index(w.m, w.half.blocks, w.half.labeled)
 
 
-def _index(m: int, half: HalfDiagram) -> WalledIndex:
-    """The index of ``half`` with the wall after position m."""
+def _index(m: int, blocks, labeled) -> WalledIndex:
+    """The index of sorted ``blocks``, those at the ``labeled`` indices labeled, with the wall after position m."""
     u = t = l = r = 0
-    labeled = half.labeled
-    for i, block in enumerate(half.blocks):
+    for i, block in enumerate(blocks):
         left, right = block[0] <= m, block[-1] > m
         if i not in labeled:
             u += left and right
@@ -306,9 +305,10 @@ _last_index: tuple = (None, None)
 def transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> Transition:
     """Apply a tensor-algebra generator and classify the index move.
 
-    The new index is read off the stacked diagram's top row before the
-    zero test of the module action, so the label-dropping cases IV and V
-    are still reported with their index delta.  The old index comes from a
+    The new index is read off the top-row groups of the stacking kernel
+    :func:`halfdiag._glue`, before the zero test of the module action and
+    with no top-row half-diagram built, so the label-dropping cases IV and
+    V are still reported with their index delta.  The old index comes from a
     one-entry memo of the last diagram seen; it equals :func:`index_of`.
     """
     global _last_index
@@ -320,8 +320,8 @@ def transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> Transition:
     if w is not last:
         old = index_of(w)
         _last_index = (w, old)
-    _, top = act_top(g, w.half)
-    new = _index(w.m, top)
+    _, blocks, labeled = _glue(g, w.half)
+    new = _index(w.m, blocks, labeled)
     if new == old:
         return tuple.__new__(Transition, (old, new, TransitionCase.UNCHANGED))
     u, t, l, r = old

@@ -9,7 +9,7 @@ module, each statement that never ran, and the total.  With no arguments
 it runs the whole of ``tests``.  Code run in a child process (the CLI
 tests that start ``python -m diagalg``) is not seen.  The tracer makes the
 tests about five times slower, so this is not part of the test suite, and
-a test that bounds its own wall-clock time (the ``tl basis`` budget test
+a test that bounds its own CPU time (the ``tl basis`` budget test
 in ``test_cli.py``) can fail under it; its lines are still counted.
 
 A statement counts as run when the tracer saw any line of it; for a

@@ -391,16 +391,17 @@ class TestTL:
 
     def test_basis_budget_counts_dots(self, capsys):
         # -n 21 -r 11: 14,364 diagrams, 301,644 dots, the largest listing the
-        # former 15,000-diagram budget finished in under 1 s
+        # former 15,000-diagram budget finished in under 1 s.  The bound is on
+        # this process's CPU time, so other load on the host does not fail it.
         assert cli.TL_BASIS_MAX_DOTS >= 21 * 14_364
-        start = time.perf_counter()
+        start = time.process_time()
         assert main(["tl", "basis", "-n", "14298", "-r", "14298"]) == 0
         assert capsys.readouterr().out == "{" + ",".join(f"{{{dot}}}*" for dot in range(1, 14299)) + "}\n"
         assert main(["tl", "basis", "-n", "1200", "-r", "1200", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == [{"n": 1200, "caps": [], "labels": list(range(1, 1201))}]
         # 14,297 diagrams of 14,298 dots each
         assert main(["tl", "basis", "-n", "14298", "-r", "14296"]) == 2
-        assert time.perf_counter() - start < 1.0
+        assert time.process_time() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (

@@ -126,8 +126,9 @@ def test_compose_builds_no_validated_diagram():
 
 
 def test_stack_serves_only_compose():
-    # act_top runs its own union-find over half-diagram blocks; _stack is the
-    # diagram-over-diagram read-out and has one caller.
+    # act_top and walled.transition share halfdiag._glue, a union-find over
+    # half-diagram blocks; _stack is the diagram-over-diagram read-out and
+    # has one caller.
     found = set()
     for _, tree in _parsed_sources():
         for scope, call in _calls(tree):
@@ -143,8 +144,19 @@ def test_act_top_builds_no_validated_half_diagram():
         for scope, call in _calls(tree)
         if scope.split(".")[0] == "act_top" and isinstance(call.func, ast.Name)
     }
-    assert "find" in called
+    assert "_glue" in called
     assert "HalfDiagram" not in called
+
+
+def test_transition_reads_the_kernel_and_builds_no_top_row():
+    tree = ast.parse((PACKAGE_DIR / "walled.py").read_text(encoding="utf-8"))
+    called = {
+        call.func.id
+        for scope, call in _calls(tree)
+        if scope.split(".")[0] == "transition" and isinstance(call.func, ast.Name)
+    }
+    assert "_glue" in called
+    assert not called & {"act_top", "HalfDiagram"}, sorted(called)
 
 
 def test_census_builds_no_diagram():

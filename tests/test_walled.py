@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from diagalg.cli import CENSUS_MAX_DOTS
 from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
-from diagalg.halfdiag import HalfDiagram, half_diagram_count, set_partitions
+from diagalg.halfdiag import HalfDiagram, _glue, half_diagram_count, set_partitions
 from diagalg.walled import (
     _CASE_BY_DELTA,
     TransitionCase,
@@ -22,6 +22,7 @@ from diagalg.walled import (
     WalledHalfDiagram,
     WalledIndex,
     _census_table,
+    _index,
     census,
     enumerate_walled,
     index_count_formula,
@@ -29,7 +30,7 @@ from diagalg.walled import (
     tensor_generators,
     transition,
 )
-from test_diagrams import oracle_act_top
+from test_diagrams import mixed_diagrams, mixed_half_diagrams, oracle_act_top
 
 def _set_partitions(dots):
     """Set partitions of a list of dots, by inserting the first dot everywhere."""
@@ -411,6 +412,18 @@ class TestTransition:
         # per side: n cut generators plus C(n,2) merges and C(n,2) swaps
         assert len(tensor_generators(3, 3)) == 2 * (3 + 3 + 3)
         assert len(tensor_generators(1, 1)) == 2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(mixed_diagrams(n), mixed_half_diagrams(n))))
+    def test_kernel_index_matches_the_graph_search(self, case):
+        # transition's route on any diagram, not only a generator, so that many blocks of v merge
+        # and a group's top dots come out of order: the kernel's groups read by _index, at every wall
+        d, v = case
+        t, blocks, labeled = _glue(d, v)
+        t_oracle, top = oracle_act_top(d, v)
+        assert t == t_oracle
+        for m in range(d.n + 1):
+            assert _index(m, blocks, labeled) == index_of(WalledHalfDiagram(m, d.n - m, top))
 
 
 class TestTransitionMemo:
