@@ -203,7 +203,6 @@ def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:
     return ScaledHalfDiagram(DeltaPolynomial.delta_power(t), top)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n misses and meets the check
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Set partitions of {1..n} as block tuples, in restricted-growth order.
 
@@ -223,9 +222,9 @@ def enumerate_basis(n: int, r: int) -> list[HalfDiagram]:
     """All (n, r)-half-diagrams in a reproducible order.
 
     Set partitions come in restricted-growth order; for each, the r-subsets
-    of blocks to label come in lexicographic order.  The diagrams share the
-    already canonical blocks, and one label set per block count and subset.
-    A label count r outside 0..n gives no diagram.
+    of blocks to label come in lexicographic order.  Only the diagrams of
+    one call share their canonical blocks and label sets (one per block
+    count and subset).  A label count r outside 0..n gives no diagram.
     """
     _check_count(n, "n")
     if r < 0 or r > n:

@@ -168,7 +168,10 @@ class GrothElement:
 
     @classmethod
     def module_class(cls, degree: int, labels: int) -> "GrothElement":
-        return cls({(degree, labels): 1})
+        try:
+            return cls({(degree, labels): 1})
+        except InvariantViolation as exc:  # a bad count is an argument error, as in tl_e
+            raise ValueError(str(exc)) from None
 
     def __add__(self, other) -> "GrothElement":
         if not isinstance(other, GrothElement):

@@ -473,6 +473,17 @@ class TestTL:
     def test_bad_class_argument_usage_error(self, capsys):
         assert main(["tl", "groth", "--left", "nonsense", "--right", "1:1"]) == 2
 
+    @pytest.mark.parametrize(
+        "left, right, klass",
+        [("1:3", "1:1", "(1, 3)"), ("1:1", "1:3", "(1, 3)"), ("2:1", "1:1", "(2, 1)")],
+        ids=["labels-above-degree", "right-option", "off-parity"],
+    )
+    def test_class_outside_the_band_is_a_usage_error(self, capsys, left, right, klass):
+        # A class is an option, not an input diagram: exit 2, not 3.
+        assert main(["tl", "groth", "--left", left, "--right", right]) == 2
+        message = f"error: class {klass} needs 0 <= labels <= degree with equal parity\n"
+        assert capsys.readouterr() == ("", message)
+
 
 class TestVerify:
     def test_single_suite(self, capsys):

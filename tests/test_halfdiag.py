@@ -1,7 +1,9 @@
 """Half-diagram basis enumeration, the module action, and dimensions."""
 
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -196,6 +198,20 @@ class TestBasis:
         for n in range(8):
             assert len(set_partitions(n)) == bell(n)
 
+    def test_enumeration_keeps_nothing_once_dropped(self):
+        # Listing 55 diagrams walks all 115,975 set partitions of 10 dots; a
+        # memo of those tuples would keep about 20 MiB after the call.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(enumerate_basis(10, 9)) == 55
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 * 2**20
+
     def test_stirling_row(self):
         assert [stirling2(6, k) for k in range(7)] == [0, 1, 31, 90, 65, 15, 1]
 
@@ -290,7 +306,7 @@ def test_builders_reject_a_bad_degree_with_one_message(builder, bad):
 @pytest.mark.parametrize("function", OTHER_DEGREE_CHECKS)
 def test_other_functions_reject_a_bad_degree_with_one_message(function, bad):
     call, name = OTHER_DEGREE_CHECKS[function]
-    call(2)  # set_partitions(2) also memoizes 0 and 1, which True would hit
+    call(2)  # a memo holding an equal int must not let True or 2.0 through
     message = re.escape(f"{name} must be a non-negative integer, got {bad!r}")
     with pytest.raises(ValueError, match=f"^{message}$") as caught:
         call(bad)

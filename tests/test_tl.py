@@ -263,6 +263,17 @@ class TestGrothProduct:
         with pytest.raises(InvariantViolation):
             GrothElement({(1, 2): 1})
 
+    @pytest.mark.parametrize("key", [(1, 3), (2, 1), (True, 1)], ids=["above-degree", "off-parity", "bool"])
+    def test_module_class_rejects_its_arguments_with_a_value_error(self, key):
+        # A degree and label count are arguments, not a structure: a plain
+        # ValueError with the constructor's message.
+        with pytest.raises(ValueError) as caught:
+            GrothElement.module_class(*key)
+        assert type(caught.value) is ValueError
+        with pytest.raises(InvariantViolation) as built:
+            GrothElement({key: 1})
+        assert str(caught.value) == str(built.value)
+
     @pytest.mark.parametrize(
         "key",
         [(2.0, 0), (2, 0.0), (True, True), (2, False), ("2", "0")],

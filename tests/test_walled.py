@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from diagalg.cli import CENSUS_MAX_DOTS
 from diagalg.diagrams import InvariantViolation, SetPartitionDiagram, generator
-from diagalg.halfdiag import HalfDiagram, _glue, half_diagram_count, set_partitions
+from diagalg.halfdiag import HalfDiagram, _glue, half_diagram_count
 from diagalg.walled import (
     _CASE_BY_DELTA,
     TransitionCase,
@@ -189,11 +189,10 @@ class TestIndex:
 
 class TestEnumerationMemory:
     def test_walled_diagrams_share_canonical_data(self):
-        # Diagrams share the cached set-partition blocks and one label set per
-        # block count and subset; a copy per diagram retains about 8.3 MiB here.
+        # The diagrams of one enumeration share its set-partition blocks and one
+        # label set per block count and subset; a copy per diagram retains about
+        # 8.3 MiB here.
         cells = [(m, n, r) for m in range(1, 6) for n in range(1, 7 - m) for r in range(m + n + 1)]
-        for size in range(7):
-            set_partitions(size)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
