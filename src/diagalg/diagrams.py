@@ -371,6 +371,13 @@ class DiagramSum:
         self.terms = _merge_terms(items)
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "DiagramSum":
+        """Wrap ``terms``, degree-``n`` diagrams to non-zero polynomials, with no check or copy."""
+        self = object.__new__(cls)
+        self.n, self.terms = n, terms
+        return self
+
+    @classmethod
     def from_diagram(cls, d: SetPartitionDiagram, coeff: DeltaPolynomial | None = None) -> "DiagramSum":
         return cls(d.n, {d: coeff if coeff is not None else DeltaPolynomial.one()})
 
@@ -382,15 +389,24 @@ class DiagramSum:
         return DiagramSum(self.n, [*self.terms.items(), *other.terms.items()])
 
     def compose(self, other: "DiagramSum") -> "DiagramSum":
-        """Bilinear extension of diagram composition."""
+        """Bilinear extension of diagram composition.
+
+        Each result diagram sums the integer terms of c1·c2·δ^t over the pairs
+        that compose to it and builds its coefficient once, or drops it when
+        the sum is zero; ``terms`` lists result diagrams in order of first appearance.
+        """
         if self.n != other.n:
             raise InvariantViolation("composition requires equal degrees")
-        products = []
+        sums: dict = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 t, d = compose(d1, d2)
-                products.append((d, c1 * c2 * DeltaPolynomial.delta_power(t)))
-        return DiagramSum(self.n, products)
+                sums.setdefault(d, []).extend((e1 + e2 + t, a1 * a2) for e1, a1 in c1._terms for e2, a2 in c2._terms)
+        terms = {}
+        for d, items in sums.items():
+            if coeff := _merge_terms(items):
+                terms[d] = DeltaPolynomial._trusted(tuple(sorted(coeff.items())))
+        return DiagramSum._trusted(self.n, terms)
 
     def render(self) -> str:
         if not self.terms:

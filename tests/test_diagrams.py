@@ -213,6 +213,31 @@ def mixed_half_diagrams(n):
     return st.one_of(half_diagrams(n), half_diagrams(n, most=3))
 
 
+def delta_polynomials():
+    """±1, ±δ or a sum of two of them: few enough values that products often cancel."""
+    return st.dictionaries(st.integers(0, 1), st.sampled_from([1, -1]), min_size=1).map(DeltaPolynomial)
+
+
+def diagram_sums(n):
+    """Sums of one to four terms over diagrams in at most two blocks, so products often share a diagram."""
+    return st.dictionaries(diagrams(n, most=2), delta_polynomials(), min_size=1, max_size=4).map(
+        lambda terms: DiagramSum(n, terms)
+    )
+
+
+def per_term_product(a, b):
+    """The product built term by term through the validating constructors: the oracle for ``DiagramSum.compose``."""
+    return DiagramSum(
+        a.n,
+        [
+            (d, c1 * c2 * DeltaPolynomial.delta_power(t))
+            for d1, c1 in a.terms.items()
+            for d2, c2 in b.terms.items()
+            for t, d in [compose(d1, d2)]
+        ],
+    )
+
+
 class TestDeltaPolynomial:
     def test_zero_and_one(self):
         assert not DeltaPolynomial.zero()
@@ -712,6 +737,33 @@ class TestAssociativityProperties:
         inner = act(d2, v)
         twice = ScaledHalfDiagram.zero() if inner.is_zero else act(d1, inner.diagram).scaled(inner.coeff)
         assert act(d12, v).scaled(DeltaPolynomial.delta_power(t)) == twice
+
+
+class TestSumProducts:
+    """``DiagramSum.compose`` sums integer terms per result diagram; the per-term product is its oracle."""
+
+    def assert_product(self, a, b):
+        product = a.compose(b)
+        assert product == per_term_product(a, b)
+        for d, c in product.terms.items():
+            assert d.n == a.n
+            assert c and DeltaPolynomial(c.terms()) == c
+            assert all(coeff for _, coeff in c.terms())
+        return product
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(diagram_sums(n), diagram_sums(n), diagram_sums(n))))
+    def test_matches_per_term_product_and_associates(self, triple):
+        a, b, c = triple
+        ab, bc = self.assert_product(a, b), self.assert_product(b, c)
+        assert self.assert_product(ab, c) == self.assert_product(a, bc)
+
+    def test_terms_with_different_trapped_counts_cancel(self):
+        # P·P = δ·P, so P·(δ·1 - P) = δ·P - δ·P: the two terms cancel across t = 0 and t = 1.
+        cut, eye = generator("P", 1, None, 1), SetPartitionDiagram.identity(1)
+        difference = DiagramSum(1, {eye: DeltaPolynomial.delta_power(1), cut: DeltaPolynomial.delta_power(0, -1)})
+        product = self.assert_product(DiagramSum.from_diagram(cut), difference)
+        assert product == DiagramSum(1)
 
 
 class TestCancellation:

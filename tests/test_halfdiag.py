@@ -27,6 +27,7 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
+from diagalg.symfunc import syt_count
 from diagalg.walled import WalledIndex, census, index_count_formula
 from diagalg.tl import tl_basis, tl_basis_count, tl_e
 from diagalg.verify import _random_diagram as random_diagram
@@ -262,6 +263,26 @@ class TestDimensions:
             total = sum(dim_standard(n, nu) ** 2 for nu in partitions_up_to(n))
             assert total == bell(2 * n)
         assert bell(8) == 4140
+
+    @staticmethod
+    def schur_weyl_total(k, N):
+        """Sum of f^ν[N] · dim_standard(k, ν) over |ν| <= k with ν[N] = (N - |ν|, ν) a partition."""
+        return sum(
+            syt_count((N - sum(nu), *nu)) * dim_standard(k, nu)
+            for nu in partitions_up_to(k)
+            if N - sum(nu) >= (nu[0] if nu else 0)
+        )
+
+    def test_schur_weyl_dimension_identity(self):
+        # V^{⊗k} for dim V = N splits over S_N × P_k(N) as the sum of
+        # S^ν[N] ⊗ (standard module ν); it counts N^k once N >= 2k - 1.
+        for k in range(11):
+            for N in range(max(2 * k - 1, 1), 2 * k + 4):
+                assert self.schur_weyl_total(k, N) == N**k, (k, N)
+
+    def test_schur_weyl_identity_fails_below_the_faithfulness_bound(self):
+        for k in range(2, 11):
+            assert self.schur_weyl_total(k, 2 * k - 2) != (2 * k - 2) ** k, k
 
 
 # Each builder as (degree, label count) -> value, the name its degree goes

@@ -87,6 +87,7 @@ TRUSTED_CALLERS = {
     "enumerate_basis",
     "TLHalfDiagram.to_half_diagram",
     "DeltaPolynomial.__mul__",
+    "DiagramSum.compose",
     "tl_basis",
 }
 
