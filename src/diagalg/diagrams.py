@@ -93,7 +93,7 @@ class DeltaPolynomial:
     def __add__(self, other) -> "DeltaPolynomial":
         if not isinstance(other, DeltaPolynomial):
             return NotImplemented
-        return DeltaPolynomial(self._terms + other._terms)
+        return DeltaPolynomial._trusted(tuple(sorted(_merge_terms(self._terms + other._terms).items())))
 
     def __mul__(self, other) -> "DeltaPolynomial":
         if isinstance(other, DeltaPolynomial):
@@ -243,27 +243,29 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-def _stack(upper: SetPartitionDiagram, lower: SetPartitionDiagram) -> list[list[int]]:
-    """Stack diagram ``upper`` above diagram ``lower``; list the outer dots of each component.
+def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
+    """Stack ``d1`` above ``d2``; return (interior component count, result diagram).
 
-    The middle row fuses ``upper``'s bottom row with ``lower``'s top row.  Outer
-    dots are +k on ``upper``'s top row and -k on ``lower``'s bottom row, in
-    boundary order 1 < ... < n < n' < ... < 1'.  Components are numbered by
-    first dot in the order top, middle, bottom row, so those touching the top
-    row come first, by least top dot; an empty list lies wholly in the middle.
+    The middle row fuses ``d1``'s bottom row with ``d2``'s top row.  Each
+    component with outer dots (+k on ``d1``'s top row, -k on ``d2``'s bottom
+    row) is a block of the result; each one lying wholly in the middle row
+    is interior and contributes one power of delta.
     """
-    n = upper.n
+    if d1.n != d2.n:
+        raise InvariantViolation("composition requires equal degrees")
+    n = d1.n
     # Node of top dot k: k - 1; of middle dot k: n + k - 1; of bottom dot -k:
     # 3n - k, so each row's nodes run in boundary order.
     uf = _UnionFind(3 * n)
-    for block in upper.blocks:
+    for block in d1.blocks:
         nodes = [k - 1 if k > 0 else n - k - 1 for k in block]
         for a, b in zip(nodes, nodes[1:]):
             uf.union(a, b)
-    for block in lower.blocks:
+    for block in d2.blocks:
         nodes = [n + k - 1 if k > 0 else 3 * n + k for k in block]
         for a, b in zip(nodes, nodes[1:]):
             uf.union(a, b)
+    # Numbered by first node, components touching the top row come first, by least top dot.
     number: dict[int, int] = {}
     outer: list[list[int]] = []
     for x in range(3 * n):
@@ -274,27 +276,14 @@ def _stack(upper: SetPartitionDiagram, lower: SetPartitionDiagram) -> list[list[
             outer[c].append(x + 1)
         elif x >= 2 * n:
             outer[c].append(x - 3 * n)
-    return outer
-
-
-def compose(d1: SetPartitionDiagram, d2: SetPartitionDiagram) -> tuple[int, SetPartitionDiagram]:
-    """Stack ``d1`` above ``d2``; return (interior component count, result diagram).
-
-    Each component of :func:`_stack` with outer dots is a block of the
-    result; each one lying wholly in the middle row is interior and
-    contributes one power of delta.
-    """
-    if d1.n != d2.n:
-        raise InvariantViolation("composition requires equal degrees")
-    outer = _stack(d1, d2)
-    # Components touching the top row come first, by least top dot; bottom-only
-    # ones start at distinct negative dots, so a tuple sort puts them in boundary order.
+    # Bottom-only components start at distinct negative dots, so a tuple sort
+    # puts them in boundary order; an empty list lies wholly in the middle.
     top, bottom = [], []
     for dots in outer:
         if dots:
             (top if dots[0] > 0 else bottom).append(tuple(dots))
     bottom.sort()
-    return len(outer) - len(top) - len(bottom), SetPartitionDiagram._trusted(d1.n, (*top, *bottom))
+    return len(outer) - len(top) - len(bottom), SetPartitionDiagram._trusted(n, (*top, *bottom))
 
 
 def generator(kind: str, i: int, j: int | None, n: int) -> SetPartitionDiagram:
@@ -386,7 +375,7 @@ class DiagramSum:
             return NotImplemented
         if self.n != other.n:
             raise InvariantViolation("sum requires equal degrees")
-        return DiagramSum(self.n, [*self.terms.items(), *other.terms.items()])
+        return DiagramSum._trusted(self.n, _merge_terms([*self.terms.items(), *other.terms.items()]))
 
     def compose(self, other: "DiagramSum") -> "DiagramSum":
         """Bilinear extension of diagram composition.

@@ -170,7 +170,7 @@ class GrothElement:
     def module_class(cls, degree: int, labels: int) -> "GrothElement":
         try:
             return cls({(degree, labels): 1})
-        except InvariantViolation as exc:  # a bad count is an argument error, as in tl_e
+        except InvariantViolation as exc:  # a bad class is an argument error to tl_e and `tl groth`
             raise ValueError(str(exc)) from None
 
     def __add__(self, other) -> "GrothElement":
@@ -214,24 +214,15 @@ def groth_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
 
 
 def tl_e(p: int, q: int, r: int, m: int, n: int) -> int:
-    """0/1 multiplicity for planar half-diagram modules.
+    """0/1 multiplicity for planar half-diagram modules: the coefficient of [m + n, r] in [m, p]·[n, q].
 
     With no through-labeled blocks available, the solution of the count
-    system is pinned: U = (p + q - r) / 2, L = p - U, R = q - U; the value
-    is 1 exactly when all three are non-negative integers.  The input
-    modules must exist (p, q with the parities of m, n); a target label
-    count r off the parity of m + n names a class absent from degree
-    m + n, so its multiplicity is 0.
+    system is pinned: U = (p + q - r) / 2, L = p - U, R = q - U.  It exists
+    exactly on the band that :func:`groth_multiply` expands over, so the
+    value is 0 or 1.  The input classes must exist; a target r that the
+    product does not reach gives 0.
     """
-    m, n = _check_count(m, "m"), _check_count(n, "n")
-    if p % 2 != m % 2:
-        raise ValueError(f"label count p={p} must have the parity of m = {m}")
-    if q % 2 != n % 2:
-        raise ValueError(f"label count q={q} must have the parity of n = {n}")
-    if r % 2 != (m + n) % 2:
-        return 0
-    doubled_u = p + q - r
-    if doubled_u < 0 or doubled_u % 2:
-        return 0
-    u = doubled_u // 2
-    return 1 if p - u >= 0 and q - u >= 0 else 0
+    for value, name in ((m, "m"), (n, "n"), (p, "p"), (q, "q"), (r, "r")):
+        _check_count(value, name)
+    product = groth_multiply(GrothElement.module_class(m, p), GrothElement.module_class(n, q))
+    return product.terms.get((m + n, r), 0)

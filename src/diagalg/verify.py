@@ -435,7 +435,8 @@ def verify_tl_suite(report: VerifyReport, top: int) -> None:
 def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
     """Five boundary and symmetry identities of the multiplicity, and p, q symmetry.
 
-    At each triple, the closed form and the system count must both show
+    The closed form and the system count must both show, each identity
+    counted only at the triples where it applies,
     1. vanishing above the band: value 0 whenever p + q < r;
     2. value 1 on the band boundary (p + q = r or |p - q| = r);
     3. with a zero parameter, value 1 exactly when the other two agree;
@@ -449,15 +450,16 @@ def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
                 closed = multiplicity.e_closed(p, q, r)
                 count, _ = multiplicity.e_lattice(p, q, r)
                 where = f"({p},{q},{r}) item"
-                report.check(p + q >= r or closed == count == 0, f"{where} vanishing: value {closed}")
-                on_boundary = p + q == r or abs(p - q) == r
-                report.check(not on_boundary or closed == count == 1, f"{where} boundary_one: value {closed}")
+                if p + q < r:
+                    report.check(closed == count == 0, f"{where} vanishing: value {closed}")
+                if p + q == r or abs(p - q) == r:
+                    report.check(closed == count == 1, f"{where} boundary_one: value {closed}")
                 low, mid, high = sorted((p, q, r))
-                expected = 1 if mid == high else 0
-                report.check(
-                    low > 0 or closed == count == expected,
-                    f"{where} zero_parameter: value {closed}, expected {expected}",
-                )
+                if low == 0:
+                    expected = 1 if mid == high else 0
+                    report.check(
+                        closed == count == expected, f"{where} zero_parameter: value {closed}, expected {expected}"
+                    )
                 pairs = multiplicity.admissible_degree_pairs(p, q, r)
                 values = [
                     multiplicity.bvo_multiplicity(one_part(r), one_part(p), one_part(q), m, n)

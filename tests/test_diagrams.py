@@ -15,7 +15,6 @@ from diagalg.diagrams import (
     DiagramSum,
     InvariantViolation,
     SetPartitionDiagram,
-    _stack,
     compose,
     generator,
     is_noncrossing,
@@ -684,17 +683,12 @@ def stack_pairs(half):
 
 class TestStackContract:
     def test_components_and_numbering(self):
+        # compose numbers and splits the stacked components itself; the graph
+        # search and the 2n-dot action reading are its two oracles
         for upper, lower in stack_pairs(half=False):
-            boundary = boundary_key(upper.n)
-
-            def first_dot(component):
-                # components are numbered by first dot: top row, middle row, bottom row
-                dots, mids = component
-                top = [k for k in dots if k > 0]
-                return (0, top[0]) if top else (1, mids[0]) if mids else (2, boundary(dots[0]))
-
-            expected = [sorted(dots, key=boundary) for dots, mids in sorted(oracle_stack(upper, lower), key=first_dot)]
-            assert _stack(upper, lower) == expected
+            got = compose(upper, lower)
+            assert got == oracle_compose(upper, lower) == compose_by_action(upper, lower)
+            assert_canonical(got[1])
 
     def test_act_top_matches_graph_search(self):
         for d, v in stack_pairs(half=True):
@@ -764,6 +758,35 @@ class TestSumProducts:
         difference = DiagramSum(1, {eye: DeltaPolynomial.delta_power(1), cut: DeltaPolynomial.delta_power(0, -1)})
         product = self.assert_product(DiagramSum.from_diagram(cut), difference)
         assert product == DiagramSum(1)
+
+
+def assert_canonical_polynomial(c):
+    """``c`` has the exact terms the validating constructor gives them: sorted, merged, no zero entry."""
+    assert c.terms() == DeltaPolynomial(c.terms()).terms()
+    assert all(type(coeff) is int and coeff for _, coeff in c.terms())
+
+
+class TestSums:
+    """``+`` merges already-valid operands unchecked; the validating constructors are its oracle."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.tuples(delta_polynomials(), delta_polynomials()))
+    def test_polynomial_sum_matches_checked_constructor(self, pair):
+        a, b = pair
+        total = a + b
+        assert total == DeltaPolynomial(a.terms() + b.terms())
+        assert_canonical_polynomial(total)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(diagram_sums(n), diagram_sums(n))))
+    def test_diagram_sum_matches_checked_constructor(self, pair):
+        a, b = pair
+        total = a + b
+        checked = DiagramSum(a.n, [*a.terms.items(), *b.terms.items()])
+        assert total == checked and list(total.terms) == list(checked.terms)
+        for d, c in total.terms.items():
+            assert d.n == a.n and c
+            assert_canonical_polynomial(c)
 
 
 class TestCancellation:

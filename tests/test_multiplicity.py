@@ -411,10 +411,11 @@ class TestSymmetrySuite:
         assert e_lattice(5, 3, 4)[0] == e_lattice(5, 3, 6)[0]
 
     def test_grid_passes(self):
-        # every triple with entries up to 6, six checks each
+        # every triple with entries up to 6: three checks each, plus vanishing,
+        # boundary_one and zero_parameter at the 56, 64 and 127 triples where they apply
         report = verify.run_suite("symmetry-lemma", 6)
         assert report.ok, report.failures
-        assert report.cases == 6 * 7**3
+        assert report.cases == 3 * 7**3 + 56 + 64 + 127 == 1_276
 
     def test_symmetric_in_p_q(self):
         for p in range(8):

@@ -86,7 +86,9 @@ TRUSTED_CALLERS = {
     "act_top",
     "enumerate_basis",
     "TLHalfDiagram.to_half_diagram",
+    "DeltaPolynomial.__add__",
     "DeltaPolynomial.__mul__",
+    "DiagramSum.__add__",
     "DiagramSum.compose",
     "tl_basis",
 }
@@ -122,20 +124,20 @@ def test_compose_builds_no_validated_diagram():
     called = {
         call.func.id for scope, call in _calls(tree) if scope == "compose" and isinstance(call.func, ast.Name)
     }
-    assert "_stack" in called
+    assert "_UnionFind" in called
     assert "SetPartitionDiagram" not in called
 
 
 def test_stack_serves_only_compose():
+    # compose stacks two diagrams dot by dot on its own union-find;
     # act_top and walled.transition share halfdiag._glue, a union-find over
-    # half-diagram blocks; _stack is the diagram-over-diagram read-out and
-    # has one caller.
-    found = set()
-    for _, tree in _parsed_sources():
+    # half-diagram blocks.
+    found = {"_UnionFind": set(), "_glue": set()}
+    for path, tree in _parsed_sources():
         for scope, call in _calls(tree):
-            if isinstance(call.func, ast.Name) and call.func.id == "_stack":
-                found.add(scope)
-    assert found == {"compose"}, sorted(found)
+            if isinstance(call.func, ast.Name) and call.func.id in found:
+                found[call.func.id].add(f"{path.stem}.{scope}")
+    assert found == {"_UnionFind": {"diagrams.compose"}, "_glue": {"halfdiag.act_top", "walled.transition"}}, found
 
 
 def test_act_top_builds_no_validated_half_diagram():

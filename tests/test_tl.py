@@ -345,6 +345,33 @@ class TestPinnedMultiplicity:
     def test_absent_target_class_is_zero(self):
         assert tl_e(1, 1, 1, 1, 1) == 0
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5, 5, 10, 1, 1), "class (1, 5) needs 0 <= labels <= degree with equal parity"),
+            ((1, 3, 2, 1, 1), "class (1, 3) needs 0 <= labels <= degree with equal parity"),
+            ((1.0, 1, 0, 1, 1), "p must be a non-negative integer, got 1.0"),
+            ((-1, 1, 0, 1, 1), "p must be a non-negative integer, got -1"),
+            ((1, True, 0, 1, 1), "q must be a non-negative integer, got True"),
+        ],
+        ids=["p-above-m", "q-above-n", "float-p", "negative-p", "bool-q"],
+    )
+    def test_input_class_must_exist(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            tl_e(*args)
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("r", [-1, 1.0, "0"])
+    def test_bad_target_label_count_is_rejected(self, r):
+        message = re.escape(f"r must be a non-negative integer, got {r!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tl_e(1, 1, r, 1, 1)
+
+    def test_target_above_the_degree_is_zero(self):
+        for r in range(3, 7):
+            assert tl_e(1, 1, r, 1, 1) == 0
+        assert tl_e(2, 2, 6, 2, 2) == 0
+
     def test_matches_triangle_and_pinned_solutions(self):
         for m in range(1, 5):
             for n in range(1, 5):

@@ -15,9 +15,9 @@ def _pinned(name, limit):
 @pytest.mark.parametrize(
     "name, limit, cases",
     [
-        ("symmetry-lemma", 1, 48),
-        ("symmetry-lemma", 5, 1_296),
-        ("symmetry-lemma", None, 13_182),
+        ("symmetry-lemma", 1, 36),
+        ("symmetry-lemma", 5, 820),
+        ("symmetry-lemma", None, 7_659),
         ("tl-suite", 1, 363),
         ("tl-suite", 5, 642),
         ("tl-suite", None, 719),
@@ -35,13 +35,43 @@ def test_symmetry_lemma_failure_wording(monkeypatch):
     monkeypatch.setattr(multiplicity, "e_closed", lambda p, q, r: 0 if (p, q, r) == (1, 0, 1) else real(p, q, r))
     assert _pinned("symmetry-lemma", 1) == {
         "suite": "symmetry-lemma",
-        "cases": 48,
+        "cases": 36,
         "failures": [
             "(1,0,1) item boundary_one: value 0",
             "(1,0,1) item zero_parameter: value 0, expected 1",
         ],
         "ok": False,
     }
+
+
+# Each identity that holds only on part of the grid, with the triples where it applies.
+PARTIAL_IDENTITIES = {
+    "vanishing": lambda p, q, r: p + q < r,
+    "boundary_one": lambda p, q, r: p + q == r or abs(p - q) == r,
+    "zero_parameter": lambda p, q, r: 0 in (p, q, r),
+}
+
+
+@pytest.mark.parametrize(
+    "identity, applies, does_not",
+    [("vanishing", (0, 0, 1), (1, 1, 2)), ("boundary_one", (2, 1, 3), (2, 2, 1)), ("zero_parameter", (0, 2, 2), (1, 2, 2))],
+    ids=list(PARTIAL_IDENTITIES),
+)
+def test_symmetry_lemma_counts_an_identity_only_where_it_applies(monkeypatch, identity, applies, does_not):
+    recorded = []
+    real = verify.VerifyReport.check
+
+    def check(report, condition, message):
+        recorded.append(message)
+        real(report, condition, message)
+
+    monkeypatch.setattr(verify.VerifyReport, "check", check)
+    report = verify.run_suite("symmetry-lemma", 3)
+    triples = [tuple(int(x) for x in m[1 : m.index(")")].split(",")) for m in recorded if f" item {identity}:" in m]
+    grid = [(p, q, r) for p in range(4) for q in range(4) for r in range(4)]
+    assert triples == [t for t in grid if PARTIAL_IDENTITIES[identity](*t)]
+    assert applies in triples and does_not not in triples
+    assert len(recorded) == report.cases
 
 
 def test_tl_suite_failure_wording(monkeypatch):
