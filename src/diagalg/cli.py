@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from . import geometry, multiplicity, tl, verify, walled
@@ -207,8 +208,9 @@ def _cmd_walled(args) -> int:
         w = _build(walled.WalledHalfDiagram.from_json, _load_json(args.input), "walled half-diagram")
         index = walled.index_of(w).render()
         return _emit(args, {"index": index}, [index])
-    _check_budget(args.m + args.n, CENSUS_MAX_DOTS, "walled census", "m + n <= {} dots")
-    census = walled.census(args.m, args.n, _check_count(args.r, "r"))
+    m, n, r = (_check_count(v, name) for v, name in ((args.m, "m"), (args.n, "n"), (args.r, "r")))
+    _check_budget(m + n, CENSUS_MAX_DOTS, "walled census", "m + n <= {} dots")
+    census = walled.census(m, n, r)
     payload = {idx.render(): count for idx, count in census.items()}
     return _emit(args, payload, (f"{key}: {count}" for key, count in payload.items()))
 
@@ -232,10 +234,11 @@ def _cmd_geometry(args) -> int:
 
 
 def _parse_class(text: str) -> tuple[int, int]:
+    # a sign and ASCII digits each side; int() alone also takes "_", spaces and other digits
+    match = re.fullmatch(r"([+-]?[0-9]+):([+-]?[0-9]+)", text)
     try:
-        degree, _, labels = text.partition(":")
-        return int(degree), int(labels)
-    except ValueError:
+        return int(match[1]), int(match[2])
+    except (TypeError, ValueError):  # no match, or too many digits for int()
         raise ValueError(f"class argument must look like 'degree:labels', got {text!r}")
 
 

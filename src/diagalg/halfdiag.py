@@ -39,11 +39,13 @@ class HalfDiagram:
 
     def __init__(self, n: int, blocks, labeled=()):
         clean = [tuple(sorted(bl)) for bl in _check_blocks(n, blocks, signed=False)]
-        labeled = tuple(labeled)
-        labels = set(labeled)
+        labels: set[int] = set()
         for idx in labeled:
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(clean):
                 raise InvariantViolation(f"labeled index {idx!r} does not point at a block")
+            if idx in labels:
+                raise InvariantViolation(f"labeled index {idx} appears more than once")
+            labels.add(idx)
         order = sorted(range(len(clean)), key=lambda i: clean[i][0])
         self.n, self.blocks = n, tuple(clean[i] for i in order)
         self.labeled = frozenset(order.index(i) for i in labels)

@@ -293,6 +293,22 @@ class TestComposeAndAct:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed {what}: '{field}' "), err
 
+    @pytest.mark.parametrize(
+        "command, what, payload",
+        [
+            ("act", "half-diagram", {"n": 2, "blocks": [[1], [2]], "labeled": [0, 0]}),
+            ("walled", "walled half-diagram", {"m": 1, "n": 1, "blocks": [[1], [-1]], "labeled": [1, 1]}),
+        ],
+        ids=["act", "walled"],
+    )
+    def test_repeated_label_index_exit_3(self, tmp_path, capsys, command, what, payload):
+        bad = write(tmp_path, "bad.json", payload)
+        ok = write(tmp_path, "ok.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})
+        argv = {"act": ["act", ok, bad], "walled": ["walled", "index", bad]}
+        assert main(argv[command]) == 3
+        index = payload["labeled"][0]
+        assert capsys.readouterr() == ("", f"error: invalid {what}: labeled index {index} appears more than once\n")
+
     def test_degree_mismatch_exit_3(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})
         b = write(tmp_path, "b.json", {"n": 3, "blocks": [[1, -1], [2, -2], [3, -3]]})
@@ -322,6 +338,11 @@ class TestWalled:
         for m, n, side in (("-1", "2", "m"), ("2", "-1", "n")):
             assert main(["walled", "census", "-m", m, "-n", n, "-r", "0"]) == 2
             assert capsys.readouterr().err == f"error: {side} must be a non-negative integer, got -1\n"
+
+    def test_census_checks_each_count_before_the_dots_budget(self, capsys):
+        for m, n, r, name in (("-1", "42", "0", "m"), ("42", "-1", "0", "n"), ("41", "0", "-1", "r")):
+            assert main(["walled", "census", "-m", m, "-n", n, "-r", r]) == 2
+            assert capsys.readouterr() == ("", f"error: {name} must be a non-negative integer, got -1\n")
 
     def test_census_negative_labels_usage_error(self, capsys):
         for fmt in ("json", "text"):
@@ -472,6 +493,25 @@ class TestTL:
 
     def test_bad_class_argument_usage_error(self, capsys):
         assert main(["tl", "groth", "--left", "nonsense", "--right", "1:1"]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2_0:0", " 2:0", "2:0 ", "2:\u0660", "2:", ":0", "2", "2:0:0", "+-2:0", "9" * 5000 + ":1"],
+        ids=["underscore", "lead-space", "trail-space", "arabic-digit", "no-labels", "no-degree", "no-colon",
+             "two-colons", "two-signs", "too-long"],
+    )
+    def test_class_takes_a_sign_and_ascii_digits_each_side(self, capsys, text):
+        assert main(["tl", "groth", f"--left={text}", "--right", "1:1"]) == 2
+        assert capsys.readouterr() == ("", f"error: class argument must look like 'degree:labels', got {text!r}\n")
+
+    def test_class_takes_a_sign(self, capsys):
+        assert main(["tl", "groth", "--left=+2:+0", "--right", "1:1", "--format", "text"]) == 0
+        plus = capsys.readouterr().out
+        assert main(["tl", "groth", "--left=2:0", "--right", "1:1", "--format", "text"]) == 0
+        assert capsys.readouterr().out == plus
+        # a sign parses, and the class band check still names the class
+        assert main(["tl", "groth", "--left=-1:1", "--right", "1:1"]) == 2
+        assert capsys.readouterr() == ("", "error: class (-1, 1) needs 0 <= labels <= degree with equal parity\n")
 
     @pytest.mark.parametrize(
         "left, right, klass",

@@ -62,6 +62,10 @@ class TestHalfDiagram:
         with pytest.raises(InvariantViolation, match="^labeled index True does not point at a block$"):
             HalfDiagram(2, [[1], [2]], labeled)
 
+    def test_repeated_label_index_rejected(self):
+        with pytest.raises(InvariantViolation, match="^labeled index 0 appears more than once$"):
+            HalfDiagram(2, [[1], [2]], [0, 0])
+
     def test_json_round_trip(self):
         hd = HalfDiagram.from_json(ACT_INPUT)
         assert HalfDiagram.from_json(hd.to_json()) == hd

@@ -377,6 +377,17 @@ class TestTransition:
         g = generator("S", 1, 2, 4)
         assert transition(g, w).case is TransitionCase.UNCHANGED
 
+    def test_every_admissible_delta_lowers_the_index_and_a_side_count(self):
+        # transition-lemma's per-move check and a filtration by (kL, kR) rest on
+        # this: each delta lowers (U, T, L, R) lexicographically, and lowers
+        # kL = U + T + L or kR = U + T + R while raising neither
+        assert len(_CASE_BY_DELTA) == 8
+        assert set(_CASE_BY_DELTA.values()) == set(TransitionCase) - {TransitionCase.UNCHANGED}
+        for du, dt, dl, dr in _CASE_BY_DELTA:
+            assert (du, dt, dl, dr) < (0, 0, 0, 0)
+            sides = (du + dt + dl, du + dt + dr)
+            assert max(sides) <= 0 and min(sides) < 0
+
     def test_rejects_non_generator(self):
         w = WalledHalfDiagram.from_blocks(1, 1, [[1], [2]])
         bad = SetPartitionDiagram(2, [[1, 2, -1, -2]])  # merges across the wall
