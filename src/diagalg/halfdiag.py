@@ -48,7 +48,7 @@ class HalfDiagram:
             labels.add(idx)
         order = sorted(range(len(clean)), key=lambda i: clean[i][0])
         self.n, self.blocks = n, tuple(clean[i] for i in order)
-        self.labeled = frozenset(order.index(i) for i in labels)
+        self.labeled = frozenset(pos for pos, i in enumerate(order) if i in labels)
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple, labeled: frozenset) -> "HalfDiagram":
@@ -146,11 +146,15 @@ def _glue(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, list[list[int]],
     block lists its top dots in order, so a group's dots need sorting only
     when a joined block's first top dot lies below the group's last.  ``v``
     covers every middle dot, so every component missing the top row holds a
-    block of ``v``: the trapped count is the number of roots the top row
-    does not reach.  A top-row block is labeled when a labeled block of
-    ``v`` joins it.
+    block of ``v``: the trapped count is the number of roots less the
+    ``reached`` count of roots the top row joins.  A top-row block is labeled
+    when a labeled block of ``v`` joins it.  Both maps are lists, not dicts:
+    ``owner`` indexed by middle dot, ``group`` by block of ``v``.
     """
-    owner = {k: i for i, block in enumerate(v.blocks) for k in block}  # middle dot -> block of v
+    owner = [0] * (v.n + 1)  # middle dot -> block of v; index 0 unused
+    for i, block in enumerate(v.blocks):
+        for k in block:
+            owner[k] = i
     parent = list(range(len(v.blocks)))  # each find below is inlined, with path halving
     roots, rows = len(parent), []  # rows: (top dots, first block of v reached or -1)
     for block in d.blocks:
@@ -168,17 +172,18 @@ def _glue(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, list[list[int]],
                 parent[a], roots = first, roots - 1
         if tops:
             rows.append((tops, first))
-    group, merged, unsorted = {}, [], False  # group: root reached from the top row -> its block in merged
+    group, reached, merged, unsorted = [-1] * len(parent), 0, [], False  # group: root -> its block in merged, or -1
     for tops, a in rows:
         if a >= 0:
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
-            g = group.setdefault(a, len(merged))
-            if g < len(merged):
+            g = group[a]
+            if g >= 0:
                 dots = merged[g]
                 unsorted = unsorted or dots[-1] > tops[0]
                 dots += tops
                 continue
+            group[a], reached = len(merged), reached + 1
         merged.append(tops)
     if unsorted:
         merged = [sorted(dots) for dots in merged]
@@ -186,9 +191,9 @@ def _glue(d: SetPartitionDiagram, v: HalfDiagram) -> tuple[int, list[list[int]],
     for a in v.labeled:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
-        if a in group:
+        if group[a] >= 0:
             labeled.append(group[a])
-    return roots - len(group), merged, frozenset(labeled)
+    return roots - reached, merged, frozenset(labeled)
 
 
 def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:

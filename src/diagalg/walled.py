@@ -256,9 +256,9 @@ def tensor_generators(m: int, n: int) -> tuple[tuple[str, SetPartitionDiagram], 
 
 
 @cache
-def _tensor_generator_set(m: int, n: int) -> frozenset[SetPartitionDiagram]:
-    members = {d for _, d in tensor_generators(m, n)}
-    members.add(SetPartitionDiagram.identity(m + n))
+def _tensor_generator_set(m: int, n: int) -> frozenset[tuple]:
+    members = {d.blocks for _, d in tensor_generators(m, n)}
+    members.add(SetPartitionDiagram.identity(m + n).blocks)
     return frozenset(members)
 
 
@@ -314,7 +314,7 @@ def transition(g: SetPartitionDiagram, w: WalledHalfDiagram) -> Transition:
     global _last_index
     if g.n != w.m + w.n:
         raise InvariantViolation("generator degree must match the walled diagram")
-    if g not in _tensor_generator_set(w.m, w.n):
+    if g.blocks not in _tensor_generator_set(w.m, w.n):  # at the degree checked above, the blocks name g
         raise ValueError("diagram is not a juxtaposed one-sided generator or the identity")
     last, old = _last_index
     if w is not last:

@@ -15,9 +15,9 @@ def _pinned(name, limit):
 @pytest.mark.parametrize(
     "name, limit, cases",
     [
-        ("symmetry-lemma", 1, 20),
-        ("symmetry-lemma", 5, 532),
-        ("symmetry-lemma", None, 5_124),
+        ("symmetry-lemma", 1, 18),
+        ("symmetry-lemma", 5, 406),
+        ("symmetry-lemma", None, 3_642),
         ("tl-suite", 1, 363),
         ("tl-suite", 5, 642),
         ("tl-suite", None, 719),
@@ -35,7 +35,7 @@ def test_symmetry_lemma_failure_wording(monkeypatch):
     monkeypatch.setattr(multiplicity, "e_closed", lambda p, q, r: 0 if (p, q, r) == (1, 0, 1) else real(p, q, r))
     assert _pinned("symmetry-lemma", 1) == {
         "suite": "symmetry-lemma",
-        "cases": 20,
+        "cases": 18,
         "failures": [
             "(1,0,1) item boundary_one: value 0",
             "(1,0,1) item zero_parameter: value 0, expected 1",

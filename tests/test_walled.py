@@ -23,6 +23,7 @@ from diagalg.walled import (
     WalledIndex,
     _census_table,
     _index,
+    _tensor_generator_set,
     census,
     enumerate_walled,
     index_count_formula,
@@ -412,6 +413,38 @@ class TestTransition:
         message = re.escape("index moved 1;0,0,0 -> 0;0,0,0, outside the admissible cases")
         with pytest.raises(TransitionClassificationError, match=f"^{message}$"):
             transition(generator("P", 1, None, 4), w)
+
+    @staticmethod
+    def _rebuilt_generators(m, n):
+        """The (m|n) generators, each built afresh by ``generator`` at its side's offset."""
+        gens = []
+        for offset, size in ((0, m), (m, n)):
+            gens += [generator("P", offset + i, None, m + n) for i in range(1, size + 1)]
+            for i, j in combinations(range(offset + 1, offset + size + 1), 2):
+                gens += [generator("E", i, j, m + n), generator("S", i, j, m + n)]
+        return gens
+
+    def test_the_generator_check_depends_on_the_split(self):
+        # transition accepts a generator by its blocks: two splits of one
+        # degree share the identity and each generator whose dots lie on one
+        # side of both walls, and no other
+        rejected = 0
+        for degree in range(6):
+            splits = [(m, degree - m) for m in range(degree + 1)]
+            for m, n in splits:
+                _tensor_generator_set.cache_clear()  # cold, as at the start of a benchmark pass
+                w = WalledHalfDiagram.from_blocks(m, n, [[k] for k in range(1, degree + 1)])
+                own = self._rebuilt_generators(m, n)
+                assert own == [g for _, g in tensor_generators(m, n)]
+                for g in own + [SetPartitionDiagram.identity(degree)]:
+                    transition(g, w)
+                for m2, n2 in splits:
+                    for g in self._rebuilt_generators(m2, n2):
+                        if g not in own:
+                            with pytest.raises(ValueError, match="^diagram is not a juxtaposed one-sided generator"):
+                                transition(g, w)
+                            rejected += 1
+        assert rejected == 224
 
     def test_rejects_a_degree_mismatch(self):
         w = WalledHalfDiagram.from_blocks(1, 1, [[1], [2]])
