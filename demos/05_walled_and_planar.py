@@ -55,7 +55,7 @@ print("[V_2(2)] · [V_3(1)] =", product.render())
 # The planar (3|3) diagrams of index 1;0,2,0 against the product of the
 # one-sided planar counts with 1 + 2 and 1 + 0 labels.
 slice_count = sum(
-    index_of(WalledHalfDiagram(3, 3, d.to_half_diagram())) == WalledIndex(1, 0, 2, 0)
+    index_of(WalledHalfDiagram(3, 3, d)) == WalledIndex(1, 0, 2, 0)
     for d in tl_basis(6, 2)
 )
 print("walled planar census slice vs product:",

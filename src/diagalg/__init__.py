@@ -52,8 +52,8 @@ from .symfunc import (
 )
 from .tl import (
     GrothElement,
-    TLHalfDiagram,
     groth_multiply,
+    planar_row,
     tl_basis,
     tl_basis_count,
     tl_e,

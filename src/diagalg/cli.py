@@ -242,6 +242,12 @@ def _parse_class(text: str) -> tuple[int, int]:
         raise ValueError(f"class argument must look like 'degree:labels', got {text!r}")
 
 
+def _planar_json(row: HalfDiagram) -> dict:
+    """A planar row as `tl basis` lists it: its caps by left end, then its labeled dots."""
+    caps = [list(block) for block in row.blocks if len(block) == 2]
+    return {"n": row.n, "caps": caps, "labels": [block[0] for block in row.blocks if len(block) == 1]}
+
+
 def _cmd_tl(args) -> int:
     if args.mode == "basis":
         _check_count(args.r, "r")
@@ -254,13 +260,9 @@ def _cmd_tl(args) -> int:
         limit = f"{TL_BASIS_MAX_DOTS} listed dots ({{}} diagrams at -n {args.n})"
         tail = " diagrams; for the count use --count-only"
         _check_budget(count, TL_BASIS_MAX_DOTS // max(args.n, 1), "tl basis", limit, tail)
-        basis = tl.tl_basis(args.n, args.r)
-        if args.format == "json":
-            print(json.dumps([d.to_json() for d in basis]))
-        else:
-            for d in basis:
-                print(d.render())
-        return 0
+        rows = [_planar_json(row) for row in tl.tl_basis(args.n, args.r)]
+        pieces = ([f"{{{a},{b}}}" for a, b in row["caps"]] + [f"{{{dot}}}*" for dot in row["labels"]] for row in rows)
+        return _emit(args, rows, ("{" + ",".join(p) + "}" for p in pieces))
     (m, p), (n, q) = _parse_class(args.left), _parse_class(args.right)
     product = tl.groth_multiply(tl.GrothElement.module_class(m, p), tl.GrothElement.module_class(n, q))
     return _emit(args, product.to_json(), [product.render()])

@@ -4,131 +4,115 @@ The planar (Temperley-Lieb) half-diagram on n dots has two kinds of
 blocks: labeled single dots and unlabeled non-crossing caps, with no
 labeled dot strictly inside a cap: read left to right with the open caps
 on a stack, a labeled dot finds no cap open and a right end closes the
-innermost one.  The constructor checks a row by that reading and
-``tl_basis`` walks it.  The count with r labels is the ballot
-number C(n, (n-r)/2) - C(n, (n-r)/2 - 1).  Module classes [degree, labels]
-generate a ring whose structure constants are 0/1 and detect exactly the
-degenerate-triangle condition |p - q| <= r <= p + q.
+innermost one.  Rows are ``HalfDiagram`` values: ``planar_row`` checks
+one by that reading and ``tl_basis`` walks it.  The count with r labels
+is the ballot number C(n, (n-r)/2) - C(n, (n-r)/2 - 1).  Module classes
+[degree, labels] generate a ring whose structure constants are 0/1 and
+detect exactly the degenerate-triangle condition |p - q| <= r <= p + q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .diagrams import InvariantViolation, _check_count, _merge_terms
 from .halfdiag import HalfDiagram
 
 
-@dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
-class TLHalfDiagram:
-    """A planar half-diagram: non-crossing caps plus labeled single dots."""
-
-    n: int
-    caps: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...] = field(compare=False)
-
-    def __init__(self, n: int, caps):
-        _check_count(n, "degree", InvariantViolation)
-        partner: dict[int, int] = {}
-        for cap in caps:
-            try:
-                left, right = cap
-            except (TypeError, ValueError):  # not two dots
-                left = right = None
-            if left == right:
-                raise InvariantViolation(f"cap {cap!r} must join two distinct dots")
-            for dot in (left, right):
-                if not isinstance(dot, int):
-                    raise InvariantViolation(f"dot {dot!r} is not an integer")
-            if right < left:
-                left, right = right, left
-            for dot in (left, right):
-                if isinstance(dot, bool) or not 1 <= dot <= n:
-                    raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
-                if dot in partner:
-                    raise InvariantViolation(f"dot {dot} appears in more than one cap")
-            partner[left], partner[right] = right, left
-        clean: list[tuple[int, int]] = []  # by left end, as the scan opens them
-        labels, opened = [], []
-        for dot in range(1, n + 1):
-            end = partner.get(dot)
-            if end is None:
-                if opened:
-                    raise InvariantViolation(f"labeled dot {dot} sits inside cap {opened[0]}")
-                labels.append(dot)
-            elif end > dot:
-                clean.append((dot, end))
-                opened.append(clean[-1])
-            else:
-                inner = opened.pop()
-                if inner[0] != end:
-                    raise InvariantViolation(f"caps {(end, dot)} and {inner} cross")
-        self.n = n
-        self.caps = tuple(clean)
-        self.labels = tuple(labels)
-
-    @classmethod
-    def _trusted(cls, n: int, caps: tuple, labels: tuple) -> "TLHalfDiagram":
-        """Wrap a row already in canonical form (caps by left end), with no check."""
-        row = object.__new__(cls)
-        row.n, row.caps, row.labels = n, caps, labels
-        return row
-
-    @property
-    def r(self) -> int:
-        return len(self.labels)
-
-    def to_half_diagram(self) -> HalfDiagram:
-        """The same object as a labeled set partition."""
-        # Caps are sorted pairs and every single dot is labeled; sorting the
-        # blocks orders them by least element, as the dots are distinct.
-        blocks = tuple(sorted([*self.caps, *((dot,) for dot in self.labels)]))
-        labeled = frozenset(i for i, block in enumerate(blocks) if len(block) == 1)
-        return HalfDiagram._trusted(self.n, blocks, labeled)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "caps": [list(c) for c in self.caps], "labels": list(self.labels)}
-
-    def render(self) -> str:
-        pieces = ["{" + f"{a},{b}" + "}" for a, b in self.caps]
-        pieces += ["{" + str(dot) + "}*" for dot in self.labels]
-        return "{" + ",".join(pieces) + "}"
-
-    def __repr__(self) -> str:
-        return f"TLHalfDiagram({self.n}, {self.render()})"
+def planar_row(n: int, caps) -> HalfDiagram:
+    """The planar half-diagram of degree n with these non-crossing caps and every other dot labeled."""
+    _check_count(n, "degree", InvariantViolation)
+    partner: dict[int, int] = {}
+    for cap in caps:
+        try:
+            left, right = cap
+        except (TypeError, ValueError):  # not two dots
+            left = right = None
+        if left == right:
+            raise InvariantViolation(f"cap {cap!r} must join two distinct dots")
+        for dot in (left, right):
+            if not isinstance(dot, int):
+                raise InvariantViolation(f"dot {dot!r} is not an integer")
+        if right < left:
+            left, right = right, left
+        for dot in (left, right):
+            if isinstance(dot, bool) or not 1 <= dot <= n:
+                raise InvariantViolation(f"dot {dot!r} out of range for degree {n}")
+            if dot in partner:
+                raise InvariantViolation(f"dot {dot} appears in more than one cap")
+        partner[left], partner[right] = right, left
+    blocks: list[tuple[int, ...]] = []  # by least dot, as the scan opens them
+    labeled, opened = [], []
+    for dot in range(1, n + 1):
+        end = partner.get(dot)
+        if end is None:
+            if opened:
+                raise InvariantViolation(f"labeled dot {dot} sits inside cap {opened[0]}")
+            labeled.append(len(blocks))
+            blocks.append((dot,))
+        elif end > dot:
+            blocks.append((dot, end))
+            opened.append(blocks[-1])
+        else:
+            inner = opened.pop()
+            if inner[0] != end:
+                raise InvariantViolation(f"caps {(end, dot)} and {inner} cross")
+    return HalfDiagram(n, blocks, labeled)
 
 
-def tl_basis(n: int, r: int) -> tuple[TLHalfDiagram, ...]:
-    """All degree-n planar half-diagrams with r labeled dots.
+def _planar_walk(n: int, r: int):
+    """Yield the rows of :func:`tl_basis` one by one, each built with no check.
 
     Walks the dots left to right with a stack of partial rows, trying at
     each dot a label (only with no cap open), a new cap, then closing the
     innermost cap.  A step is taken only when the open caps plus the labels
     still needed fit in the dots left.  That prune is exact: every partial
     row ends in a diagram, so no work goes to branches that yield none.
-    A label count r outside 0..n, or off the parity of n, gives no diagram.
+    With no cap open, the blocks before a label are the closed caps and the
+    k earlier labels, so its block index is len(caps) + k.  Labels go on a
+    chain (block, index, rest), so adding one costs O(1).  The rows of one
+    call share their single-dot blocks and label sets.
     """
-    _check_count(n, "n")
-    if r < 0 or r > n or (n - r) % 2:
-        return ()
-    results: list[TLHalfDiagram] = []
-    # (next dot, left ends of the open caps, closed caps, labeled dots)
-    pending = [(1, (), (), ())]
+    if not tl_basis_count(n, r):
+        return
+    singles = [(dot,) for dot in range(n + 1)]
+    label_sets: dict[tuple[int, ...], frozenset[int]] = {}
+    # (next dot, left ends of the open caps, closed caps, label count, label chain)
+    pending = [(1, (), (), 0, ())]
     while pending:
-        dot, opened, caps, labels = pending.pop()
-        if dot > n:  # caps closed innermost first; sorted, they run by left end
-            results.append(TLHalfDiagram._trusted(n, tuple(sorted(caps)), labels))
+        dot, opened, caps, k, labels = pending.pop()
+        if dot > n:
+            blocks, key = list(caps), []
+            while labels:
+                block, i, labels = labels
+                blocks.append(block)
+                key.append(i)
+            # Caps close innermost first and labels come last first; the dots
+            # are distinct, so sorting puts the blocks in order of least dot.
+            blocks.sort()
+            key = tuple(key)
+            labeled = label_sets.get(key)
+            if labeled is None:
+                labeled = label_sets[key] = frozenset(key)
+            yield HalfDiagram._trusted(n, tuple(blocks), labeled)
             continue
         # Pushed in reverse, so they come off in the order above.  Closing
         # and labeling keep the bound the partial row met; opening may not.
         if opened:
-            pending.append((dot + 1, opened[:-1], (*caps, (opened[-1], dot)), labels))
-        if len(opened) + 1 + r - len(labels) <= n - dot:
-            pending.append((dot + 1, (*opened, dot), caps, labels))
-        if not opened and len(labels) < r:
-            pending.append((dot + 1, opened, caps, (*labels, dot)))
-    return tuple(results)
+            pending.append((dot + 1, opened[:-1], (*caps, (opened[-1], dot)), k, labels))
+        if len(opened) + 1 + r - k <= n - dot:
+            pending.append((dot + 1, (*opened, dot), caps, k, labels))
+        if not opened and k < r:
+            pending.append((dot + 1, opened, caps, k + 1, (singles[dot], len(caps) + k, labels)))
+
+
+def tl_basis(n: int, r: int) -> tuple[HalfDiagram, ...]:
+    """All degree-n planar half-diagrams with r labeled dots, in the order of :func:`_planar_walk`.
+
+    A label count r outside 0..n, or off the parity of n, gives no diagram.
+    """
+    return tuple(_planar_walk(n, r))
 
 
 def tl_basis_count(n: int, r: int) -> int:

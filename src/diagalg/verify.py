@@ -342,7 +342,7 @@ def verify_tl_suite(report: VerifyReport, top: int) -> None:
 
     for n in range(top + 1):
         for r in range(n + 1):
-            count = len(tl.tl_basis(n, r))
+            count = sum(1 for _ in tl._planar_walk(n, r))  # counted as yielded, none held
             report.check(
                 count == tl.tl_basis_count(n, r),
                 f"planar basis count at ({n}, {r}) is {count}",
@@ -391,7 +391,7 @@ def verify_tl_suite(report: VerifyReport, top: int) -> None:
             tally: dict[WalledIndex, int] = {}
             for r in range((m + n) % 2, m + n + 1, 2):
                 for row in tl.tl_basis(m + n, r):
-                    idx = walled.index_of(walled.WalledHalfDiagram(m, n, row.to_half_diagram()))
+                    idx = walled.index_of(walled.WalledHalfDiagram(m, n, row))
                     tally[idx] = tally.get(idx, 0) + 1
             for u in range(min(m, n) + 1):
                 for left in range(m - u + 1):
@@ -488,7 +488,7 @@ SUITES = {
     "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 15 s at 64, 63 s at 96, 163 s and 260 MiB at 120
     "geometry-agreement": (verify_geometry_agreement, 30, 320),  # 10 s at 120, 34 s at 180, 183 s and 15 MiB at 320
     "parity": (verify_parity, 30, 480),  # 1.8 s at 120, 21 s at 240, 130 s and 15 MiB at 480
-    "tl-suite": (verify_tl_suite, 12, 24),  # 7.7 to 8.5 s and 87 MiB at 22, 32 s and 285 MiB at 24
+    "tl-suite": (verify_tl_suite, 12, 24),  # 6.6 to 7.8 s and 24 MiB at 22, 25 to 28 s and 34 MiB at 24
     "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 2.4 s at 64, 12 s at 96, 29 s and 16 MiB at 120
 }
 

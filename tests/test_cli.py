@@ -376,6 +376,34 @@ class TestTL:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out.strip() == "6564120420"
 
+    def test_basis_text_output(self, capsys):
+        assert main(["tl", "basis", "-n", "6", "-r", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "{{3,6},{4,5},{1}*,{2}*}\n"
+            "{{3,4},{5,6},{1}*,{2}*}\n"
+            "{{2,5},{3,4},{1}*,{6}*}\n"
+            "{{2,3},{5,6},{1}*,{4}*}\n"
+            "{{2,3},{4,5},{1}*,{6}*}\n"
+            "{{1,4},{2,3},{5}*,{6}*}\n"
+            "{{1,2},{5,6},{3}*,{4}*}\n"
+            "{{1,2},{4,5},{3}*,{6}*}\n"
+            "{{1,2},{3,4},{5}*,{6}*}\n"
+        )
+
+    def test_basis_json_output(self, capsys):
+        assert main(["tl", "basis", "-n", "6", "-r", "2", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '[{"n": 6, "caps": [[3, 6], [4, 5]], "labels": [1, 2]}, '
+            '{"n": 6, "caps": [[3, 4], [5, 6]], "labels": [1, 2]}, '
+            '{"n": 6, "caps": [[2, 5], [3, 4]], "labels": [1, 6]}, '
+            '{"n": 6, "caps": [[2, 3], [5, 6]], "labels": [1, 4]}, '
+            '{"n": 6, "caps": [[2, 3], [4, 5]], "labels": [1, 6]}, '
+            '{"n": 6, "caps": [[1, 4], [2, 3]], "labels": [5, 6]}, '
+            '{"n": 6, "caps": [[1, 2], [5, 6]], "labels": [3, 4]}, '
+            '{"n": 6, "caps": [[1, 2], [4, 5]], "labels": [3, 6]}, '
+            '{"n": 6, "caps": [[1, 2], [3, 4]], "labels": [5, 6]}]\n'
+        )
+
     def test_basis_negative_degree_usage_error(self, capsys):
         for extra in ([], ["--count-only"]):
             assert main(["tl", "basis", "-n", "-1", "-r", "0", *extra]) == 2

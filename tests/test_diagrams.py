@@ -28,7 +28,7 @@ from diagalg.halfdiag import (
     enumerate_basis,
     set_partitions,
 )
-from diagalg.tl import GrothElement, TLHalfDiagram
+from diagalg.tl import GrothElement, planar_row
 from diagalg.walled import WalledHalfDiagram, enumerate_walled
 from diagalg.verify import _random_diagram as random_diagram
 from diagalg.verify import _random_half_diagram as random_half_diagram
@@ -512,11 +512,10 @@ class TestValueTypes:
             self.assert_same_value(got, ScaledHalfDiagram(DeltaPolynomial(got.coeff.terms()), top))
 
     def test_planar_rows_compare_by_degree_and_caps(self):
-        row = TLHalfDiagram(4, [(2, 3)])
-        assert row.labels == (1, 4)
-        # the caps fix the labels, so they take no part in equality or hashing
-        self.assert_same_value(TLHalfDiagram._trusted(4, row.caps, ()), row)
-        assert row != TLHalfDiagram(4, [(1, 2)]) and row != TLHalfDiagram(5, [(2, 3)])
+        row = planar_row(4, [(2, 3)])
+        # the caps fix the labels: every other dot is a labeled single block
+        self.assert_same_value(row, HalfDiagram(4, [(4,), (3, 2), (1,)], [0, 2]))
+        assert row != planar_row(4, [(1, 2)]) and row != planar_row(5, [(2, 3)])
 
     def test_distinct_values_differ(self):
         one, delta = DeltaPolynomial.one(), DeltaPolynomial.delta_power(1)
@@ -536,7 +535,7 @@ class TestValueTypes:
             half,
             ScaledHalfDiagram(DeltaPolynomial.one(), half),
             WalledHalfDiagram(1, 1, half),
-            TLHalfDiagram(2, [(1, 2)]),
+            planar_row(2, [(1, 2)]),
             GrothElement.module_class(2, 0),
         ]
 

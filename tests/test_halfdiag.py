@@ -361,6 +361,13 @@ def test_builders_reject_a_bad_degree_with_one_message(builder, bad):
     assert build(2, -1) == empty
 
 
+@pytest.mark.parametrize("builder", DEGREE_BUILDERS)
+def test_builders_reject_a_float_label_count(builder):
+    build, _, _ = DEGREE_BUILDERS[builder]
+    with pytest.raises(TypeError):
+        build(4, 2.0)
+
+
 @pytest.mark.parametrize("bad", [True, 2.0, "2", -1], ids=["bool", "float", "str", "negative"])
 @pytest.mark.parametrize("function", OTHER_DEGREE_CHECKS)
 def test_other_functions_reject_a_bad_degree_with_one_message(function, bad):

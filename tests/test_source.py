@@ -85,12 +85,11 @@ TRUSTED_CALLERS = {
     "compose",
     "act_top",
     "enumerate_basis",
-    "TLHalfDiagram.to_half_diagram",
     "DeltaPolynomial.__add__",
     "DeltaPolynomial.__mul__",
     "DiagramSum.__add__",
     "DiagramSum.compose",
-    "tl_basis",
+    "_planar_walk",
 }
 
 
@@ -179,10 +178,12 @@ def test_census_builds_no_diagram():
 
 def test_tl_basis_builds_no_validated_row():
     tree = ast.parse((PACKAGE_DIR / "tl.py").read_text(encoding="utf-8"))
-    called = {
-        call.func.id for scope, call in _calls(tree) if scope == "tl_basis" and isinstance(call.func, ast.Name)
-    }
-    assert "TLHalfDiagram" not in called
+    called = {scope: set() for scope in ("tl_basis", "_planar_walk")}
+    for scope, call in _calls(tree):
+        if scope in called and isinstance(call.func, ast.Name):
+            called[scope].add(call.func.id)
+    assert "_planar_walk" in called["tl_basis"]
+    assert not called["_planar_walk"] & {"HalfDiagram", "planar_row"}, sorted(called["_planar_walk"])
 
 
 def test_one_non_negative_integer_check():

@@ -14,8 +14,8 @@ from diagalg.halfdiag import HalfDiagram
 from diagalg.multiplicity import e_lattice
 from diagalg.tl import (
     GrothElement,
-    TLHalfDiagram,
     groth_multiply,
+    planar_row,
     tl_basis,
     tl_basis_count,
     tl_e,
@@ -106,13 +106,24 @@ def random_caps(rng, n):
     return [tuple(cap) if rng.random() < 0.5 else cap for cap in caps]
 
 
+def reference_row(n, caps):
+    """The row with these caps, from the pairwise check and the checking HalfDiagram constructor."""
+    clean, labels = tl_check_reference(n, caps)
+    blocks = [*clean, *((dot,) for dot in labels)]
+    return HalfDiagram(n, blocks, range(len(clean), len(blocks)))
+
+
+def caps_of(row):
+    return [block for block in row.blocks if len(block) == 2]
+
+
 class TestWalkMatchesReference:
     def test_same_diagrams_in_the_same_order(self):
         for n in range(15):
             for r in range(-1, n + 2):
-                got = [(d.n, d.caps, d.labels) for d in tl_basis(n, r)]
-                want = [(n, *tl_check_reference(n, caps)) for caps in tl_basis_reference(n, r)]
-                assert got == want, (n, r)
+                got = [(d.n, d.blocks, d.labeled) for d in tl_basis(n, r)]
+                want = [reference_row(n, caps) for caps in tl_basis_reference(n, r)]
+                assert got == [(d.n, d.blocks, d.labeled) for d in want], (n, r)
 
     def test_constructor_accepts_and_rejects_like_the_pairwise_check(self):
         rng = random.Random(16)
@@ -121,18 +132,18 @@ class TestWalkMatchesReference:
             n = rng.randint(0, 10)
             caps = random_caps(rng, n)
             try:
-                want = tl_check_reference(n, caps)
+                want = reference_row(n, caps)
             except InvariantViolation as exc:
                 with pytest.raises(InvariantViolation) as got:
-                    TLHalfDiagram(n, caps)
+                    planar_row(n, caps)
                 assert CHECK_MESSAGES.fullmatch(str(got.value)), (n, caps, str(got.value))
                 if not str(exc).startswith("caps "):
                     # Only a crossing, which the pairwise check looks for
                     # first, may come second in the scan or as another pair.
                     assert str(got.value) == str(exc), (n, caps)
                 continue
-            diagram = TLHalfDiagram(n, caps)
-            assert (diagram.caps, diagram.labels) == want, (n, caps)
+            diagram = planar_row(n, caps)
+            assert (diagram.n, diagram.blocks, diagram.labeled) == (n, want.blocks, want.labeled), (n, caps)
             accepted += 1
         assert 1_000 < accepted < 19_000
 
@@ -140,8 +151,8 @@ class TestWalkMatchesReference:
         for n in range(13):
             for r in range(n % 2, n + 1, 2):
                 for row in tl_basis(n, r):
-                    checked = TLHalfDiagram(n, row.caps)
-                    assert (row, row.caps, row.labels) == (checked, checked.caps, checked.labels), (n, r)
+                    checked = planar_row(n, caps_of(row))
+                    assert (row, row.blocks, row.labeled) == (checked, checked.blocks, checked.labeled), (n, r)
                     assert hash(row) == hash(checked)
 
     def test_walk_needs_no_stack_depth(self):
@@ -149,63 +160,66 @@ class TestWalkMatchesReference:
         assert len(tl_basis(24, 22)) == 23
         assert time.perf_counter() - start < 0.05
         (only,) = tl_basis(5000, 5000)
-        assert only.caps == () and only.labels == tuple(range(1, 5001))
+        assert only.blocks == tuple((dot,) for dot in range(1, 5001)) and only.labeled == frozenset(range(5000))
 
 
 class TestTLHalfDiagram:
+    """Planar (Temperley-Lieb) half-diagrams as ``planar_row`` checks and builds them."""
+
     def test_worked_membership(self):
         # caps {2,5} and {3,4} nested, labels on 1 and 6
-        diagram = TLHalfDiagram(6, [(2, 5), (3, 4)])
-        assert diagram.labels == (1, 6)
+        diagram = planar_row(6, [(2, 5), (3, 4)])
+        assert diagram.labeled == {0, 3}
         assert diagram.r == 2
         assert diagram in tl_basis(6, 2)
-        assert repr(diagram) == "TLHalfDiagram(6, {{2,5},{3,4},{1}*,{6}*})"
+        assert repr(diagram) == "HalfDiagram(6, {{1}*,{2,5},{3,4},{6}*})"
 
     def test_crossing_caps_rejected(self):
         with pytest.raises(InvariantViolation):
-            TLHalfDiagram(6, [(2, 4), (3, 5)])
+            planar_row(6, [(2, 4), (3, 5)])
 
     def test_label_inside_cap_rejected(self):
         # cap {2,6} strands over the labeled dot 5
         with pytest.raises(InvariantViolation):
-            TLHalfDiagram(6, [(2, 6), (3, 4)])
+            planar_row(6, [(2, 6), (3, 4)])
 
     def test_bool_degree_and_dots_rejected(self):
         with pytest.raises(InvariantViolation, match="^dot True out of range for degree 2$"):
-            TLHalfDiagram(2, [(True, 2)])
+            planar_row(2, [(True, 2)])
         with pytest.raises(InvariantViolation, match="^degree must be a non-negative integer, got True$"):
-            TLHalfDiagram(True, [])
+            planar_row(True, [])
 
     def test_dot_that_does_not_compare_with_an_int_rejected(self):
         with pytest.raises(InvariantViolation, match="^dot 'a' is not an integer$"):
-            TLHalfDiagram(3, [("a", 1)])
+            planar_row(3, [("a", 1)])
 
     def test_cap_that_is_not_a_pair_of_dots_rejected(self):
         with pytest.raises(InvariantViolation, match="^cap 5 must join two distinct dots$"):
-            TLHalfDiagram(3, [5])
+            planar_row(3, [5])
 
     def test_float_dot_rejected_as_not_an_integer(self):
         with pytest.raises(InvariantViolation, match=r"^dot 1\.0 is not an integer$"):
-            TLHalfDiagram(3, [(1.0, 2)])
+            planar_row(3, [(1.0, 2)])
 
     def test_degree_four_no_labels(self):
         basis = tl_basis(4, 0)
         assert len(basis) == 2
-        assert {d.caps for d in basis} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
+        assert {d.blocks for d in basis} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
 
     def test_half_diagram_conversion_keeps_labels(self):
-        diagram = TLHalfDiagram(6, [(2, 5), (3, 4)])
-        hd = diagram.to_half_diagram()
-        assert tuple(hd.blocks[i] for i in sorted(hd.labeled)) == ((1,), (6,))
+        diagram = planar_row(6, [(2, 5), (3, 4)])
+        assert tuple(diagram.blocks[i] for i in sorted(diagram.labeled)) == ((1,), (6,))
 
     def test_half_diagram_conversion_matches_checked_construction(self):
         for n in range(9):
             for r in range(n + 1):
                 for diagram in tl_basis(n, r):
-                    blocks = [*diagram.caps, *((dot,) for dot in diagram.labels)]
-                    checked = HalfDiagram(n, blocks, range(len(diagram.caps), len(blocks)))
-                    hd = diagram.to_half_diagram()
-                    assert (hd, hd.blocks, hd.labeled) == (checked, checked.blocks, checked.labeled)
+                    caps = caps_of(diagram)
+                    singles = [block for block in diagram.blocks if len(block) == 1]
+                    assert len(caps) + len(singles) == len(diagram.blocks)
+                    blocks = [*caps, *singles]
+                    checked = HalfDiagram(n, blocks, range(len(caps), len(blocks)))
+                    assert (diagram, diagram.blocks, diagram.labeled) == (checked, checked.blocks, checked.labeled)
 
 
 class TestBasisCounts:
@@ -389,7 +403,7 @@ class TestPinnedMultiplicity:
 def planar_walled_count(m, n, idx):
     """Planar (m|n) walled half-diagrams of index ``idx``, counted one by one."""
     r = idx.through_labeled + idx.left_labeled + idx.right_labeled
-    return sum(index_of(WalledHalfDiagram(m, n, row.to_half_diagram())) == idx for row in tl_basis(m + n, r))
+    return sum(index_of(WalledHalfDiagram(m, n, row)) == idx for row in tl_basis(m + n, r))
 
 
 class TestWalledFactorization:
