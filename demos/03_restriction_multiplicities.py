@@ -33,8 +33,8 @@ print()
 print("two-row index (1,1) against single labels:",
       bvo_multiplicity((1, 1), (1,), (1,), 1, 1))
 
-# The four standing boundary and reflection identities, and symmetry in
-# p and q, checked by the symmetry-lemma suite on every triple up to 5.
+# The four standing boundary and reflection identities, checked by the
+# symmetry-lemma suite on every triple up to 5.
 report = run_suite("symmetry-lemma", 5)
 print()
 print(f"symmetry-lemma suite up to 5: ok = {report.ok}, {report.cases} cases")

@@ -89,6 +89,8 @@ def _build(loader, data, what: str):
 
 def _cmd_mult(args) -> int:
     if args.mode == "table":
+        if (args.p, args.q, args.r) != (None, None, None) or args.solutions:
+            raise ValueError("-p, -q, -r and --solutions are not for mult table")
         top = _check_count(args.max, "--max")
         _check_budget(top, MULT_TABLE_MAX, "mult table", "--max <= {}")
         rows = [

@@ -14,7 +14,7 @@ from math import comb
 
 from . import diagrams, geometry, halfdiag, multiplicity, tl, walled
 from .diagrams import DeltaPolynomial, DiagramSum, SetPartitionDiagram, compose, generator
-from .halfdiag import HalfDiagram, ScaledHalfDiagram, act, act_top, enumerate_basis
+from .halfdiag import HalfDiagram, ScaledHalfDiagram, act, enumerate_basis
 from .multiplicity import one_part
 from .walled import TransitionCase, WalledIndex
 
@@ -170,7 +170,7 @@ def verify_compose_assoc(report: VerifyReport, top: int) -> None:
 
 
 def verify_action_assoc(report: VerifyReport, top: int | None) -> None:
-    """Golden actions, label monotonicity, and stack-then-act associativity."""
+    """Golden actions and stack-then-act associativity."""
     d = SetPartitionDiagram.from_json(GOLDEN_ACT_DIAGRAM)
     v = HalfDiagram.from_json(GOLDEN_ACT_INPUT)
     result = act(d, v)
@@ -195,8 +195,6 @@ def verify_action_assoc(report: VerifyReport, top: int | None) -> None:
             lhs == rhs,
             f"action associativity failed for {d1.render()}, {d2.render()} on {vv.render()}",
         )
-        _, top = act_top(d1, vv)
-        report.check(top.r <= vv.r, f"label count grew acting {d1.render()} on {vv.render()}")
 
     identity = SetPartitionDiagram.identity(3)
     for vv in enumerate_basis(3, 1):
@@ -298,14 +296,15 @@ def verify_four_way_agreement(report: VerifyReport, top: int) -> None:
                     closed == count == lattice,
                     f"({p},{q},{r}): closed {closed}, system {count}, lattice {lattice}",
                 )
-                for m, n in multiplicity.admissible_degree_pairs(p, q, r):
-                    value = multiplicity.bvo_multiplicity(
-                        one_part(r), one_part(p), one_part(q), m, n
-                    )
-                    report.check(
-                        value == closed,
-                        f"({p},{q},{r}) at degrees ({m},{n}): coefficient sum {value} != {closed}",
-                    )
+                # bvo_multiplicity reads m and n only for admissibility: one pair, as `mult` uses
+                m, n = multiplicity.admissible_degree_pairs(p, q, r)[0]
+                value = multiplicity.bvo_multiplicity(
+                    one_part(r), one_part(p), one_part(q), m, n
+                )
+                report.check(
+                    value == closed,
+                    f"({p},{q},{r}) at degrees ({m},{n}): coefficient sum {value} != {closed}",
+                )
 
 
 def verify_geometry_agreement(report: VerifyReport, top: int) -> None:
@@ -375,10 +374,6 @@ def verify_tl_suite(report: VerifyReport, top: int) -> None:
             return tl.GrothElement({key: rng.randint(1, 3) for key in picks})
 
         a, b, c = sample(), sample(), sample()
-        report.check(
-            tl.groth_multiply(a, b) == tl.groth_multiply(b, a),
-            f"product not commutative on {a.render()} and {b.render()}",
-        )
         left = tl.groth_multiply(tl.groth_multiply(a, b), c)
         right = tl.groth_multiply(a, tl.groth_multiply(b, c))
         report.check(left == right, f"product not associative on {a.render()}, {b.render()}, {c.render()}")
@@ -424,7 +419,7 @@ def verify_tl_suite(report: VerifyReport, top: int) -> None:
 
 
 def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
-    """Four boundary and symmetry identities of the multiplicity, and p, q symmetry.
+    """Four boundary and symmetry identities of the multiplicity.
 
     The closed form and the system count must both show, each identity
     counted only at the triples where it applies,
@@ -433,9 +428,6 @@ def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
     3. with a zero parameter, value 1 exactly when the other two agree;
     4. reflection symmetry r -> p + q + |p - q| - r, each in-range pair
        compared once, from its lower end r < max(p, q).
-    The system count must not change when p and q swap (compared at p < q).
-    Independence from the algebra degrees is four-way-agreement's: it checks
-    the coefficient sum at two admissible degree pairs against the closed form.
     """
     for p in range(top + 1):
         for q in range(top + 1):
@@ -467,9 +459,6 @@ def verify_symmetry_lemma(report: VerifyReport, top: int) -> None:
                         closed == mirrored_closed and count == mirrored_count,
                         f"{where} reflection: value {closed} vs {mirrored_closed} at r'={mirror}",
                     )
-                if p < q:
-                    count_qp, _ = multiplicity.e_lattice(q, p, r)
-                    report.check(count == count_qp, f"({p},{q},{r}): not symmetric in p, q")
 
 
 # Each suite by name: (function, default sweep bound, largest bound (--max)
@@ -485,11 +474,11 @@ SUITES = {
     "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.44 s at 3, 41 s at 4
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
     "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
-    "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 15 s at 64, 63 s at 96, 163 s and 260 MiB at 120
+    "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 11 s at 64, 43 s at 96, 126 s and 260 MiB at 120
     "geometry-agreement": (verify_geometry_agreement, 30, 320),  # 10 s at 120, 34 s at 180, 183 s and 15 MiB at 320
     "parity": (verify_parity, 30, 480),  # 1.8 s at 120, 21 s at 240, 130 s and 15 MiB at 480
     "tl-suite": (verify_tl_suite, 12, 24),  # 6.6 to 7.8 s and 24 MiB at 22, 25 to 28 s and 34 MiB at 24
-    "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 2.4 s at 64, 12 s at 96, 29 s and 16 MiB at 120
+    "symmetry-lemma": (verify_symmetry_lemma, 12, 120),  # 2.2 s at 64, 11 s at 96, 27 s and 17 MiB at 120
 }
 
 

@@ -42,8 +42,10 @@ def _position(m: int, n: int, dot: int) -> int:
         if dot > m:
             raise InvariantViolation(f"left dot {dot} exceeds m={m}")
         return dot
+    if dot == 0:
+        raise InvariantViolation(f"dot {dot!r} is neither a left dot 1..{m} nor a right dot 1'..{n}'")
     k = -dot
-    if not 1 <= k <= n:
+    if k > n:
         raise InvariantViolation(f"right dot {k}' exceeds n={n}")
     return m + n + 1 - k
 

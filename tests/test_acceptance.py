@@ -31,8 +31,8 @@ def _run_suite(number: int, name: str, suite: str) -> None:
 
 
 def test_criterion_01_four_way_agreement():
-    # closed form, system count, lattice count, coefficient sum; p,q,r <= 8,
-    # coefficient sum evaluated at two admissible degree pairs per triple
+    # closed form, system count, lattice count, coefficient sum; p,q,r <= 12,
+    # coefficient sum evaluated at the first admissible degree pair per triple
     _run_suite(1, "four-way multiplicity agreement", "four-way-agreement")
 
 

@@ -122,6 +122,15 @@ class TestMult:
         assert main(["mult", "table", "--max", "0", "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines() == ["p,q,r,E", "0,0,0,1"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["-p", "3"], ["-q", "0"], ["-r", "1", "--format", "csv"], ["--solutions"]],
+        ids=["p", "q-zero", "r-csv", "solutions"],
+    )
+    def test_table_rejects_triple_options(self, capsys, extra):
+        assert main(["mult", "table", "--max", "0", *extra]) == 2
+        assert capsys.readouterr() == ("", "error: -p, -q, -r and --solutions are not for mult table\n")
+
     def test_csv_outside_table_usage_error(self, capsys):
         for argv in (["mult", "-p", "2", "-q", "2", "-r", "2"], ["mult"]):
             assert main([*argv, "--format", "csv"]) == 2
@@ -320,6 +329,12 @@ class TestWalled:
         w = write(tmp_path, "w.json", WALLED_INPUT)
         assert main(["walled", "index", w]) == 0
         assert capsys.readouterr().out.strip() == "2;2,1,1"
+
+    def test_index_dot_zero_exit_3(self, tmp_path, capsys):
+        w = write(tmp_path, "w.json", {"m": 2, "n": 2, "blocks": [[0, 1], [2], [-1], [-2]]})
+        assert main(["walled", "index", w]) == 3
+        message = "dot 0 is neither a left dot 1..2 nor a right dot 1'..2'"
+        assert capsys.readouterr() == ("", f"error: invalid walled half-diagram: {message}\n")
 
     def test_census_json(self, capsys):
         assert main(["walled", "census", "-m", "1", "-n", "1", "-r", "2"]) == 0

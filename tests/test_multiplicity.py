@@ -413,12 +413,11 @@ class TestSymmetrySuite:
     def test_grid_passes(self):
         # every triple with entries up to 6: the reflection from the lower end
         # of each pair, at the 203 triples with r < max(p, q), and beyond the
-        # band at the 28 with r > 2 max(p, q); the p, q swap at the 7 * 21
-        # triples with p < q; plus vanishing, boundary_one and zero_parameter
-        # at the 56, 64 and 127 triples where they apply
+        # band at the 28 with r > 2 max(p, q); plus vanishing, boundary_one
+        # and zero_parameter at the 56, 64 and 127 triples where they apply
         report = verify.run_suite("symmetry-lemma", 6)
         assert report.ok, report.failures
-        assert report.cases == 203 + 28 + 7 * 21 + 56 + 64 + 127 == 625
+        assert report.cases == 203 + 28 + 56 + 64 + 127 == 478
 
     def test_symmetric_in_p_q(self):
         for p in range(8):

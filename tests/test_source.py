@@ -258,8 +258,9 @@ def test_cli_exit_codes_decided_in_main():
 
 
 def test_cli_chooses_json_or_text_in_emit():
-    # mult, verify and tl basis keep their own branch so that text mode
-    # never builds a payload it does not print; the other commands use _emit.
+    # mult and verify keep their own branch so that text mode never builds a
+    # payload it does not print, and tl basis --count-only prints its count
+    # directly; the other commands, tl basis listings included, use _emit.
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     callers = {"print": set(), "_emit": set()}
     for scope, call in _calls(tree):

@@ -6,25 +6,45 @@ from diagalg import multiplicity, tl, verify, walled
 from diagalg.walled import Transition, TransitionCase, WalledIndex
 
 
-def _pinned(name, limit):
-    payload = verify.run_suite(name, limit).to_json()
+def _payload(report):
+    payload = report.to_json()
     assert payload.pop("duration_seconds") >= 0
     return payload
+
+
+def _pinned(name, limit):
+    return _payload(verify.run_suite(name, limit))
+
+
+@pytest.fixture(scope="module")
+def default_reports():
+    """Every suite's report at its default bound, from one ``run_all``."""
+    return {report.suite: report for report in verify.run_all()}
 
 
 @pytest.mark.parametrize(
     "name, limit, cases",
     [
-        ("symmetry-lemma", 1, 18),
-        ("symmetry-lemma", 5, 406),
-        ("symmetry-lemma", None, 3_642),
-        ("tl-suite", 1, 363),
-        ("tl-suite", 5, 642),
-        ("tl-suite", None, 719),
+        ("compose-assoc", None, 757),
+        ("action-assoc", None, 512),
+        ("census-factorization", None, 641),
+        ("transition-lemma", None, 17_532),
+        ("bell-identity", None, 32),
+        ("restriction-dimension", None, 45),
+        ("four-way-agreement", None, 4_394),
+        ("geometry-agreement", None, 43_306),
+        ("parity", None, 14_911),
+        ("symmetry-lemma", 1, 16),
+        ("symmetry-lemma", 5, 316),
+        ("symmetry-lemma", None, 2_628),
+        ("tl-suite", 1, 303),
+        ("tl-suite", 5, 582),
+        ("tl-suite", None, 659),
     ],
 )
-def test_report_is_pinned(name, limit, cases):
-    assert _pinned(name, limit) == {"suite": name, "cases": cases, "failures": [], "ok": True}
+def test_report_is_pinned(default_reports, name, limit, cases):
+    report = default_reports[name] if limit is None else verify.run_suite(name, limit)
+    assert _payload(report) == {"suite": name, "cases": cases, "failures": [], "ok": True}
 
 
 def test_symmetry_lemma_failure_wording(monkeypatch):
@@ -35,7 +55,7 @@ def test_symmetry_lemma_failure_wording(monkeypatch):
     monkeypatch.setattr(multiplicity, "e_closed", lambda p, q, r: 0 if (p, q, r) == (1, 0, 1) else real(p, q, r))
     assert _pinned("symmetry-lemma", 1) == {
         "suite": "symmetry-lemma",
-        "cases": 18,
+        "cases": 16,
         "failures": [
             "(1,0,1) item boundary_one: value 0",
             "(1,0,1) item zero_parameter: value 0, expected 1",
@@ -81,7 +101,7 @@ def test_tl_suite_failure_wording(monkeypatch):
     monkeypatch.setattr(tl, "tl_basis_count", lambda n, r: 2 if (n, r) == (1, 1) else real(n, r))
     assert _pinned("tl-suite", 1) == {
         "suite": "tl-suite",
-        "cases": 363,
+        "cases": 303,
         "failures": [
             "planar basis count at (1, 1) is 1",
             "degree 1: planar total 2 != C(n, n//2)",

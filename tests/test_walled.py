@@ -146,7 +146,7 @@ class TestIndex:
 
     @pytest.mark.parametrize(
         "dot, message",
-        [(3, "left dot 3 exceeds m=2"), (-3, "right dot 3' exceeds n=2"), (0, "right dot 0' exceeds n=2")],
+        [(3, "left dot 3 exceeds m=2"), (-3, "right dot 3' exceeds n=2"), (0, "dot 0 is neither a left dot 1..2 nor a right dot 1'..2'")],
         ids=["left", "right", "zero"],
     )
     def test_from_json_rejects_a_dot_beyond_its_side(self, dot, message):
