@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -100,11 +99,9 @@ def _cmd_mult(args) -> int:
             for r in range(top + 1)
         ]
         if args.format == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer)
+            writer = csv.writer(sys.stdout)
             writer.writerow(["p", "q", "r", "E"])
             writer.writerows(rows)
-            print(buffer.getvalue(), end="")
         else:
             print(json.dumps([{"p": p, "q": q, "r": r, "E": e} for p, q, r, e in rows]))
         return 0

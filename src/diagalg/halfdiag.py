@@ -22,7 +22,7 @@ from .diagrams import (
     _check_count,
     _json_list,
 )
-from .symfunc import Partition, check_partition, partitions_of, syt_count
+from .symfunc import Partition, _syt_count, check_partition, partitions_of
 
 
 @dataclass(init=False, repr=False, slots=True, unsafe_hash=True)
@@ -285,9 +285,9 @@ def dim_standard(n: int, nu: Partition) -> int:
     """
     nu = check_partition(nu)
     r = sum(nu)
-    if r > n:
+    if r > _check_count(n, "n"):
         raise ValueError(f"standard module needs |index| <= degree, got {r} > {n}")
-    return half_diagram_count(n, r) * syt_count(nu)
+    return half_diagram_count(n, r) * _syt_count(nu)
 
 
 def partitions_up_to(n: int):

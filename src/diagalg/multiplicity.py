@@ -19,7 +19,7 @@ from functools import cache
 
 from .diagrams import _check_count
 from .halfdiag import dim_standard, partitions_up_to
-from .symfunc import Partition, check_partition, kronecker_coeff, lr_coeff, partitions_inside
+from .symfunc import Partition, _lr_coeff, check_partition, kronecker_coeff, partitions_inside
 from .walled import WalledIndex
 
 
@@ -104,12 +104,12 @@ def _three_part_table(
         return out
     for eta in partitions_inside(s3, nu):
         for xi in partitions_inside(s1 + s2, nu):
-            c_outer = lr_coeff(xi, eta, nu)
+            c_outer = _lr_coeff(xi, eta, nu)
             if not c_outer:
                 continue
             for alpha in partitions_inside(s1, xi):
                 for beta in partitions_inside(s2, xi):
-                    c_inner = lr_coeff(alpha, beta, xi)
+                    c_inner = _lr_coeff(alpha, beta, xi)
                     if c_inner:
                         by_beta = out.setdefault(alpha, {}).setdefault(eta, {})
                         by_beta[beta] = by_beta.get(beta, 0) + c_outer * c_inner
@@ -196,6 +196,7 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     nu = check_partition(nu)
     lam = check_partition(lam)
     mu = check_partition(mu)
+    m, n = _check_count(m, "m"), _check_count(n, "n")
     size_nu, size_lam, size_mu = sum(nu), sum(lam), sum(mu)
     if size_nu > m + n:
         raise ValueError(f"|nu| = {size_nu} exceeds total degree {m + n}")

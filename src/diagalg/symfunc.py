@@ -40,7 +40,6 @@ def check_partition(parts) -> Partition:
     return p
 
 
-@cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, largest part first within each, in reverse-lex order."""
     # an n-by-n box holds every partition of n
@@ -83,10 +82,13 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(cols)
 
 
-@cache
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape ``lam`` (hook-length product)."""
-    lam = check_partition(lam)
+    return _syt_count(check_partition(lam))
+
+
+@cache
+def _syt_count(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
         return 1
@@ -101,7 +103,6 @@ def syt_count(lam: Partition) -> int:
     return count
 
 
-@cache
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient of ``nu`` against the pair (lam, mu).
 
@@ -110,9 +111,11 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     reverse reading order (rows top to bottom, right to left within each
     row), which lets the lattice condition be enforced one entry at a time.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
+    return _lr_coeff(check_partition(lam), check_partition(mu), check_partition(nu))
+
+
+@cache
+def _lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
         return 0
     if not mu:
@@ -203,7 +206,6 @@ def mn_character(lam: Partition, rho: Partition) -> int:
     return _char_on_beta(_beta(lam), rho)
 
 
-@cache
 def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient; zero when the three sizes differ, symmetric in all three.
 

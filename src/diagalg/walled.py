@@ -241,7 +241,6 @@ def index_count_formula(m: int, n: int, idx: WalledIndex) -> int:
     )
 
 
-@cache
 def tensor_generators(m: int, n: int) -> tuple[tuple[str, SetPartitionDiagram], ...]:
     """Generators of the two-sided algebra acting on (m|n)-walled diagrams.
 

@@ -86,6 +86,15 @@ class TestMult:
         assert lines[0] == "p,q,r,E"
         assert len(lines) == 1 + 64
 
+    def test_table_csv_exact_output(self, capsys):
+        # the csv module ends each row with \r\n
+        assert main(["mult", "table", "--max", "1", "--format", "csv"]) == 0
+        assert capsys.readouterr() == (
+            "p,q,r,E\r\n0,0,0,1\r\n0,0,1,0\r\n0,1,0,0\r\n0,1,1,1\r\n"
+            "1,0,0,0\r\n1,0,1,1\r\n1,1,0,1\r\n1,1,1,1\r\n",
+            "",
+        )
+
     def test_missing_flags_usage_error(self, capsys):
         assert main(["mult", "-p", "2"]) == 2
 

@@ -292,6 +292,12 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_standard(2, (2, 1))
 
+    def test_negative_degree_rejected_by_name(self):
+        # once worded as a size comparison against the degree
+        for nu in ((), (1,)):
+            with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got -1$"):
+                dim_standard(-1, nu)
+
     def test_wedderburn_sum_degree_two(self):
         total = sum(dim_standard(2, nu) ** 2 for nu in partitions_up_to(2))
         assert total == 15 == bell(4)

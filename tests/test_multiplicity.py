@@ -252,6 +252,15 @@ class TestCoefficientSum:
         with pytest.raises(ValueError):
             bvo_multiplicity((1,), (1,), (2,), 1, 1)
 
+    def test_degrees_are_checked(self):
+        # m and n were read only in the size comparisons, so 1.5 and True
+        # were accepted and -1 was reported as a total degree of -1
+        for bad in (1.5, True, -1):
+            for m, n, name in ((bad, 0, "m"), (1, bad, "n")):
+                with pytest.raises(ValueError) as caught:
+                    bvo_multiplicity((1,), (1,), (), m, n)
+                assert str(caught.value) == f"{name} must be a non-negative integer, got {bad!r}"
+
     def test_degree_free_on_samples(self):
         for p, q, r in [(1, 2, 1), (3, 2, 3), (2, 2, 0), (4, 1, 3)]:
             (m1, n1), (m2, n2) = admissible_degree_pairs(p, q, r)

@@ -72,6 +72,23 @@ def test_memo_tables_are_module_level():
     assert not found, found
 
 
+def test_memo_tables_check_no_partition():
+    # A bool or float part hashes like its int, so a memo that checks its
+    # own partitions answers from an int call's entry what a cold call
+    # rejects; each public partition function checks, then reads its memo.
+    # Scalar keys such as half_diagram_count's rely on lru_cache(typed=True).
+    found = set()
+    for path, tree in _parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _is_memo_decorator(d) for d in node.decorator_list
+            ):
+                for scope, call in _calls(node, node.name):
+                    if scope == node.name and getattr(call.func, "id", None) == "check_partition":
+                        found.add(f"{path.stem}.{node.name}")
+    assert not found, sorted(found)
+
+
 def test_every_export_resolves():
     # A name removed from a module but left in __all__ only fails on
     # `from diagalg import *`; catch it here instead.

@@ -1,5 +1,6 @@
 """Coefficient engine checks: tableau counts, LR, characters, Kronecker."""
 
+import re
 from enum import IntEnum
 from itertools import combinations_with_replacement, permutations
 
@@ -134,6 +135,21 @@ class TestPartitions:
             check_partition_reference, container, items
         )
 
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "function, args",
+        [(lr_coeff, ((1,), (1,), (2,))), (syt_count, ((2, 1),)), (kronecker_coeff, ((2, 1), (2, 1), (2, 1)))],
+        ids=["lr_coeff", "syt_count", "kronecker_coeff"],
+    )
+    def test_warm_memo_rejects_what_a_cold_call_rejects(self, function, args, bad):
+        # True and 1.0 hash like 1, so a memo read before the check would
+        # answer them from the entry the int call left behind
+        function(*args)
+        shape = (*args[0][:-1], bad)
+        message = f"partition parts must be positive integers, got {shape!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(shape, *args[1:])
+
     def test_partition_counts(self):
         assert [len(partitions_of(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
@@ -174,12 +190,12 @@ class TestSytCount:
     def test_indivisible_hook_product_raises(self, monkeypatch):
         # a plain raise, so the check survives python -O
         monkeypatch.setattr(symfunc, "factorial", lambda n: factorial(n) + 1)
-        syt_count.cache_clear()
+        symfunc._syt_count.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="hook product must divide n!"):
                 syt_count((2, 1))
         finally:
-            syt_count.cache_clear()
+            symfunc._syt_count.cache_clear()
 
 
 class TestLRCoeff:
@@ -247,14 +263,14 @@ class TestLRCoeff:
     def test_deep_fillings_from_a_cold_cache(self):
         # thousands of cells in one skew shape; the recursive fill would
         # stop at Python's frame limit near 1,000
-        lr_coeff.cache_clear()
+        symfunc._lr_coeff.cache_clear()
         try:
             assert lr_coeff((), (5000,), (5000,)) == 1
             assert lr_coeff((3000,), (3000,), (3000, 3000)) == 1
             assert lr_coeff((2999,), (3000,), (3000, 2999)) == 1
             assert lr_coeff((), (3000, 1), (3000, 1)) == 1
         finally:
-            lr_coeff.cache_clear()
+            symfunc._lr_coeff.cache_clear()
 
     def test_branching_total(self):
         # sum over nu of c * f^nu equals C(|lam|+|mu|, |lam|) f^lam f^mu
@@ -409,25 +425,21 @@ class TestKronecker:
             ("centralizer_order", lambda rho: 7),
         ):
             monkeypatch.setattr(symfunc, name, stand_in)
-            kronecker_coeff.cache_clear()
             symfunc._class_sizes.cache_clear()  # the class sizes are memoized per n
             try:
                 with pytest.raises(ArithmeticError, match="^character sum is not a non-negative integer$"):
                     kronecker_coeff((2, 1), (2, 1), (2, 1))
             finally:
                 monkeypatch.undo()
-                kronecker_coeff.cache_clear()
                 symfunc._class_sizes.cache_clear()
 
     def test_non_integral_character_sum_raises(self, monkeypatch):
         # (2,1)^3 has neither a one-row nor a one-column argument, so it
         # takes the character sum; doubled centralizers make it 1/2
         monkeypatch.setattr(symfunc, "centralizer_order", lambda rho: 2 * centralizer_order(rho))
-        kronecker_coeff.cache_clear()
         symfunc._class_sizes.cache_clear()  # the class sizes are memoized per n
         try:
             with pytest.raises(ArithmeticError, match="character sum is not a non-negative integer"):
                 kronecker_coeff((2, 1), (2, 1), (2, 1))
         finally:
-            kronecker_coeff.cache_clear()
             symfunc._class_sizes.cache_clear()
