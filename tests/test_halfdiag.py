@@ -29,7 +29,7 @@ from diagalg.halfdiag import (
     stirling2,
 )
 from diagalg.symfunc import syt_count
-from diagalg.walled import WalledIndex, census, index_count_formula
+from diagalg.walled import WalledIndex, census, index_count_formula, tensor_generators
 from diagalg.tl import tl_basis, tl_basis_count, tl_e
 from diagalg.verify import _random_diagram as random_diagram
 from diagalg.verify import _random_half_diagram as random_half_diagram
@@ -350,6 +350,8 @@ OTHER_DEGREE_CHECKS = {
     "index_count_formula_n": (lambda d: index_count_formula(1, d, WalledIndex(0, 0, 0, 0)), "n"),
     "tl_e_m": (lambda d: tl_e(0, 0, 0, d, 0), "m"),
     "tl_e_n": (lambda d: tl_e(0, 0, 0, 0, d), "n"),
+    "tensor_generators_m": (lambda d: tensor_generators(d, 1), "m"),
+    "tensor_generators_n": (lambda d: tensor_generators(1, d), "n"),
 }
 
 
@@ -370,6 +372,8 @@ def test_builders_reject_a_bad_degree_with_one_message(builder, bad):
 @pytest.mark.parametrize("builder", DEGREE_BUILDERS)
 def test_builders_reject_a_float_label_count(builder):
     build, _, _ = DEGREE_BUILDERS[builder]
+    for _ in range(3):  # census keeps the int call's read-out from the second call on
+        build(4, 2)
     with pytest.raises(TypeError):
         build(4, 2.0)
 
