@@ -138,62 +138,45 @@ def enumerate_walled(m: int, n: int, r: int) -> list[WalledHalfDiagram]:
 def census(m: int, n: int, r: int) -> dict[WalledIndex, int]:
     """Count the (m|n, r)-walled half-diagrams by index, sorted by index.
 
-    A read-out of :func:`_census_table`, which builds no diagram and does
-    not depend on r.  With G_c[L][R] the number of diagrams with c blocks
-    crossing the wall, L labeled left-only and R labeled right-only blocks,
-    labeling T of the c gives index (c - T; T, L, R) the count
-    C(c, T) * G_c[L][R].  The r labels leave L + R = r - T, so each (U, T)
-    reads the one anti-diagonal of G_c that holds exactly its non-zero
-    counts, in ascending L.  A call costs a step per (U, T) and a product
+    A read-out of row r of :func:`_census_table`, which builds no diagram.
+    With G_c[L][R] the number of diagrams with c blocks crossing the wall,
+    L labeled left-only and R labeled right-only blocks, labeling T of the
+    c gives index (c - T; T, L, R) the count C(c, T) * G_c[L][R].  The r
+    labels leave L + R = r - T, so each (U, T) in the row reads the one
+    anti-diagonal of G_c that holds exactly its non-zero counts, in
+    ascending L.  A call costs a step per (U, T) of its row and a product
     and a dict entry per index it returns.  The table is the costly part:
     O(m n min(m, n)) products of two one-sided counts; within m + n <= 40
-    the costliest is (20|20), about 1 ms cold on a 2-core x86 host.  Tests
+    the costliest is (20|20), about 1.6 ms cold on a 2-core x86 host.  Tests
     check the counts against :func:`enumerate_walled` with :func:`index_of`,
     a brute-force census and a per-call dynamic program.  A label count r
     outside 0..m + n gives an empty census.
-
-    The second call with the same (m, n, r) keeps a copy of its read-out in
-    :func:`_census_kept` (at most 128 cells), and every later call returns a
-    copy of that copy.  The first call only marks its cell, so traffic that
-    asks each (m|n, r) once keeps no census.
     """
     m, n = _check_count(m, "m"), _check_count(n, "n")
-    kept = _census_kept(m, n, r)
-    if kept and kept[0] is not None:
-        return dict(kept[0])
-    firsts, layers = _census_table(m, n)
+    rows = _census_table(m, n)
     out: dict[WalledIndex, int] = {}
+    if not 0 <= r < len(rows):
+        return out
     key = tuple.__new__  # key(WalledIndex, values) skips the NamedTuple's Python-level __new__
-    top = len(layers) - 1
-    for u in range(top + 1):
-        for t in range(min(r, top - u) + 1):
-            weights, diagonals = layers[u + t]
-            s = r - t
-            if s < len(diagonals):
-                weight = weights[t]
-                for l, g in enumerate(diagonals[s], firsts[s + u + t]):
-                    out[key(WalledIndex, (u, t, l, s - l))] = weight * g
-    kept[:] = [dict(out) if kept else None]  # the second ask keeps a copy; the first only marks
+    for u, t, weight, l, counts in rows[r]:
+        s = r - t
+        for g in counts:
+            out[key(WalledIndex, (u, t, l, s - l))] = weight * g
+            l += 1
     return out
 
 
-@lru_cache(maxsize=128, typed=True)  # typed: a float r misses and meets census's TypeError
-def _census_kept(m: int, n: int, r: int) -> list:
-    """The cell of :func:`census` for (m, n, r): ``[]`` new, ``[None]`` once asked, then ``[read-out]``."""
-    return []
-
-
 @lru_cache(maxsize=32)
-def _census_table(
-    m: int, n: int
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]]:
-    """The census of (m|n) at every r, as ``(firsts, layers)``.
+def _census_table(m: int, n: int) -> tuple[tuple[tuple[int, int, int, int, tuple[int, ...]], ...], ...]:
+    """The census of (m|n) at every r, as one row per label count r.
 
-    ``layers[c]`` is ``(weights, diagonals)`` for c blocks crossing the
-    wall: ``weights[T]`` is C(c, T), and ``diagonals[s]`` holds G_c[L][s - L]
-    for L from ``firsts[s + c]`` = max(0, s + c - n) up to min(s, m - c).
-    Those are all non-zero, and every other entry is zero, since a crossing
-    or labeled one-sided block needs a dot of its own side.
+    Row r lists ``(U, T, C(c, T), L0, counts)`` for each (U, T) that has an
+    index with r labels, in ascending (U, T), with c = U + T: ``counts``
+    holds G_c[L][s - L] for s = r - T and L from L0 = max(0, s + c - n) up
+    to min(s, m - c).  Those are all non-zero, and every other entry is
+    zero, since a crossing or labeled one-sided block needs a dot of its
+    own side.  Each anti-diagonal of G_c is one tuple, shared by the rows
+    of its c + 1 values of T.
 
     Cutting the c crossing blocks at the wall leaves a one-sided
     half-diagram on each side, with c + L and c + R marked blocks, and a
@@ -206,16 +189,21 @@ def _census_table(
     """
     left = [half_diagram_count(m, k) for k in range(m + 1)]
     right = [half_diagram_count(n, k) for k in range(n + 1)]
-    layers = []
+    diagonals = []  # diagonals[c][s] = (L0, G_c's anti-diagonal L + R = s from L = L0 on)
     for c in range(min(m, n) + 1):
         lefts = [left[c + l] * comb(c + l, c) for l in range(m - c + 1)]
         rights = [factorial(c) * right[c + r] * comb(c + r, c) for r in range(n - c + 1)]
-        diagonals = tuple(
-            tuple(lefts[l] * rights[s - l] for l in range(max(0, s + c - n), min(s, m - c) + 1))
-            for s in range(m + n - 2 * c + 1)
-        )
-        layers.append((tuple(comb(c, t) for t in range(c + 1)), diagonals))
-    return (0,) * n + tuple(range(m + 1)), tuple(layers)
+        diagonals.append([])
+        for s in range(m + n - 2 * c + 1):
+            first = max(0, s + c - n)
+            diagonals[c].append((first, tuple(lefts[l] * rights[s - l] for l in range(first, min(s, m - c) + 1))))
+    rows: list[list] = [[] for _ in range(m + n + 1)]
+    for u in range(len(diagonals)):
+        for t in range(len(diagonals) - u):  # in ascending (U, T), so every row comes out in key order
+            weight = comb(u + t, t)
+            for row, (first, counts) in zip(rows[t:], diagonals[u + t]):  # anti-diagonal s goes to row s + T
+                row.append((u, t, weight, first, counts))
+    return tuple(map(tuple, rows))
 
 
 def index_count_formula(m: int, n: int, idx: WalledIndex) -> int:

@@ -21,7 +21,6 @@ from diagalg.walled import (
     TransitionClassificationError,
     WalledHalfDiagram,
     WalledIndex,
-    _census_kept,
     _census_table,
     _index,
     _tensor_generator_set,
@@ -275,32 +274,25 @@ class TestCensus:
                     assert list(census(m, n, r).items()) == list(_census_reference(m, n, r).items()), (m, n, r)
 
     def test_returned_tally_is_a_copy(self):
-        # calls with the same (m|n) share one table, and from the third call on the same
-        # (m|n, r) returns a copy of a kept read-out; a caller's edits stay local
-        _census_table.cache_clear()
-        _census_kept.cache_clear()
-        expected = list(_census_reference(3, 4, 2).items())
-        for call in range(4):  # cold, the call that keeps a copy, then two from the kept copy
-            tally = census(3, 4, 2)
-            assert list(tally.items()) == expected, call
-            tally[WalledIndex(0, 0, 1, 1)] += 5
-            tally[WalledIndex(9, 9, 9, 9)] = 1
-            del tally[WalledIndex(2, 0, 0, 2)]
+        # calls with the same (m|n) share one table; a caller's edits stay local
+        tally = census(3, 4, 2)
+        expected = dict(tally)
+        tally[WalledIndex(0, 0, 1, 1)] += 5
+        tally[WalledIndex(9, 9, 9, 9)] = 1
+        del tally[WalledIndex(2, 0, 0, 2)]
+        assert census(3, 4, 2) == expected
+        assert list(census(3, 4, 2)) == list(expected)
         assert census(3, 4, 3) == _census_reference(3, 4, 3)
 
-    def test_once_asked_traffic_keeps_nothing(self):
-        # only a repeated (m|n, r) stores a read-out: a sweep that asks each once
-        # leaves every cell it touched marked and empty
-        _census_table.cache_clear()
-        _census_kept.cache_clear()
-        keys = [(m, size - m, r) for size in range(13) for m in range(size + 1) for r in range(size + 1)]
-        for key in keys:
-            census(*key)
-        info = _census_kept.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, len(keys), info.maxsize)
-        for key in keys[-info.maxsize :]:  # the cells still held; reading them evicts none
-            assert _census_kept(*key) == [None], key
-        assert _census_kept.cache_info().misses == len(keys)
+    def test_table_row_lists_exactly_the_cells_of_its_census(self):
+        # census walks row r with no bound and no emptiness check: each (U, T) it lists
+        # must yield an index, in ascending order, and no cell with an index may be missing
+        for m in range(9):
+            for n in range(9):
+                rows = _census_table(m, n)
+                assert len(rows) == m + n + 1
+                for r, row in enumerate(rows):
+                    assert [entry[:2] for entry in row] == sorted({idx[:2] for idx in census(m, n, r)}), (m, n, r)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.data())
@@ -328,14 +320,10 @@ class TestCensus:
         n = size - m
         r = data.draw(st.integers(0, size))
         _census_table.cache_clear()
-        _census_kept.cache_clear()
         cold = census(m, n, r)
         assert list(cold) == sorted(cold)
         assert all(type(idx) is WalledIndex for idx in cold)
-        assert list(census(m, n, r).items()) == list(cold.items())  # keeps a copy
-        kept = census(m, n, r)  # answered from the kept copy
-        assert list(kept.items()) == list(cold.items())
-        assert all(type(idx) is WalledIndex for idx in kept)
+        assert list(census(m, n, r).items()) == list(cold.items())
         assert list(cold.items()) == list(_census_reference(m, n, r).items()), (m, n, r)
         assert census(m, n, -1) == {} == census(m, n, size + 1)
 
