@@ -296,9 +296,12 @@ def generator(kind: str, i: int, j: int | None, n: int) -> SetPartitionDiagram:
     """
     if kind not in ("E", "P", "S"):
         raise ValueError(f"unknown generator kind {kind!r}")
+    if kind == "P" and j is not None:
+        raise ValueError("generator P takes a single index")
+    n, i = _check_count(n, "n"), _check_count(i, "i")
+    if j is not None:
+        _check_count(j, "j")
     if kind == "P":
-        if j is not None:
-            raise ValueError("generator P takes a single index")
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range for degree {n}")
         others = [(k, -k) for k in range(1, n + 1) if k != i]

@@ -76,14 +76,19 @@ class HalfDiagram:
         }
 
     def render(self) -> str:
-        pieces = []
-        for i, block in enumerate(self.blocks):
-            text = "{" + ",".join(str(x) for x in block) + "}"
-            pieces.append(text + "*" if i in self.labeled else text)
-        return "{" + ",".join(pieces) + "}"
+        return _render_row(self.blocks, self.labeled, str)
 
     def __repr__(self) -> str:
         return f"HalfDiagram({self.n}, {self.render()})"
+
+
+def _render_row(blocks, labeled, dot_text) -> str:
+    """A row as ``{{...},{...}*}``: each block's dots through ``dot_text``, a ``*`` after each labeled block."""
+    pieces = []
+    for i, block in enumerate(blocks):
+        text = "{" + ",".join(map(dot_text, block)) + "}"
+        pieces.append(text + "*" if i in labeled else text)
+    return "{" + ",".join(pieces) + "}"
 
 
 @dataclass(init=False, repr=False, slots=True, unsafe_hash=True)

@@ -20,7 +20,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .diagrams import InvariantViolation, SetPartitionDiagram, _check_count, _json_list, _node_text, generator
-from .halfdiag import HalfDiagram, _glue, enumerate_basis, half_diagram_count
+from .halfdiag import HalfDiagram, _glue, _render_row, enumerate_basis, half_diagram_count
 
 
 class WalledIndex(NamedTuple):
@@ -99,11 +99,7 @@ class WalledHalfDiagram:
         }
 
     def render(self) -> str:
-        pieces = []
-        for i, block in enumerate(self.half.blocks):
-            body = "{" + ",".join(_node_text(self._dot(p)) for p in block) + "}"
-            pieces.append(body + "*" if i in self.half.labeled else body)
-        return "{" + ",".join(pieces) + "}"
+        return _render_row(self.half.blocks, self.half.labeled, lambda p: _node_text(self._dot(p)))
 
     def __repr__(self) -> str:
         return f"WalledHalfDiagram({self.m}|{self.n}, {self.render()})"

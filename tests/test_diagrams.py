@@ -831,10 +831,10 @@ class TestGenerators:
             generator("X", 1, 2, 3)
         with pytest.raises(ValueError, match="^generator P takes a single index$"):
             generator("P", 1, 2, 3)
-        # generators and the identity stay on the validating constructor
-        with pytest.raises(InvariantViolation, match="^dot True out of range for degree 3$"):
+        # generator checks its own arguments; the identity stays on the validating constructor
+        with pytest.raises(ValueError, match="^i must be a non-negative integer, got True$"):
             generator("P", True, None, 3)
-        with pytest.raises(InvariantViolation, match="^dot 1.0 out of range for degree 3$"):
+        with pytest.raises(ValueError, match="^i must be a non-negative integer, got 1.0$"):
             generator("E", 1.0, 2, 3)
         with pytest.raises(TypeError):
             SetPartitionDiagram.identity(2.0)

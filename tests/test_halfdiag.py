@@ -14,6 +14,7 @@ from diagalg.diagrams import (
     InvariantViolation,
     SetPartitionDiagram,
     compose,
+    generator,
 )
 from diagalg.halfdiag import (
     HalfDiagram,
@@ -352,6 +353,9 @@ OTHER_DEGREE_CHECKS = {
     "tl_e_n": (lambda d: tl_e(0, 0, 0, 0, d), "n"),
     "tensor_generators_m": (lambda d: tensor_generators(d, 1), "m"),
     "tensor_generators_n": (lambda d: tensor_generators(1, d), "n"),
+    "generator_n": (lambda d: generator("P", 1, None, d), "n"),
+    "generator_i": (lambda d: generator("P", d, None, 3), "i"),
+    "generator_j": (lambda d: generator("E", 1, d, 3), "j"),
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from diagalg import multiplicity, tl, verify, walled
-from diagalg.walled import Transition, TransitionCase, WalledIndex
+from diagalg.walled import WalledIndex
 
 
 def _payload(report):
@@ -27,7 +27,12 @@ def default_reports():
     [
         ("compose-assoc", None, 757),
         ("action-assoc", None, 512),
+        ("census-factorization", 1, 9),
+        ("census-factorization", 5, 1_520),
         ("census-factorization", None, 641),
+        ("census-factorization", 12, 77_911),
+        ("transition-lemma", 1, 8),
+        ("transition-lemma", 2, 360),
         ("transition-lemma", None, 17_532),
         ("bell-identity", None, 32),
         ("restriction-dimension", None, 45),
@@ -112,6 +117,36 @@ def test_tl_suite_failure_wording(monkeypatch):
     }
 
 
+def test_census_factorization_failure_wording(monkeypatch):
+    # at (1|1): an index copied in from r = 2 at r = 0, a changed count at
+    # r = 1, and r = 2's one index dropped; a wrong count fails its own check
+    # and the total, and an index missing or from another r only the total
+    real = walled.census
+
+    def faulty(m, n, r):
+        tally = real(m, n, r)
+        if (m, n, r) == (1, 1, 0):
+            tally[WalledIndex(0, 0, 1, 1)] = 1
+        elif (m, n, r) == (1, 1, 1):
+            tally[WalledIndex(0, 1, 0, 0)] += 1
+        elif (m, n, r) == (1, 1, 2):
+            del tally[WalledIndex(0, 0, 1, 1)]
+        return tally
+
+    monkeypatch.setattr(walled, "census", faulty)
+    assert _pinned("census-factorization", 1) == {
+        "suite": "census-factorization",
+        "cases": 9,
+        "failures": [
+            "census total at (1|1, 0) is 3, expected 2",
+            "census total at (1|1, 1) is 4, expected 3",
+            "census(1,1,1)[0;1,0,0] = 2, expected 1",
+            "census total at (1|1, 2) is 0, expected 1",
+        ],
+        "ok": False,
+    }
+
+
 def test_transition_lemma_reports_an_unclassified_move(monkeypatch):
     def unclassified(g, w):
         raise walled.TransitionClassificationError("index delta fits no case")
@@ -124,12 +159,3 @@ def test_transition_lemma_reports_an_unclassified_move(monkeypatch):
         "p[1]#left on {{1,1'}}: index delta fits no case",
         "p[1]#right on {{1,1'}}: index delta fits no case",
     ]
-
-
-def test_transition_lemma_reports_a_move_up(monkeypatch):
-    up = Transition(WalledIndex(0, 0, 1, 0), WalledIndex(1, 0, 0, 0), TransitionCase.CASE_I)
-    monkeypatch.setattr(walled, "transition", lambda g, w: up)
-    report = verify.run_suite("transition-lemma", 1)
-    assert report.cases == 12
-    assert len(report.failures) == 12
-    assert report.failures[0] == "p[1]#left on {{1,1'}} moved index up: 0;0,1,0 -> 1;0,0,0"

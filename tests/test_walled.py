@@ -389,9 +389,10 @@ class TestTransition:
         assert transition(g, w).case is TransitionCase.UNCHANGED
 
     def test_every_admissible_delta_lowers_the_index_and_a_side_count(self):
-        # transition-lemma's per-move check and a filtration by (kL, kR) rest on
-        # this: each delta lowers (U, T, L, R) lexicographically, and lowers
-        # kL = U + T + L or kR = U + T + R while raising neither
+        # verify transition-lemma relies on this, counting a classified move as a
+        # lowering one, and a filtration by (kL, kR) rests on it: each delta lowers
+        # (U, T, L, R) lexicographically, and lowers kL = U + T + L or
+        # kR = U + T + R while raising neither
         assert len(_CASE_BY_DELTA) == 8
         assert set(_CASE_BY_DELTA.values()) == set(TransitionCase) - {TransitionCase.UNCHANGED}
         for du, dt, dl, dr in _CASE_BY_DELTA:
