@@ -289,13 +289,17 @@ def dim_standard(n: int, nu: Partition) -> int:
     the standard tableau count of ``nu``.
     """
     nu = check_partition(nu)
-    r = sum(nu)
-    if r > _check_count(n, "n"):
-        raise ValueError(f"standard module needs |index| <= degree, got {r} > {n}")
-    return half_diagram_count(n, r) * _syt_count(nu)
+    if sum(nu) > _check_count(n, "n"):
+        raise ValueError(f"standard module needs |index| <= degree, got {sum(nu)} > {n}")
+    return _dim_standard(n, nu)
+
+
+def _dim_standard(n: int, nu: Partition) -> int:
+    """:func:`dim_standard` for a checked partition ``nu`` with |nu| <= n."""
+    return half_diagram_count(n, sum(nu)) * _syt_count(nu)
 
 
 def partitions_up_to(n: int):
     """All partitions of every size 0..n (the standard-module index set)."""
-    for size in range(n + 1):
-        yield from partitions_of(size)
+    # the outermost range is built here, so a bad n raises at the call
+    return (nu for size in range(_check_count(n, "n") + 1) for nu in partitions_of(size))

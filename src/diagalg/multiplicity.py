@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 
 from .diagrams import _check_count
-from .halfdiag import dim_standard, partitions_up_to
+from .halfdiag import _dim_standard, partitions_up_to
 from .symfunc import Partition, _lr_coeff, check_partition, kronecker_coeff, partitions_inside
 from .walled import WalledIndex
 
@@ -68,8 +68,9 @@ def lattice_line_count(s: int, h: int) -> int:
     Walked as an L-shaped traversal from (h, 0): two steps left, one step
     up, counting the points that stay inside the triangular region.
     """
-    if h < 0:
-        return 0
+    _check_count(s, "s")
+    if not isinstance(h, int) or isinstance(h, bool):
+        raise ValueError(f"h must be an integer, got {h!r}")
     count = 0
     x, y = h, 0
     while x >= 0:
@@ -219,7 +220,7 @@ def admissible_degree_pairs(p: int, q: int, r: int) -> tuple[tuple[int, int], tu
 
 def one_part(k: int) -> Partition:
     """The one-row partition of size k (empty for k = 0)."""
-    return (k,) if k else ()
+    return (k,) if _check_count(k, "k") else ()
 
 
 def restriction_dimension_total(m: int, n: int, r: int) -> int:
@@ -228,9 +229,10 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     Sums multiplicity(nu=(r), lam, mu) * dim(m, lam) * dim(n, mu) over all
     partitions lam of size at most m and mu of size at most n; a correct
     coefficient engine makes this the number of (m + n, r)-half-diagrams.
-    The inputs are checked once.  For each lam and each size of mu, every
-    strand split fetches its nu and lam tables once and joins them with the
-    table of each mu of that size, as :func:`bvo_multiplicity` would.
+    The inputs are checked once, and the dimensions of the lam and mu it
+    enumerates come from the unchecked kernel.  For each lam and each size of
+    mu, every strand split fetches its nu and lam tables once and joins them
+    with the table of each mu of that size, as :func:`bvo_multiplicity` would.
     """
     r, m, n = (_check_count(v, name) for v, name in ((r, "r"), (m, "m"), (n, "n")))
     if r > m + n:
@@ -238,10 +240,10 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     nu = one_part(r)
     right: dict[int, list[tuple[Partition, int]]] = {}
     for mu in partitions_up_to(n):
-        right.setdefault(sum(mu), []).append((mu, dim_standard(n, mu)))
+        right.setdefault(sum(mu), []).append((mu, _dim_standard(n, mu)))
     total = 0
     for lam in partitions_up_to(m):
-        dim_lam = dim_standard(m, lam)
+        dim_lam = _dim_standard(m, lam)
         for size_mu, mus in right.items():
             for l1, l2, b_size, table_nu, table_lam in _split_tables(nu, lam, size_mu):
                 for mu, dim_mu in mus:

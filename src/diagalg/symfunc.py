@@ -16,21 +16,14 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
+from .diagrams import _check_count
+
 Partition = tuple[int, ...]
 
 
 def check_partition(parts) -> Partition:
     """Return ``parts`` as a canonical tuple, rejecting invalid input."""
     p = tuple(parts)
-    # Fast accept: exact ints (so no bool), positive, weakly decreasing.
-    # Anything else falls through to the checks below, which name the fault.
-    last = p[0] if p else 0
-    for x in p:
-        if type(x) is not int or not 1 <= x <= last:
-            break
-        last = x
-    else:
-        return p
     for x in p:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"partition parts must be positive integers, got {parts!r}")
@@ -43,7 +36,7 @@ def check_partition(parts) -> Partition:
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, largest part first within each, in reverse-lex order."""
     # an n-by-n box holds every partition of n
-    return partitions_inside(n, (n,) * n)
+    return partitions_inside(_check_count(n, "n"), (n,) * n)
 
 
 @cache

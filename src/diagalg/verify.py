@@ -462,7 +462,7 @@ SUITES = {
     "action-assoc": (verify_action_assoc, None, None),
     # 1.2 s at 16, 5.2 s at 22; 43 s at 32, 73 s and 57 MiB peak RSS at 36
     "census-factorization": (verify_census_factorization, 4, 36),
-    "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.44 s at 3, 41 s at 4
+    "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.51 s at 3, 36 s at 4
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
     "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 32 s at 11, 79 s at 12; est. 200 s at 13
     "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 11 s at 64, 43 s at 96, 126 s and 260 MiB at 120

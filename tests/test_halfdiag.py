@@ -29,7 +29,8 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
-from diagalg.symfunc import syt_count
+from diagalg.multiplicity import one_part
+from diagalg.symfunc import partitions_of, syt_count
 from diagalg.walled import WalledIndex, census, index_count_formula, tensor_generators
 from diagalg.tl import tl_basis, tl_basis_count, tl_e
 from diagalg.verify import _random_diagram as random_diagram
@@ -356,6 +357,9 @@ OTHER_DEGREE_CHECKS = {
     "generator_n": (lambda d: generator("P", 1, None, d), "n"),
     "generator_i": (lambda d: generator("P", d, None, 3), "i"),
     "generator_j": (lambda d: generator("E", 1, d, 3), "j"),
+    "partitions_of": (partitions_of, "n"),
+    "partitions_up_to": (lambda d: list(partitions_up_to(d)), "n"),
+    "one_part": (one_part, "k"),
 }
 
 

@@ -193,6 +193,19 @@ def test_census_builds_no_diagram():
         assert not found, (scope, sorted(found))
 
 
+def test_restriction_total_rechecks_no_partition_it_built():
+    # the lam and mu it sums over come from partitions_up_to, so their
+    # dimensions are read through the kernel, past dim_standard's checks
+    tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
+    called = {
+        call.func.id
+        for scope, call in _calls(tree)
+        if scope == "restriction_dimension_total" and isinstance(call.func, ast.Name)
+    }
+    assert "_dim_standard" in called
+    assert not called & {"dim_standard", "check_partition"}, sorted(called)
+
+
 def test_tl_basis_builds_no_validated_row():
     tree = ast.parse((PACKAGE_DIR / "tl.py").read_text(encoding="utf-8"))
     called = {scope: set() for scope in ("tl_basis", "_planar_walk")}
