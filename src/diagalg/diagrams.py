@@ -21,10 +21,8 @@ def _check_count(value: int, name: str, error: type[ValueError] = ValueError) ->
     """Return ``value`` if it is a non-negative int (not a bool), else raise ``error`` naming it.
 
     Value constructors pass :class:`InvariantViolation`; argument checks keep
-    the default :class:`ValueError`.  A bool or other int subclass takes the full check.
+    the default :class:`ValueError`.
     """
-    if type(value) is int and value >= 0:  # fast accept, kept: census op_p50_ms reads 4-7% higher without it
-        return value
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise error(f"{name} must be a non-negative integer, got {value!r}")
     return value

@@ -213,6 +213,7 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
 
 def admissible_degree_pairs(p: int, q: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Two degree pairs (m, n) with m >= p, n >= q and m + n >= r."""
+    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
     m = max(p, r - q, 1)
     n = max(q, 1)
     return (m, n), (m + 1, n + 2)

@@ -140,7 +140,8 @@ class GrothElement:
     def __init__(self, terms=()):
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         for (degree, labels), coeff in items:
-            if type(degree) is not int or type(labels) is not int:  # bool included
+            if (not isinstance(degree, int) or isinstance(degree, bool)
+                    or not isinstance(labels, int) or isinstance(labels, bool)):
                 raise InvariantViolation(f"class ({degree!r}, {labels!r}) needs integer degree and labels")
             if not 0 <= labels <= degree or (degree - labels) % 2:
                 raise InvariantViolation(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from diagalg import cli, multiplicity, tl, verify
 from diagalg.cli import main
+from test_multiplicity import Count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -228,15 +229,17 @@ class TestComposeAndAct:
         a = write(tmp_path, "a.json", COMPOSE_LEFT)
         b = write(tmp_path, "b.json", COMPOSE_RIGHT)
         assert main(["compose", a, b]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("δ^2 · {")
+        assert capsys.readouterr() == ("δ^2 · {{1,2},{3},{4,6,6',4'},{5},{5'},{3',2',1'}}\n", "")
 
     def test_compose_json_format(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", COMPOSE_LEFT)
         b = write(tmp_path, "b.json", COMPOSE_RIGHT)
         assert main(["compose", a, b, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["t"] == 2
+        assert capsys.readouterr() == (
+            '{"t": 2, "diagram": {"n": 6, "blocks": [[1, 2], [3], [4, 6, -6, -4], [5], [-5], [-3, -2, -1]]}, '
+            '"rendering": "\\u03b4^2 \\u00b7 {{1,2},{3},{4,6,6\',4\'},{5},{5\'},{3\',2\',1\'}}"}\n',
+            "",
+        )
 
     def test_act_vanishing(self, tmp_path, capsys):
         d = write(tmp_path, "d.json", ACT_DIAGRAM)
@@ -337,7 +340,9 @@ class TestWalled:
     def test_index_worked_example(self, tmp_path, capsys):
         w = write(tmp_path, "w.json", WALLED_INPUT)
         assert main(["walled", "index", w]) == 0
-        assert capsys.readouterr().out.strip() == "2;2,1,1"
+        assert capsys.readouterr() == ("2;2,1,1\n", "")
+        assert main(["walled", "index", w, "--format", "json"]) == 0
+        assert capsys.readouterr() == ('{"index": "2;2,1,1"}\n', "")
 
     def test_index_dot_zero_exit_3(self, tmp_path, capsys):
         w = write(tmp_path, "w.json", {"m": 2, "n": 2, "blocks": [[0, 1], [2], [-1], [-2]]})
@@ -349,6 +354,18 @@ class TestWalled:
         assert main(["walled", "census", "-m", "1", "-n", "1", "-r", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"0;0,1,1": 1}
+
+    def test_census_exact_output(self, capsys):
+        assert main(["walled", "census", "-m", "2", "-n", "2", "-r", "1", "--format", "text"]) == 0
+        assert capsys.readouterr() == (
+            "0;0,0,1: 6\n0;0,1,0: 6\n0;1,0,0: 9\n1;0,0,1: 6\n1;0,1,0: 6\n1;1,0,0: 4\n",
+            "",
+        )
+        assert main(["walled", "census", "-m", "2", "-n", "2", "-r", "1", "--format", "json"]) == 0
+        assert capsys.readouterr() == (
+            '{"0;0,0,1": 6, "0;0,1,0": 6, "0;1,0,0": 9, "1;0,0,1": 6, "1;0,1,0": 6, "1;1,0,0": 4}\n',
+            "",
+        )
 
     def test_census_size_budget(self, capsys):
         start = time.perf_counter()
@@ -378,15 +395,26 @@ class TestWalled:
 class TestGeometry:
     def test_text_output(self, capsys):
         assert main(["geometry", "-p", "3", "-q", "4", "-r", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "tangent lengths: 3, 2, 1" in out
-        assert "circle count:    2" in out
+        assert capsys.readouterr() == (
+            "tangent lengths: 3, 2, 1\n"
+            "circle count:    2\n"
+            "conic:           ellipse with a=7/2, c=5/2, gap=1 -> count 2\n"
+            "parity:          tangents integral True, side sum even True\n",
+            "",
+        )
 
     def test_json_output(self, capsys):
         assert main(["geometry", "-p", "3", "-q", "3", "-r", "4", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["conic"]["kind"] == "ellipse"
         assert payload["conic_count"] == 2
+        assert main(["geometry", "-p", "3", "-q", "4", "-r", "5", "--format", "json"]) == 0
+        assert capsys.readouterr() == (
+            '{"p": 3, "q": 4, "r": 5, "tangent_lengths": ["3", "2", "1"], "circle_count": 2, '
+            '"conic": {"kind": "ellipse", "a": "7/2", "c": "5/2", "gap": "1"}, "conic_count": 2, '
+            '"closed_form": 2, "parity": {"tangents_integral": true, "side_sum_even": true}}\n',
+            "",
+        )
 
 
 class TestTL:
@@ -538,10 +566,9 @@ class TestTL:
 
     def test_groth_expansion(self, capsys):
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {
-            "terms": [{"n": 2, "r": 0, "coeff": 1}, {"n": 2, "r": 2, "coeff": 1}]
-        }
+        assert capsys.readouterr() == ('{"terms": [{"n": 2, "r": 0, "coeff": 1}, {"n": 2, "r": 2, "coeff": 1}]}\n', "")
+        assert main(["tl", "groth", "--left", "1:1", "--right", "1:1", "--format", "text"]) == 0
+        assert capsys.readouterr() == ("[V_2(0)] + [V_2(2)]\n", "")
 
     def test_bad_class_argument_usage_error(self, capsys):
         assert main(["tl", "groth", "--left", "nonsense", "--right", "1:1"]) == 2
@@ -630,6 +657,7 @@ class TestVerify:
             with pytest.raises(ValueError, match="verify bound must be a positive integer"):
                 verify.run_suite("bell-identity", limit)
         assert verify.run_suite("bell-identity", 1).ok
+        assert verify.run_suite("bell-identity", Count.THREE).ok
 
     @staticmethod
     def _forbid_suites(monkeypatch):

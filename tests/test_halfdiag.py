@@ -29,7 +29,7 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
-from diagalg.multiplicity import one_part
+from diagalg.multiplicity import admissible_degree_pairs, one_part
 from diagalg.symfunc import partitions_of, syt_count
 from diagalg.walled import WalledIndex, census, index_count_formula, tensor_generators
 from diagalg.tl import tl_basis, tl_basis_count, tl_e
@@ -360,6 +360,9 @@ OTHER_DEGREE_CHECKS = {
     "partitions_of": (partitions_of, "n"),
     "partitions_up_to": (lambda d: list(partitions_up_to(d)), "n"),
     "one_part": (one_part, "k"),
+    "admissible_degree_pairs_p": (lambda d: admissible_degree_pairs(d, 1, 1), "p"),
+    "admissible_degree_pairs_q": (lambda d: admissible_degree_pairs(1, d, 1), "q"),
+    "admissible_degree_pairs_r": (lambda d: admissible_degree_pairs(1, 1, d), "r"),
 }
 
 

@@ -230,6 +230,21 @@ def test_one_non_negative_integer_check():
     assert found == ["diagrams._check_count"], found
 
 
+def test_no_exact_int_type_test():
+    # An integer argument is tested with isinstance, so an int subclass such
+    # as an IntEnum is accepted wherever an int is; no module compares
+    # type(...) with int.
+    found = []
+    for path, tree in _parsed_sources():
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                typed = any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type" for s in sides)
+                if typed and any(isinstance(s, ast.Name) and s.id == "int" for s in sides):
+                    found.append(f"{path.stem}.{scope}")
+    assert found == [], found
+
+
 INDEX_FIELDS = ("through_unlabeled", "through_labeled", "left_labeled", "right_labeled")
 
 

@@ -21,6 +21,7 @@ from diagalg.tl import (
     tl_e,
 )
 from diagalg.walled import WalledHalfDiagram, WalledIndex, index_of
+from test_multiplicity import Count
 
 
 def tl_basis_reference(n, r):
@@ -297,6 +298,11 @@ class TestGrothProduct:
         message = re.escape(f"class ({key[0]!r}, {key[1]!r}) needs integer degree and labels")
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             GrothElement({key: 1})
+
+    def test_int_subclass_class_accepted(self):
+        assert GrothElement({(Count.FOUR, Count.FOUR): 3}) == GrothElement({(4, 4): 3})
+        assert GrothElement.module_class(Count.THREE, Count.THREE) == GrothElement.module_class(3, 3)
+        assert tl_e(Count.THREE, Count.THREE, Count.FOUR, Count.THREE, Count.THREE) == tl_e(3, 3, 4, 3, 3) == 1
 
     @pytest.mark.parametrize(
         "coeff", [1.5, True, Fraction(1, 2), "1"], ids=["float", "bool", "fraction", "str"]
