@@ -28,6 +28,13 @@ def _check_count(value: int, name: str, error: type[ValueError] = ValueError) ->
     return value
 
 
+def _check_int(value: int, name: str) -> int:
+    """Return ``value`` if it is an int (not a bool), else raise ``ValueError`` naming it; a label count's check."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _merge_terms(items) -> dict:
     """Sum the coefficients of equal keys, dropping a key as soon as its sum is zero.
 

@@ -20,6 +20,7 @@ from .diagrams import (
     SetPartitionDiagram,
     _check_blocks,
     _check_count,
+    _check_int,
     _json_list,
 )
 from .symfunc import Partition, _syt_count, check_partition, partitions_of
@@ -239,7 +240,7 @@ def enumerate_basis(n: int, r: int) -> list[HalfDiagram]:
     count and subset).  A label count r outside 0..n gives no diagram.
     """
     _check_count(n, "n")
-    if r < 0 or r > n:
+    if not 0 <= _check_int(r, "r") <= n:
         return []
     label_sets = [[frozenset(labels) for labels in combinations(range(k), r)] for k in range(n + 1)]
     return [
@@ -261,7 +262,7 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 def stirling2(n: int, k: int) -> int:
     """Number of set partitions of an n-set into k blocks, zero for k outside 0..n."""
     _check_count(n, "n")
-    return _stirling_row(n)[k] if 0 <= k <= n else 0
+    return _stirling_row(n)[k] if 0 <= _check_int(k, "k") <= n else 0
 
 
 def bell(n: int) -> int:
@@ -269,7 +270,7 @@ def bell(n: int) -> int:
     return sum(_stirling_row(_check_count(n, "n")))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n misses and meets the check
+@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n or r misses and meets its check
 def half_diagram_count(n: int, r: int) -> int:
     """Number of (n, r)-half-diagrams: sum over k of S(n, k) * C(k, r), zero for r outside 0..n.
 
@@ -277,7 +278,7 @@ def half_diagram_count(n: int, r: int) -> int:
     r = 2 returns within 1 s up to n = 1,650 on a 2-core x86 host.
     """
     _check_count(n, "n")
-    if r < 0 or r > n:
+    if not 0 <= _check_int(r, "r") <= n:
         return 0
     return sum(s * comb(k, r) for k, s in enumerate(_stirling_row(n)))
 

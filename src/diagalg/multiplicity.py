@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .diagrams import _check_count
+from .diagrams import _check_count, _check_int
 from .halfdiag import _dim_standard, partitions_up_to
-from .symfunc import Partition, _lr_coeff, check_partition, kronecker_coeff, partitions_inside
+from .symfunc import Partition, _lr_coeff, _partitions_inside, check_partition, kronecker_coeff
 from .walled import WalledIndex
 
 
@@ -69,10 +69,8 @@ def lattice_line_count(s: int, h: int) -> int:
     up, counting the points that stay inside the triangular region.
     """
     _check_count(s, "s")
-    if not isinstance(h, int) or isinstance(h, bool):
-        raise ValueError(f"h must be an integer, got {h!r}")
     count = 0
-    x, y = h, 0
+    x, y = _check_int(h, "h"), 0
     while x >= 0:
         if x + y <= s:
             count += 1
@@ -103,13 +101,13 @@ def _three_part_table(
     out: dict[Partition, dict[Partition, dict[Partition, int]]] = {}
     if s1 + s2 + s3 != sum(nu):
         return out
-    for eta in partitions_inside(s3, nu):
-        for xi in partitions_inside(s1 + s2, nu):
+    for eta in _partitions_inside(s3, nu):
+        for xi in _partitions_inside(s1 + s2, nu):
             c_outer = _lr_coeff(xi, eta, nu)
             if not c_outer:
                 continue
-            for alpha in partitions_inside(s1, xi):
-                for beta in partitions_inside(s2, xi):
+            for alpha in _partitions_inside(s1, xi):
+                for beta in _partitions_inside(s2, xi):
                     c_inner = _lr_coeff(alpha, beta, xi)
                     if c_inner:
                         by_beta = out.setdefault(alpha, {}).setdefault(eta, {})

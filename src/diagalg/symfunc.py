@@ -36,11 +36,11 @@ def check_partition(parts) -> Partition:
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, largest part first within each, in reverse-lex order."""
     # an n-by-n box holds every partition of n
-    return partitions_inside(_check_count(n, "n"), (n,) * n)
+    return _partitions_inside(_check_count(n, "n"), (n,) * n)
 
 
 @cache
-def partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
+def _partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
     """Partitions of ``size`` whose diagrams fit inside ``outer``, in :func:`partitions_of` order."""
     out: list[Partition] = []
 
@@ -57,14 +57,14 @@ def partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def contains(outer: Partition, inner: Partition) -> bool:
+def _contains(outer: Partition, inner: Partition) -> bool:
     """Young-diagram containment, row by row."""
     if len(inner) > len(outer):
         return False
     return all(o >= i for o, i in zip(outer, inner))
 
 
-def conjugate(lam: Partition) -> Partition:
+def _conjugate(lam: Partition) -> Partition:
     """Transpose of a Young diagram."""
     if not lam:
         return ()
@@ -85,7 +85,7 @@ def _syt_count(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
         return 1
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     hooks = 1
     for i, row in enumerate(lam):
         for j in range(row):
@@ -109,7 +109,7 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @cache
 def _lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
-    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
+    if sum(lam) + sum(mu) != sum(nu) or not _contains(nu, lam):
         return 0
     if not mu:
         return 1 if lam == nu else 0
@@ -218,7 +218,7 @@ def kronecker_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         if len(shape) <= 1:
             return int(a == b)
         if shape[0] == 1:
-            return int(a == conjugate(b))
+            return int(a == _conjugate(b))
     # chi_lam * chi_mu * chi_nu times the class size n!/z_rho, summed, then divided by n!
     sizes, stray = _class_sizes(n)
     b_lam, b_mu, b_nu, total = _beta(lam), _beta(mu), _beta(nu), 0

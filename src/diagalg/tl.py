@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .diagrams import InvariantViolation, _check_count, _merge_terms
+from .diagrams import InvariantViolation, _check_count, _check_int, _merge_terms
 from .halfdiag import HalfDiagram
 
 
@@ -121,7 +121,7 @@ def tl_basis_count(n: int, r: int) -> int:
     Zero for a label count r outside 0..n or off the parity of n.
     """
     _check_count(n, "n")
-    if r < 0 or r > n or (n - r) % 2:
+    if not 0 <= _check_int(r, "r") <= n or (n - r) % 2:
         return 0
     c = (n - r) // 2
     return comb(n, c) - (comb(n, c - 1) if c >= 1 else 0)

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import NamedTuple
 
-from .diagrams import InvariantViolation, SetPartitionDiagram, _check_count, _json_list, _node_text, generator
+from .diagrams import InvariantViolation, SetPartitionDiagram, _check_count, _check_int, _json_list, _node_text, generator
 from .halfdiag import HalfDiagram, _glue, _render_row, enumerate_basis, half_diagram_count
 
 
@@ -128,6 +128,7 @@ def _index(m: int, blocks, labeled) -> WalledIndex:
 
 def enumerate_walled(m: int, n: int, r: int) -> list[WalledHalfDiagram]:
     """All (m|n, r)-walled half-diagrams, in the half-diagram basis order."""
+    m, n = _check_count(m, "m"), _check_count(n, "n")
     return [WalledHalfDiagram(m, n, hd) for hd in enumerate_basis(m + n, r)]
 
 
@@ -151,7 +152,7 @@ def census(m: int, n: int, r: int) -> dict[WalledIndex, int]:
     m, n = _check_count(m, "m"), _check_count(n, "n")
     rows = _census_table(m, n)
     out: dict[WalledIndex, int] = {}
-    if not 0 <= r < len(rows):
+    if not 0 <= _check_int(r, "r") < len(rows):
         return out
     key = tuple.__new__  # key(WalledIndex, values) skips the NamedTuple's Python-level __new__
     for u, t, weight, l, counts in rows[r]:

@@ -7,7 +7,7 @@ same cells in the same order, one call per cell, so it checks the
 explicit-stack fill step for step (and stops near Python's frame limit).
 """
 
-from diagalg.symfunc import Partition, check_partition, contains
+from diagalg.symfunc import Partition, _contains, check_partition
 
 
 def lr_coeff_by_symbol_addition(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -25,7 +25,7 @@ def lr_coeff_by_symbol_addition(lam: Partition, mu: Partition, nu: Partition) ->
     lam = check_partition(lam)
     mu = check_partition(mu)
     nu = check_partition(nu)
-    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
+    if sum(lam) + sum(mu) != sum(nu) or not _contains(nu, lam):
         return 0
     if not mu:
         return 1 if lam == nu else 0
@@ -59,7 +59,7 @@ def lr_coeff_by_symbol_addition(lam: Partition, mu: Partition, nu: Partition) ->
                 total += 1
             return
         for new_shape in strips(shape, mu[row]):
-            if not contains(nu, new_shape):
+            if not _contains(nu, new_shape):
                 continue
             added = []  # (column, diagram row) of each new cell
             old_padded = shape + (0,) * (len(new_shape) - len(shape))
@@ -95,7 +95,7 @@ def lr_coeff_by_recursive_fill(lam: Partition, mu: Partition, nu: Partition) -> 
     lam = check_partition(lam)
     mu = check_partition(mu)
     nu = check_partition(nu)
-    if sum(lam) + sum(mu) != sum(nu) or not contains(nu, lam):
+    if sum(lam) + sum(mu) != sum(nu) or not _contains(nu, lam):
         return 0
     if not mu:
         return 1 if lam == nu else 0

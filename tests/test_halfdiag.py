@@ -9,13 +9,7 @@ import tracemalloc
 import pytest
 
 from diagalg import halfdiag
-from diagalg.diagrams import (
-    DeltaPolynomial,
-    InvariantViolation,
-    SetPartitionDiagram,
-    compose,
-    generator,
-)
+from diagalg.diagrams import DeltaPolynomial, InvariantViolation, SetPartitionDiagram, compose
 from diagalg.halfdiag import (
     HalfDiagram,
     ScaledHalfDiagram,
@@ -29,10 +23,7 @@ from diagalg.halfdiag import (
     set_partitions,
     stirling2,
 )
-from diagalg.multiplicity import admissible_degree_pairs, one_part
-from diagalg.symfunc import partitions_of, syt_count
-from diagalg.walled import WalledIndex, census, index_count_formula, tensor_generators
-from diagalg.tl import tl_basis, tl_basis_count, tl_e
+from diagalg.symfunc import syt_count
 from diagalg.verify import _random_diagram as random_diagram
 from diagalg.verify import _random_half_diagram as random_half_diagram
 
@@ -329,71 +320,3 @@ class TestDimensions:
     def test_schur_weyl_identity_fails_below_the_faithfulness_bound(self):
         for k in range(2, 11):
             assert self.schur_weyl_total(k, 2 * k - 2) != (2 * k - 2) ** k, k
-
-
-# Each builder as (degree, label count) -> value, the name its degree goes
-# by, and what it gives for the label count -1.
-DEGREE_BUILDERS = {
-    "enumerate_basis": (enumerate_basis, "n", []),
-    "half_diagram_count": (half_diagram_count, "n", 0),
-    "tl_basis": (tl_basis, "n", ()),
-    "tl_basis_count": (tl_basis_count, "n", 0),
-    "census_m": (lambda d, r: census(d, 1, r), "m", {}),
-    "census_n": (lambda d, r: census(1, d, r), "n", {}),
-    "stirling2": (stirling2, "n", 0),
-}
-
-# The other functions that check a degree, each as degree -> value (their
-# other arguments fixed) and the name the degree goes by.
-OTHER_DEGREE_CHECKS = {
-    "set_partitions": (set_partitions, "n"),
-    "bell": (bell, "n"),
-    "index_count_formula_m": (lambda d: index_count_formula(d, 1, WalledIndex(0, 0, 0, 0)), "m"),
-    "index_count_formula_n": (lambda d: index_count_formula(1, d, WalledIndex(0, 0, 0, 0)), "n"),
-    "tl_e_m": (lambda d: tl_e(0, 0, 0, d, 0), "m"),
-    "tl_e_n": (lambda d: tl_e(0, 0, 0, 0, d), "n"),
-    "tensor_generators_m": (lambda d: tensor_generators(d, 1), "m"),
-    "tensor_generators_n": (lambda d: tensor_generators(1, d), "n"),
-    "generator_n": (lambda d: generator("P", 1, None, d), "n"),
-    "generator_i": (lambda d: generator("P", d, None, 3), "i"),
-    "generator_j": (lambda d: generator("E", 1, d, 3), "j"),
-    "partitions_of": (partitions_of, "n"),
-    "partitions_up_to": (lambda d: list(partitions_up_to(d)), "n"),
-    "one_part": (one_part, "k"),
-    "admissible_degree_pairs_p": (lambda d: admissible_degree_pairs(d, 1, 1), "p"),
-    "admissible_degree_pairs_q": (lambda d: admissible_degree_pairs(1, d, 1), "q"),
-    "admissible_degree_pairs_r": (lambda d: admissible_degree_pairs(1, 1, d), "r"),
-}
-
-
-@pytest.mark.parametrize("bad", [True, 2.0, "2", -1], ids=["bool", "float", "str", "negative"])
-@pytest.mark.parametrize("builder", DEGREE_BUILDERS)
-def test_builders_reject_a_bad_degree_with_one_message(builder, bad):
-    build, name, empty = DEGREE_BUILDERS[builder]
-    for cached in (1, 2):  # a memo holding the equal int must not let True or 2.0 through
-        build(cached, 0)
-    message = re.escape(f"{name} must be a non-negative integer, got {bad!r}")
-    with pytest.raises(ValueError, match=f"^{message}$") as caught:
-        build(bad, 0)
-    assert type(caught.value) is ValueError
-    # A label count outside 0..n is not an error: it counts nothing.
-    assert build(2, -1) == empty
-
-
-@pytest.mark.parametrize("builder", DEGREE_BUILDERS)
-def test_builders_reject_a_float_label_count(builder):
-    build, _, _ = DEGREE_BUILDERS[builder]
-    build(4, 2)  # a float must not read what the int call left in a memo
-    with pytest.raises(TypeError):
-        build(4, 2.0)
-
-
-@pytest.mark.parametrize("bad", [True, 2.0, "2", -1], ids=["bool", "float", "str", "negative"])
-@pytest.mark.parametrize("function", OTHER_DEGREE_CHECKS)
-def test_other_functions_reject_a_bad_degree_with_one_message(function, bad):
-    call, name = OTHER_DEGREE_CHECKS[function]
-    call(2)  # a memo holding an equal int must not let True or 2.0 through
-    message = re.escape(f"{name} must be a non-negative integer, got {bad!r}")
-    with pytest.raises(ValueError, match=f"^{message}$") as caught:
-        call(bad)
-    assert type(caught.value) is ValueError

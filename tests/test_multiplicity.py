@@ -1,6 +1,5 @@
 """Multiplicity engines: closed form, enumerations, coefficient sum, symmetry."""
 
-import re
 from enum import IntEnum
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
@@ -231,23 +230,6 @@ class TestLatticeCount:
     def test_negative_height_empty(self):
         assert lattice_line_count(4, -2) == 0
         assert e2_lattice(1, 1, 5) == 0
-
-    @pytest.mark.parametrize(
-        "s, h, message",
-        [
-            (3.0, 2.0, "s must be a non-negative integer, got 3.0"),
-            (True, 2, "s must be a non-negative integer, got True"),
-            (-1, 2, "s must be a non-negative integer, got -1"),
-            (2, 2.0, "h must be an integer, got 2.0"),
-            (2, False, "h must be an integer, got False"),
-            (2, "2", "h must be an integer, got '2'"),
-        ],
-        ids=["s-float", "s-bool", "s-negative", "h-float", "h-bool", "h-str"],
-    )
-    def test_arguments_are_checked(self, s, h, message):
-        # each once returned a count (2, 1, 0, 2 and 1), or for '2' raised a bare TypeError
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            lattice_line_count(s, h)
 
     def test_matches_system_enumeration(self):
         for p in range(9):

@@ -216,18 +216,25 @@ def test_tl_basis_builds_no_validated_row():
     assert not called["_planar_walk"] & {"HalfDiagram", "planar_row"}, sorted(called["_planar_walk"])
 
 
-def test_one_non_negative_integer_check():
-    # Degrees, label counts and delta exponents all go through
-    # diagrams._check_count, the one place that tests and words the rule.
+def _raising_scopes(phrase):
     found = []
     for path, tree in _parsed_sources():
         for scope, node in _scoped(tree):
             if isinstance(node, ast.Raise) and any(
-                isinstance(c, ast.Constant) and "must be a non-negative integer" in str(c.value)
-                for c in ast.walk(node)
+                isinstance(c, ast.Constant) and phrase in str(c.value) for c in ast.walk(node)
             ):
                 found.append(f"{path.stem}.{scope}")
+    return found
+
+
+def test_one_non_negative_integer_check():
+    # Degrees and delta exponents go through diagrams._check_count, and label
+    # counts through diagrams._check_int: each the one place that tests and
+    # words its rule.
+    found = _raising_scopes("must be a non-negative integer")
     assert found == ["diagrams._check_count"], found
+    found = _raising_scopes("must be an integer")
+    assert found == ["diagrams._check_int"], found
 
 
 def test_no_exact_int_type_test():
@@ -331,7 +338,7 @@ def _scopes(node, scope=""):
 # must be bounded by a budgeted argument and added here on purpose.
 RECURSIVE_FUNCTIONS = {
     "set_partitions": "n",
-    "partitions_inside.build": "len(outer)",
+    "_partitions_inside.build": "len(outer)",
     "_char_on_beta": "len(rho)",
 }
 

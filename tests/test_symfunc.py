@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from diagalg import symfunc
 from diagalg.multiplicity import _three_part_table
 from diagalg.symfunc import (
+    _conjugate,
+    _contains,
+    _partitions_inside,
     centralizer_order,
     check_partition,
-    conjugate,
-    contains,
     kronecker_coeff,
     lr_coeff,
     mn_character,
-    partitions_inside,
     partitions_of,
     syt_count,
 )
@@ -161,13 +161,13 @@ class TestPartitions:
         for size in range(9):
             for outer in partitions_of(size):
                 for k in range(size + 2):
-                    expected = tuple(p for p in partitions_of(k) if contains(outer, p))
-                    assert partitions_inside(k, outer) == expected
+                    expected = tuple(p for p in partitions_of(k) if _contains(outer, p))
+                    assert _partitions_inside(k, outer) == expected
 
     def test_conjugate(self):
-        assert conjugate((3, 2, 1)) == (3, 2, 1)
-        assert conjugate((4, 1)) == (2, 1, 1, 1)
-        assert conjugate(()) == ()
+        assert _conjugate((3, 2, 1)) == (3, 2, 1)
+        assert _conjugate((4, 1)) == (2, 1, 1, 1)
+        assert _conjugate(()) == ()
 
 
 class TestSytCount:
@@ -253,7 +253,7 @@ class TestLRCoeff:
         for size in range(10):
             for nu in partitions_of(size):
                 for lam_size in range(size + 1):
-                    for lam in partitions_inside(lam_size, nu):
+                    for lam in _partitions_inside(lam_size, nu):
                         for mu in partitions_of(size - lam_size):
                             assert lr_coeff(lam, mu, nu) == lr_coeff_by_recursive_fill(lam, mu, nu), (lam, mu, nu)
                             cases += 1
