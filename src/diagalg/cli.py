@@ -49,6 +49,10 @@ MULT_BVO_MAX_COUNT = 800
 TL_BASIS_MAX_DOTS = 340_000
 TL_BASIS_MAX_DEGREE = 14_298
 
+# Most terms that `tl groth` prints, min(p, q) + 1 for classes [m, p] and
+# [n, q]: 300,000 print as JSON in about 0.9 s and a 164 MiB peak.
+TL_GROTH_MAX_TERMS = 300_000
+
 
 def _check_budget(value: int, budget: int, subject: str, limit: str, tail: str = "") -> None:
     """Exit 2 with "<subject> is limited to <limit, budget filled in>, got <value><tail>" above ``budget``."""
@@ -263,7 +267,9 @@ def _cmd_tl(args) -> int:
         pieces = ([f"{{{a},{b}}}" for a, b in row["caps"]] + [f"{{{dot}}}*" for dot in row["labels"]] for row in rows)
         return _emit(args, rows, ("{" + ",".join(p) + "}" for p in pieces))
     (m, p), (n, q) = _parse_class(args.left), _parse_class(args.right)
-    product = tl.groth_multiply(tl.GrothElement.module_class(m, p), tl.GrothElement.module_class(n, q))
+    left, right = tl.GrothElement.module_class(m, p), tl.GrothElement.module_class(n, q)
+    _check_budget(min(p, q) + 1, TL_GROTH_MAX_TERMS, "tl groth", "{} terms (min(p, q) + 1 for m:p times n:q)")
+    product = tl.groth_multiply(left, right)
     return _emit(args, product.to_json(), [product.render()])
 
 
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     tl_basis.add_argument("-r", type=int, required=True)
     tl_basis.add_argument("--count-only", action="store_true")
     tl_basis.add_argument("--format", choices=["text", "json"], default="text")
-    tl_groth = tl_sub.add_parser("groth", help="multiply two module classes")
+    tl_groth = tl_sub.add_parser("groth", help=f"multiply two module classes (at most {TL_GROTH_MAX_TERMS} terms)")
     tl_groth.add_argument("--left", required=True, help="class as 'degree:labels'")
     tl_groth.add_argument("--right", required=True, help="class as 'degree:labels'")
     tl_groth.add_argument("--format", choices=["text", "json"], default="json")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagrams import _check_count
-from .multiplicity import e_closed
+from .multiplicity import _e_closed
 
 
 def _doubled(p: int, q: int, r: int) -> tuple[tuple[int, int, int], int, int, int, str]:
@@ -113,7 +113,7 @@ def geometry_summary(p: int, q: int, r: int) -> dict:
         "circle_count": circles,
         "conic": {"kind": kind, "a": _half(a), "c": _half(c), "gap": _half(gap)},
         "conic_count": conics,
-        "closed_form": e_closed(p, q, r),
+        "closed_form": _e_closed(p, q, r),
     }
     if min(tangents) >= 0:
         integral, even = _parity(tangents, p + q + r)

@@ -110,6 +110,13 @@ class ScaledHalfDiagram:
         self.diagram = diagram
 
     @classmethod
+    def _trusted(cls, coeff: DeltaPolynomial, diagram: HalfDiagram | None) -> "ScaledHalfDiagram":
+        """Wrap a non-zero ``coeff`` and a ``diagram``, or the zero polynomial and None, with no check."""
+        self = object.__new__(cls)
+        self.coeff, self.diagram = coeff, diagram
+        return self
+
+    @classmethod
     def zero(cls) -> "ScaledHalfDiagram":
         return cls(DeltaPolynomial.zero(), None)
 
@@ -208,12 +215,13 @@ def act(d: SetPartitionDiagram, v: HalfDiagram) -> ScaledHalfDiagram:
     The label count never increases under stacking; the action is zero as
     soon as it drops (a label merged with another or trapped in a
     component that misses the top row), and otherwise every trapped
-    component contributes a power of delta.
+    component contributes a power of delta.  The trapped count is a valid
+    exponent, so the result is built with no check.
     """
     t, top = act_top(d, v)
     if top.r < v.r:
-        return ScaledHalfDiagram.zero()
-    return ScaledHalfDiagram(DeltaPolynomial.delta_power(t), top)
+        return ScaledHalfDiagram._trusted(DeltaPolynomial._trusted(()), None)
+    return ScaledHalfDiagram._trusted(DeltaPolynomial._trusted(((t, 1),)), top)
 
 
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -30,7 +30,11 @@ def e_closed(p: int, q: int, r: int) -> int:
     the tangent gap plus one, with the middle branch owning the boundary
     where r ties the largest of p and q.
     """
-    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
+    return _e_closed(_check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r"))
+
+
+def _e_closed(p: int, q: int, r: int) -> int:
+    """:func:`e_closed` for checked counts p, q and r."""
     gap = abs(p - q)
     if p + q < r or r < gap:
         return 0

@@ -152,6 +152,13 @@ class GrothElement:
         self.terms = dict(sorted(_merge_terms(items).items()))
 
     @classmethod
+    def _trusted(cls, terms: dict) -> "GrothElement":
+        """Wrap ``terms``, valid classes sorted and mapped to non-zero int coefficients, with no check or copy."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
     def module_class(cls, degree: int, labels: int) -> "GrothElement":
         try:
             return cls({(degree, labels): 1})
@@ -161,7 +168,7 @@ class GrothElement:
     def __add__(self, other) -> "GrothElement":
         if not isinstance(other, GrothElement):
             return NotImplemented
-        return GrothElement([*self.terms.items(), *other.terms.items()])
+        return GrothElement._trusted(dict(sorted(_merge_terms([*self.terms.items(), *other.terms.items()]).items())))
 
     def to_json(self) -> dict:
         return {
@@ -188,14 +195,18 @@ def groth_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
     """Bilinear class product.
 
     Two classes expand over every label count of matching parity inside
-    the degenerate-triangle band, each with coefficient one.
+    the degenerate-triangle band, each with coefficient one.  Each class
+    (m + n, r) of the band is valid, as r <= p + q <= m + n with the parity
+    of m + n, so the sums are wrapped with no check.
     """
-    return GrothElement(
-        ((m + n, r), cm * cn)
-        for (m, p), cm in a.terms.items()
-        for (n, q), cn in b.terms.items()
-        for r in range(abs(p - q), p + q + 1, 2)
-    )
+    sums: dict = {}
+    for (m, p), cm in a.terms.items():
+        for (n, q), cn in b.terms.items():
+            c = cm * cn
+            for r in range(abs(p - q), p + q + 1, 2):
+                key = (m + n, r)
+                sums[key] = sums.get(key, 0) + c
+    return GrothElement._trusted({key: c for key, c in sorted(sums.items()) if c})
 
 
 def tl_e(p: int, q: int, r: int, m: int, n: int) -> int:

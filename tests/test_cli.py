@@ -570,6 +570,16 @@ class TestTL:
         assert main(["tl", "groth", "--left", "1:1", "--right", "1:1", "--format", "text"]) == 0
         assert capsys.readouterr() == ("[V_2(0)] + [V_2(2)]\n", "")
 
+    def test_groth_term_budget(self, capsys):
+        # the band of [m, p]·[n, q] has min(p, q) + 1 terms: one past the budget exits before the
+        # product, and labels far past it on one side pass when the other side's are few
+        big = cli.TL_GROTH_MAX_TERMS
+        assert main(["tl", "groth", "--left", f"{big}:{big}", "--right", f"{big + 2}:{big}"]) == 2
+        message = f"error: tl groth is limited to {big} terms (min(p, q) + 1 for m:p times n:q), got {big + 1}\n"
+        assert capsys.readouterr() == ("", message)
+        assert main(["tl", "groth", "--left", f"{big + 1}:1", "--right", f"{10 * big}:{10 * big}", "--format", "text"]) == 0
+        assert capsys.readouterr() == (f"[V_{11 * big + 1}({10 * big - 1})] + [V_{11 * big + 1}({10 * big + 1})]\n", "")
+
     def test_bad_class_argument_usage_error(self, capsys):
         assert main(["tl", "groth", "--left", "nonsense", "--right", "1:1"]) == 2
 
@@ -760,14 +770,15 @@ class TestBudgetGuard:
             code = main(argv)
         return code, out.getvalue(), err.getvalue()
 
-    @pytest.mark.parametrize("kind", ["e1", "e2", "bvo", "table", "census", "verify"])
+    @pytest.mark.parametrize("kind", ["e1", "e2", "bvo", "table", "census", "verify", "groth"])
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(st.tuples(*[st.integers(0, 14)] * 3), st.data())
     def test_at_and_just_past_every_budget(self, kind, pqr, data):
         p, q, r = pqr
         if kind == "e2":
             r = min(r, p + q)  # a walk of p + q - r >= 0 steps
-        size = {"e1": multiplicity.e_closed(p, q, r), "e2": p + q - r, "bvo": max(p, q, r), "table": p % 6}.get(kind)
+        size = {"e1": multiplicity.e_closed(p, q, r), "e2": p + q - r, "bvo": max(p, q, r), "table": p % 6,
+                "groth": min(p, q) + 1}.get(kind)
         m = data.draw(st.integers(0, cli.CENSUS_MAX_DOTS))
         labels = data.draw(st.integers(-1, cli.CENSUS_MAX_DOTS + 2))
         suite = data.draw(st.sampled_from([name for name, entry in verify.SUITES.items() if entry[2]]))
@@ -780,6 +791,9 @@ class TestBudgetGuard:
                 elif kind == "table":
                     patch.setattr(cli, "MULT_TABLE_MAX", size)
                     argv = ["mult", "table", "--max", str(size + past), "--format", "csv" if q % 2 else "json"]
+                elif kind == "groth":
+                    patch.setattr(cli, "TL_GROTH_MAX_TERMS", size - past)
+                    argv = ["tl", "groth", "--left", f"{p}:{p}", "--right", f"{q + 2 * r}:{q}"]
                 elif kind == "census":
                     n = cli.CENSUS_MAX_DOTS + past - m
                     argv = ["walled", "census", "-m", str(m), "-n", str(n), "-r", str(labels)]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from diagalg import verify
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
+    _e_closed,
     admissible_degree_pairs,
     bvo_multiplicity,
     e2_lattice,
@@ -155,6 +156,11 @@ class TestClosedForm:
 
     def test_all_zero(self):
         assert e_closed(0, 0, 0) == 1
+
+    def test_unchecked_kernel_matches_the_checked_route_to_forty(self):
+        # geometry_summary reads its closed form from the kernel, past the checks
+        for p, q, r in product(range(41), repeat=3):
+            assert _e_closed(p, q, r) == e_closed(p, q, r)
 
 
 class TestSystemEnumeration:

@@ -107,6 +107,9 @@ TRUSTED_CALLERS = {
     "DiagramSum.__add__",
     "DiagramSum.compose",
     "_planar_walk",
+    "act",
+    "GrothElement.__add__",
+    "groth_multiply",
 }
 
 
@@ -204,6 +207,26 @@ def test_restriction_total_rechecks_no_partition_it_built():
     }
     assert "_dim_standard" in called
     assert not called & {"dim_standard", "check_partition"}, sorted(called)
+
+
+def test_products_of_checked_values_recheck_nothing():
+    # each builds its result from values already checked, so it calls the
+    # unchecked route and never the checking one
+    routes = {
+        "halfdiag.act": ({"act_top", "_trusted"}, {"ScaledHalfDiagram", "DeltaPolynomial", "delta_power", "zero"}),
+        "tl.groth_multiply": ({"_trusted"}, {"GrothElement"}),
+        "tl.GrothElement.__add__": ({"_trusted"}, {"GrothElement"}),
+        "geometry.geometry_summary": ({"_doubled", "_e_closed"}, {"e_closed"}),
+    }
+    called = {name: set() for name in routes}
+    for path, tree in _parsed_sources():
+        for scope, call in _calls(tree):
+            name = f"{path.stem}.{scope}"
+            if name in called:
+                func = call.func
+                called[name].add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    for name, (needed, banned) in routes.items():
+        assert needed <= called[name] and not called[name] & banned, (name, sorted(called[name]))
 
 
 def test_tl_basis_builds_no_validated_row():

@@ -336,6 +336,42 @@ class TestGrothProduct:
                 a, groth_multiply(b, c)
             )
 
+    @staticmethod
+    def assert_checked(built, items):
+        """``built`` holds the terms, in the order, that the validating constructor gives ``items``."""
+        assert list(built.terms.items()) == list(GrothElement(items).terms.items())
+        assert all(type(coeff) is int and coeff for coeff in built.terms.values())
+
+    @staticmethod
+    def expanded(a, b):
+        """The items of ``a`` times ``b``, each class pair over its band, before any merging."""
+        return [
+            ((m + n, r), cm * cn)
+            for (m, p), cm in a.terms.items()
+            for (n, q), cn in b.terms.items()
+            for r in range(abs(p - q), p + q + 1, 2)
+        ]
+
+    def test_product_and_sum_match_the_checked_constructor(self):
+        # both wrap their terms unchecked; the constructor on the same items is the oracle
+        classes = [(deg, lab) for deg in range(7) for lab in range(deg % 2, deg + 1, 2)]
+        singles = [GrothElement.module_class(*key) for key in classes]
+        rng = random.Random(43)
+
+        def sample():
+            picks = rng.sample(classes, k=rng.randint(1, 4))
+            return GrothElement({key: rng.choice([-2, -1, 1, 2]) for key in picks})
+
+        pairs = [(a, b) for a in singles for b in singles] + [(sample(), sample()) for _ in range(300)]
+        cancelled = {"product": 0, "sum": 0}
+        for a, b in pairs:
+            product_items, sum_items = self.expanded(a, b), [*a.terms.items(), *b.terms.items()]
+            self.assert_checked(groth_multiply(a, b), product_items)
+            self.assert_checked(a + b, sum_items)
+            for kind, items in (("product", product_items), ("sum", sum_items)):
+                cancelled[kind] += len(GrothElement(items).terms) < len(dict(items))
+        assert all(cancelled.values()), cancelled
+
     def test_structure_constants_associativity(self):
         # sum over r of E(p,q;r) E(r,w;t) equals sum over r of E(q,w;r) E(p,r;t)
         def e(p, q, r):
