@@ -97,7 +97,7 @@ def _cmd_mult(args) -> int:
         top = _check_count(args.max, "--max")
         _check_budget(top, MULT_TABLE_MAX, "mult table", "--max <= {}")
         rows = [
-            (p, q, r, multiplicity.e_closed(p, q, r))
+            (p, q, r, multiplicity._e_closed(p, q, r))
             for p in range(top + 1)
             for q in range(top + 1)
             for r in range(top + 1)
@@ -120,7 +120,7 @@ def _cmd_mult(args) -> int:
     wanted = ("closed", "e1", "e2", "bvo") if args.engines == "all" else (args.engines,)
     hint = "; for the count use --engines closed"
     if "e1" in wanted or args.solutions:
-        expected = multiplicity.e_closed(p, q, r)
+        expected = multiplicity._e_closed(p, q, r)
         if expected > MULT_E1_MAX_SOLUTIONS:
             raise ValueError(
                 f"e1 and --solutions enumerate at most {MULT_E1_MAX_SOLUTIONS} solutions, got {expected}{hint}"
@@ -132,7 +132,7 @@ def _cmd_mult(args) -> int:
     if "e1" in wanted or args.solutions:
         count, solutions = multiplicity.e_lattice(p, q, r)
     if "closed" in wanted:
-        engines["closed"] = multiplicity.e_closed(p, q, r)
+        engines["closed"] = multiplicity._e_closed(p, q, r)
     if "e1" in wanted:
         engines["e1"] = count
     if "e2" in wanted:
@@ -178,11 +178,14 @@ def _cmd_verify(args) -> int:
 
 
 def _emit(args, payload, lines) -> int:
-    """Print ``payload`` as JSON under --format json, else each of ``lines``; exit 0."""
+    """Print ``payload()`` as JSON under --format json, else each of ``lines()``; exit 0.
+
+    Both are called lazily, so only the printed format is built.
+    """
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
     return 0
 
@@ -192,48 +195,53 @@ def _cmd_compose(args) -> int:
     d2 = _build(SetPartitionDiagram.from_json, _load_json(args.right), "diagram")
     t, d = compose(d1, d2)
     rendering = DiagramSum.from_diagram(d, DeltaPolynomial.delta_power(t)).render()
-    return _emit(args, {"t": t, "diagram": d.to_json(), "rendering": rendering}, [rendering])
+    return _emit(args, lambda: {"t": t, "diagram": d.to_json(), "rendering": rendering}, lambda: [rendering])
 
 
 def _cmd_act(args) -> int:
     d = _build(SetPartitionDiagram.from_json, _load_json(args.diagram), "diagram")
     v = _build(HalfDiagram.from_json, _load_json(args.half), "half-diagram")
     result = act(d, v)
-    if result.is_zero:
-        payload = {"zero": True}
-    else:
-        payload = {"zero": False, "coeff": result.coeff.to_json(), "half_diagram": result.diagram.to_json()}
-    return _emit(args, payload, [result.render()])
+
+    def payload():
+        if result.is_zero:
+            return {"zero": True}
+        return {"zero": False, "coeff": result.coeff.to_json(), "half_diagram": result.diagram.to_json()}
+
+    return _emit(args, payload, lambda: [result.render()])
 
 
 def _cmd_walled(args) -> int:
     if args.mode == "index":
         w = _build(walled.WalledHalfDiagram.from_json, _load_json(args.input), "walled half-diagram")
         index = walled.index_of(w).render()
-        return _emit(args, {"index": index}, [index])
+        return _emit(args, lambda: {"index": index}, lambda: [index])
     m, n, r = (_check_count(v, name) for v, name in ((args.m, "m"), (args.n, "n"), (args.r, "r")))
     _check_budget(m + n, CENSUS_MAX_DOTS, "walled census", "m + n <= {} dots")
     census = walled.census(m, n, r)
     payload = {idx.render(): count for idx, count in census.items()}
-    return _emit(args, payload, (f"{key}: {count}" for key, count in payload.items()))
+    return _emit(args, lambda: payload, lambda: (f"{key}: {count}" for key, count in payload.items()))
 
 
 def _cmd_geometry(args) -> int:
     summary = geometry.geometry_summary(args.p, args.q, args.r)
-    conic = summary["conic"]
-    lines = [
-        "tangent lengths: " + ", ".join(summary["tangent_lengths"]),
-        f"circle count:    {summary['circle_count']}",
-        f"conic:           {conic['kind']} with a={conic['a']}, c={conic['c']}, "
-        f"gap={conic['gap']} -> count {summary['conic_count']}",
-    ]
-    if "parity" in summary:
-        parity = summary["parity"]
-        lines.append(
-            f"parity:          tangents integral {parity['tangents_integral']}, "
-            f"side sum even {parity['side_sum_even']}"
+
+    def lines():
+        conic = summary["conic"]
+        yield "tangent lengths: " + ", ".join(summary["tangent_lengths"])
+        yield f"circle count:    {summary['circle_count']}"
+        yield (
+            f"conic:           {conic['kind']} with a={conic['a']}, c={conic['c']}, "
+            f"gap={conic['gap']} -> count {summary['conic_count']}"
         )
-    return _emit(args, summary, lines)
+        if "parity" in summary:
+            parity = summary["parity"]
+            yield (
+                f"parity:          tangents integral {parity['tangents_integral']}, "
+                f"side sum even {parity['side_sum_even']}"
+            )
+
+    return _emit(args, lambda: summary, lines)
 
 
 def _parse_class(text: str) -> tuple[int, int]:
@@ -265,12 +273,12 @@ def _cmd_tl(args) -> int:
         _check_budget(count, TL_BASIS_MAX_DOTS // max(args.n, 1), "tl basis", limit, tail)
         rows = [_planar_json(row) for row in tl.tl_basis(args.n, args.r)]
         pieces = ([f"{{{a},{b}}}" for a, b in row["caps"]] + [f"{{{dot}}}*" for dot in row["labels"]] for row in rows)
-        return _emit(args, rows, ("{" + ",".join(p) + "}" for p in pieces))
+        return _emit(args, lambda: rows, lambda: ("{" + ",".join(p) + "}" for p in pieces))
     (m, p), (n, q) = _parse_class(args.left), _parse_class(args.right)
     left, right = tl.GrothElement.module_class(m, p), tl.GrothElement.module_class(n, q)
     _check_budget(min(p, q) + 1, TL_GROTH_MAX_TERMS, "tl groth", "{} terms (min(p, q) + 1 for m:p times n:q)")
     product = tl.groth_multiply(left, right)
-    return _emit(args, product.to_json(), [product.render()])
+    return _emit(args, product.to_json, lambda: [product.render()])
 
 
 def build_parser() -> argparse.ArgumentParser:

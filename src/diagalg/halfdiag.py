@@ -300,11 +300,6 @@ def dim_standard(n: int, nu: Partition) -> int:
     nu = check_partition(nu)
     if sum(nu) > _check_count(n, "n"):
         raise ValueError(f"standard module needs |index| <= degree, got {sum(nu)} > {n}")
-    return _dim_standard(n, nu)
-
-
-def _dim_standard(n: int, nu: Partition) -> int:
-    """:func:`dim_standard` for a checked partition ``nu`` with |nu| <= n."""
     return half_diagram_count(n, sum(nu)) * _syt_count(nu)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import cache
 
 from .diagrams import _check_count, _check_int
-from .halfdiag import _dim_standard, partitions_up_to
-from .symfunc import Partition, _lr_coeff, _partitions_inside, check_partition, kronecker_coeff
+from .halfdiag import half_diagram_count
+from .symfunc import Partition, _lr_coeff, _partitions_inside, _syt_count, check_partition, kronecker_coeff, partitions_of
 from .walled import WalledIndex
 
 
@@ -119,16 +119,14 @@ def _three_part_table(
     return out
 
 
-def _split_tables(nu: Partition, lam: Partition, size_mu: int):
-    """Yield (l1, l2, |beta|, nu table, lam table) for each strand split that can contribute.
+def _splits(nu: Partition, size_lam: int, size_mu: int):
+    """Yield (l1, l2, |alpha|, |beta|, nu table) for each strand split with a non-empty nu table.
 
-    The splits are those of l1 + 2*l2 = |lam| + |mu| - |nu| that leave both
-    |alpha| = |lam| - l1 - l2 and |beta| = |mu| - l1 - l2 non-negative; a
-    split is skipped when its nu or lam table is empty.  The mu table of a
-    split is ``_three_part_table(mu, l2, l1, |beta|)``, grouped
-    gamma -> beta -> sigma for :func:`_join`.
+    The splits solve l1 + 2*l2 = |lam| + |mu| - |nu| with |alpha| = |lam| - l1 - l2
+    and |beta| = |mu| - l1 - l2 non-negative, so they read the sizes of lam and
+    mu alone.  A split's lam table is ``_three_part_table(lam, |alpha|, l1, l2)``
+    and its mu table ``_three_part_table(mu, l2, l1, |beta|)``, grouped for :func:`_join`.
     """
-    size_lam = sum(lam)
     budget = size_lam + size_mu - sum(nu)
     for l2 in range(budget // 2 + 1):
         l1 = budget - 2 * l2
@@ -138,9 +136,7 @@ def _split_tables(nu: Partition, lam: Partition, size_mu: int):
             continue
         table_nu = _three_part_table(nu, a_size, b_size, l1)  # alpha -> pi -> beta
         if table_nu:
-            table_lam = _three_part_table(lam, a_size, l1, l2)  # alpha -> gamma -> rho
-            if table_lam:
-                yield l1, l2, b_size, table_nu, table_lam
+            yield l1, l2, a_size, b_size, table_nu
 
 
 def _join(table_nu, table_lam, table_mu) -> int:
@@ -208,8 +204,30 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
     total = 0
-    for l1, l2, b_size, table_nu, table_lam in _split_tables(nu, lam, size_mu):
-        total += _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
+    for l1, l2, a_size, b_size, table_nu in _splits(nu, size_lam, size_mu):
+        table_lam = _three_part_table(lam, a_size, l1, l2)
+        if table_lam:
+            total += _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
+    return total
+
+
+@cache  # every restriction_dimension_total up to (m|n) reads at most (m + n + 1)(m + 1)(n + 1) keys
+def _restriction_kernel(nu: Partition, a: int, b: int) -> int:
+    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b.
+
+    Sizes first: each strand split fetches its nu table and the non-empty
+    mu tables once, then each lam's table once, and joins every (lam, mu)
+    pair as :func:`bvo_multiplicity` would.
+    """
+    total = 0
+    for l1, l2, a_size, b_size, table_nu in _splits(nu, a, b):
+        by_mu = ((_three_part_table(mu, l2, l1, b_size), _syt_count(mu)) for mu in partitions_of(b))
+        tables_mu = [(table_mu, syt_mu) for table_mu, syt_mu in by_mu if table_mu]
+        for lam in partitions_of(a):
+            table_lam = _three_part_table(lam, a_size, l1, l2)
+            if table_lam:
+                joined = sum(_join(table_nu, table_lam, table_mu) * syt_mu for table_mu, syt_mu in tables_mu)
+                total += joined * _syt_count(lam)
     return total
 
 
@@ -232,24 +250,18 @@ def restriction_dimension_total(m: int, n: int, r: int) -> int:
     Sums multiplicity(nu=(r), lam, mu) * dim(m, lam) * dim(n, mu) over all
     partitions lam of size at most m and mu of size at most n; a correct
     coefficient engine makes this the number of (m + n, r)-half-diagrams.
-    The inputs are checked once, and the dimensions of the lam and mu it
-    enumerates come from the unchecked kernel.  For each lam and each size of
-    mu, every strand split fetches its nu and lam tables once and joins them
-    with the table of each mu of that size, as :func:`bvo_multiplicity` would.
+    A dimension is a half-diagram count times a tableau count, so the sum
+    factors by sizes as the sum over a <= m and b <= n of
+    hd(m, a) * hd(n, b) * K((r); a, b), with the kernel K of
+    :func:`_restriction_kernel`, which is free of m and n.  The inputs are
+    checked once.
     """
     r, m, n = (_check_count(v, name) for v, name in ((r, "r"), (m, "m"), (n, "n")))
     if r > m + n:
         raise ValueError(f"|nu| = {r} exceeds total degree {m + n}")
     nu = one_part(r)
-    right: dict[int, list[tuple[Partition, int]]] = {}
-    for mu in partitions_up_to(n):
-        right.setdefault(sum(mu), []).append((mu, _dim_standard(n, mu)))
-    total = 0
-    for lam in partitions_up_to(m):
-        dim_lam = _dim_standard(m, lam)
-        for size_mu, mus in right.items():
-            for l1, l2, b_size, table_nu, table_lam in _split_tables(nu, lam, size_mu):
-                for mu, dim_mu in mus:
-                    coeff = _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
-                    total += coeff * dim_lam * dim_mu
-    return total
+    return sum(
+        half_diagram_count(m, a) * half_diagram_count(n, b) * _restriction_kernel(nu, a, b)
+        for a in range(m + 1)
+        for b in range(max(r - a, 0), n + 1)  # the kernel vanishes when a + b < r
+    )

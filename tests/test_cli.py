@@ -247,6 +247,12 @@ class TestComposeAndAct:
         assert main(["act", d, v]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_act_vanishing_json(self, tmp_path, capsys):
+        d = write(tmp_path, "d.json", ACT_DIAGRAM)
+        v = write(tmp_path, "v.json", ACT_INPUT)
+        assert main(["act", d, v, "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"zero": true}\n'
+
     def test_act_non_zero_result(self, tmp_path, capsys):
         d = write(tmp_path, "d.json", ACT_NONZERO_DIAGRAM)
         v = write(tmp_path, "v.json", ACT_INPUT)
@@ -579,6 +585,19 @@ class TestTL:
         assert capsys.readouterr() == ("", message)
         assert main(["tl", "groth", "--left", f"{big + 1}:1", "--right", f"{10 * big}:{10 * big}", "--format", "text"]) == 0
         assert capsys.readouterr() == (f"[V_{11 * big + 1}({10 * big - 1})] + [V_{11 * big + 1}({10 * big + 1})]\n", "")
+
+    def test_groth_builds_only_the_printed_format(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("built a format that is not printed")
+
+        argv = ["tl", "groth", "--left", "4:2", "--right", "3:1"]
+        monkeypatch.setattr(tl.GrothElement, "to_json", refuse)
+        assert main([*argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out.strip()
+        monkeypatch.undo()
+        monkeypatch.setattr(tl.GrothElement, "render", refuse)
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
 
     def test_bad_class_argument_usage_error(self, capsys):
         assert main(["tl", "groth", "--left", "nonsense", "--right", "1:1"]) == 2

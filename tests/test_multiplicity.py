@@ -3,6 +3,7 @@
 from enum import IntEnum
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from diagalg import verify
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
     _e_closed,
+    _restriction_kernel,
     admissible_degree_pairs,
     bvo_multiplicity,
     e2_lattice,
@@ -21,7 +23,7 @@ from diagalg.multiplicity import (
     one_part,
     restriction_dimension_total,
 )
-from diagalg.symfunc import kronecker_coeff, partitions_of
+from diagalg.symfunc import kronecker_coeff, partitions_of, syt_count
 from diagalg.walled import WalledIndex, census
 from kronecker_oracle import kronecker_by_fraction_sum
 from lr_oracle import lr_coeff_by_symbol_addition
@@ -90,6 +92,22 @@ def restriction_total_reference(m, n, r):
         for lam in partitions_up_to(m)
         for mu in partitions_up_to(n)
     )
+
+
+def restriction_kernel_reference(nu, a, b):
+    """Oracle: K(nu; a, b) = syt(nu) * sum over c of C(a, c) * C(b, c) * c! * C(c, |nu| + 2c - a - b).
+
+    The sum counts the reassembly set of a left and b right marked blocks:
+    c of each side cross the wall, their cut ends are matched in c! ways,
+    and |nu| + 2c - a - b of the matched pairs carry a label.  No LR or
+    Kronecker coefficient enters it.
+    """
+    total = 0
+    for c in range(min(a, b) + 1):
+        labeled = sum(nu) + 2 * c - a - b
+        if 0 <= labeled <= c:
+            total += comb(a, c) * comb(b, c) * factorial(c) * comb(c, labeled)
+    return syt_count(nu) * total
 
 
 def e_lattice_reference(p, q, r):
@@ -356,6 +374,19 @@ class TestCoefficientSum:
                     assert total == dim_standard(m + n, nu), (nu, m, n)
                     cases += 1
         assert cases == 428
+
+    def test_restriction_kernel_matches_the_reassembly_count(self):
+        # every nu the kernel can meet at a, b <= 5, against a count that
+        # shares no coefficient code with the engine
+        cases = non_zero = 0
+        for a in range(6):
+            for b in range(6):
+                for nu in partitions_up_to(a + b):
+                    expected = restriction_kernel_reference(nu, a, b)
+                    assert _restriction_kernel(nu, a, b) == expected, (nu, a, b)
+                    cases += 1
+                    non_zero += expected != 0
+        assert (cases, non_zero) == (1_083, 981)
 
 
 class TestReducedKronecker:

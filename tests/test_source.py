@@ -197,16 +197,18 @@ def test_census_builds_no_diagram():
 
 
 def test_restriction_total_rechecks_no_partition_it_built():
-    # the lam and mu it sums over come from partitions_up_to, so their
-    # dimensions are read through the kernel, past dim_standard's checks
+    # the total checks r, m and n once and sums kernels over sizes; the
+    # kernel's lam and mu come from partitions_of, so it reads their tableau
+    # counts through the memo, past syt_count's checks
     tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
-    called = {
-        call.func.id
-        for scope, call in _calls(tree)
-        if scope == "restriction_dimension_total" and isinstance(call.func, ast.Name)
-    }
-    assert "_dim_standard" in called
-    assert not called & {"dim_standard", "check_partition"}, sorted(called)
+    called = {scope: set() for scope in ("restriction_dimension_total", "_restriction_kernel")}
+    for scope, call in _calls(tree):
+        if scope in called and isinstance(call.func, ast.Name):
+            called[scope].add(call.func.id)
+    assert "_restriction_kernel" in called["restriction_dimension_total"]
+    assert "_syt_count" in called["_restriction_kernel"]
+    for scope, names in called.items():
+        assert not names & {"dim_standard", "syt_count", "check_partition"}, (scope, sorted(names))
 
 
 def test_products_of_checked_values_recheck_nothing():
@@ -217,6 +219,7 @@ def test_products_of_checked_values_recheck_nothing():
         "tl.groth_multiply": ({"_trusted"}, {"GrothElement"}),
         "tl.GrothElement.__add__": ({"_trusted"}, {"GrothElement"}),
         "geometry.geometry_summary": ({"_doubled", "_e_closed"}, {"e_closed"}),
+        "cli._cmd_mult": ({"_check_count", "_e_closed"}, {"e_closed"}),
     }
     called = {name: set() for name in routes}
     for path, tree in _parsed_sources():
