@@ -79,6 +79,8 @@ def _load_json(path: str):
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _build(loader, data, what: str):

@@ -120,60 +120,67 @@ def _three_part_table(
 
 
 def _splits(nu: Partition, size_lam: int, size_mu: int):
-    """Yield (l1, l2, |alpha|, |beta|, nu table) for each strand split with a non-empty nu table.
+    """Yield (walled index, nu table) for each strand split with a non-empty nu table.
 
-    The splits solve l1 + 2*l2 = |lam| + |mu| - |nu| with |alpha| = |lam| - l1 - l2
-    and |beta| = |mu| - l1 - l2 non-negative, so they read the sizes of lam and
-    mu alone.  A split's lam table is ``_three_part_table(lam, |alpha|, l1, l2)``
-    and its mu table ``_three_part_table(mu, l2, l1, |beta|)``, grouped for :func:`_join`.
+    The split (l1, l2, |alpha|, |beta|) is the walled index (U; T, L, R) =
+    (l2; l1, |alpha|, |beta|), so it solves T + L + R = |nu|, U + T + L = |lam|
+    and U + T + R = |mu|: it reads the sizes of lam and mu alone.  A split's
+    nu table is ``_three_part_table(nu, L, R, T)``, its lam table
+    ``_three_part_table(lam, L, T, U)`` and its mu table
+    ``_three_part_table(mu, U, T, R)``, grouped for :func:`_join`.
     """
     budget = size_lam + size_mu - sum(nu)
-    for l2 in range(budget // 2 + 1):
-        l1 = budget - 2 * l2
-        a_size = size_lam - l1 - l2
-        b_size = size_mu - l1 - l2
-        if a_size < 0 or b_size < 0:
+    for u in range(budget // 2 + 1):
+        t = budget - 2 * u
+        left = size_lam - t - u
+        right = size_mu - t - u
+        if left < 0 or right < 0:
             continue
-        table_nu = _three_part_table(nu, a_size, b_size, l1)  # alpha -> pi -> beta
+        table_nu = _three_part_table(nu, left, right, t)  # alpha -> pi -> beta
         if table_nu:
-            yield l1, l2, a_size, b_size, table_nu
+            yield WalledIndex(u, t, left, right), table_nu
 
 
-def _join(table_nu, table_lam, table_mu) -> int:
-    """One strand split's coefficient sum over its nu, lam and mu tables.
+def _join(table_nu, table_lam, tables_mu) -> int:
+    """One strand split's coefficient sum for one lam table, weighted over mu tables.
 
-    The sum runs over the non-zero entries of the nu table and looks up the
-    matching lam and mu entries, so no vanishing term is formed.  A pi with
-    at most one row is the trivial character, whose Kronecker coefficient
-    g(pi, rho, sigma) is [rho == sigma], so those terms join the lam and mu
-    entries on rho directly.
+    ``tables_mu`` is a list of (mu table, weight) pairs, and the result is
+    the weighted sum of the split's coefficients over them.  The sum runs
+    over the non-zero entries of the nu table, reads each lam entry once and
+    looks up the matching entry of every mu table, so no vanishing term is
+    formed.  A pi with at most one row is the trivial character, whose
+    Kronecker coefficient g(pi, rho, sigma) is [rho == sigma], so those
+    terms join the lam and mu entries on rho directly.
     """
     total = 0
     for alpha, nu_by_pi in table_nu.items():
         lam_by_gamma = table_lam.get(alpha)
         if not lam_by_gamma:
             continue
-        for gamma, lam_by_rho in lam_by_gamma.items():
-            mu_by_beta = table_mu.get(gamma)
-            if not mu_by_beta:
-                continue
-            for pi, nu_by_beta in nu_by_pi.items():
-                one_row = len(pi) <= 1
-                for beta, c_nu in nu_by_beta.items():
-                    mu_by_sigma = mu_by_beta.get(beta)
-                    if not mu_by_sigma:
-                        continue
-                    if one_row:
-                        for rho, c_lam in lam_by_rho.items():
-                            c_mu = mu_by_sigma.get(rho)
-                            if c_mu:
-                                total += c_nu * c_lam * c_mu
-                        continue
-                    for sigma, c_mu in mu_by_sigma.items():
-                        for rho, c_lam in lam_by_rho.items():
-                            g = kronecker_coeff(pi, rho, sigma)
-                            if g:
-                                total += c_nu * c_lam * c_mu * g
+        for table_mu, weight in tables_mu:
+            part = 0
+            for gamma, lam_by_rho in lam_by_gamma.items():
+                mu_by_beta = table_mu.get(gamma)
+                if not mu_by_beta:
+                    continue
+                for pi, nu_by_beta in nu_by_pi.items():
+                    one_row = len(pi) <= 1
+                    for beta, c_nu in nu_by_beta.items():
+                        mu_by_sigma = mu_by_beta.get(beta)
+                        if not mu_by_sigma:
+                            continue
+                        if one_row:
+                            for rho, c_lam in lam_by_rho.items():
+                                c_mu = mu_by_sigma.get(rho)
+                                if c_mu:
+                                    part += c_nu * c_lam * c_mu
+                            continue
+                        for sigma, c_mu in mu_by_sigma.items():
+                            for rho, c_lam in lam_by_rho.items():
+                                g = kronecker_coeff(pi, rho, sigma)
+                                if g:
+                                    part += c_nu * c_lam * c_mu * g
+            total += part * weight
     return total
 
 
@@ -184,7 +191,8 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     l1 + 2*l2 = (m + n - |nu|) - (m - |lam|) - (n - |mu|), and over shape
     tuples weighted by three-part Littlewood-Richardson coefficients and a
     Kronecker coefficient: each split whose nu and lam tables are non-empty
-    adds the :func:`_join` of its three tables.  Exact integers throughout.
+    adds the :func:`_join` of its nu and lam tables with its one mu table,
+    of weight 1.  Exact integers throughout.
 
     m and n only gate admissibility (|lam| <= m, |mu| <= n, |nu| <= m + n);
     the value depends on (nu, lam, mu) alone.  In the BVO reading it is the
@@ -204,10 +212,11 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
     total = 0
-    for l1, l2, a_size, b_size, table_nu in _splits(nu, size_lam, size_mu):
-        table_lam = _three_part_table(lam, a_size, l1, l2)
+    for idx, table_nu in _splits(nu, size_lam, size_mu):
+        u, t = idx.through_unlabeled, idx.through_labeled
+        table_lam = _three_part_table(lam, idx.left_labeled, t, u)
         if table_lam:
-            total += _join(table_nu, table_lam, _three_part_table(mu, l2, l1, b_size))
+            total += _join(table_nu, table_lam, ((_three_part_table(mu, u, t, idx.right_labeled), 1),))
     return total
 
 
@@ -216,18 +225,18 @@ def _restriction_kernel(nu: Partition, a: int, b: int) -> int:
     """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b.
 
     Sizes first: each strand split fetches its nu table and the non-empty
-    mu tables once, then each lam's table once, and joins every (lam, mu)
-    pair as :func:`bvo_multiplicity` would.
+    mu tables once, weighted by their tableau counts, then each lam's table
+    once, and makes one :func:`_join` per lam against the weighted mu list.
     """
     total = 0
-    for l1, l2, a_size, b_size, table_nu in _splits(nu, a, b):
-        by_mu = ((_three_part_table(mu, l2, l1, b_size), _syt_count(mu)) for mu in partitions_of(b))
+    for idx, table_nu in _splits(nu, a, b):
+        u, t = idx.through_unlabeled, idx.through_labeled
+        by_mu = ((_three_part_table(mu, u, t, idx.right_labeled), _syt_count(mu)) for mu in partitions_of(b))
         tables_mu = [(table_mu, syt_mu) for table_mu, syt_mu in by_mu if table_mu]
         for lam in partitions_of(a):
-            table_lam = _three_part_table(lam, a_size, l1, l2)
+            table_lam = _three_part_table(lam, idx.left_labeled, t, u)
             if table_lam:
-                joined = sum(_join(table_nu, table_lam, table_mu) * syt_mu for table_mu, syt_mu in tables_mu)
-                total += joined * _syt_count(lam)
+                total += _join(table_nu, table_lam, tables_mu) * _syt_count(lam)
     return total
 
 

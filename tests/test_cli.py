@@ -287,6 +287,23 @@ class TestComposeAndAct:
         ok = write(tmp_path, "ok.json", COMPOSE_LEFT)
         assert main(["compose", str(bad), ok]) == 2
 
+    @pytest.mark.parametrize("command", ["compose", "act", "walled", "stdin"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        deep = "[" * 200_000 + "]" * 200_000
+        bad = tmp_path / "deep.json"
+        bad.write_text(deep)
+        ok = write(tmp_path, "ok.json", COMPOSE_LEFT)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+        path = "-" if command == "stdin" else str(bad)
+        argv = {
+            "compose": ["compose", path, ok],
+            "act": ["act", ok, path],
+            "walled": ["walled", "index", path],
+            "stdin": ["compose", ok, path],
+        }
+        assert main(argv[command]) == 2
+        assert capsys.readouterr() == ("", f"error: invalid JSON in {path}: nested too deeply\n")
+
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         broken = write(tmp_path, "broken.json", {"n": 2, "blocks": [[1, 2], [2, -1, -2]]})
         ok = write(tmp_path, "ok.json", {"n": 2, "blocks": [[1, -1], [2, -2]]})

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagalg import verify
+from diagalg import multiplicity, verify
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
     _e_closed,
+    _join,
     _restriction_kernel,
+    _splits,
+    _three_part_table,
     admissible_degree_pairs,
     bvo_multiplicity,
     e2_lattice,
@@ -106,8 +109,23 @@ def restriction_kernel_reference(nu, a, b):
     for c in range(min(a, b) + 1):
         labeled = sum(nu) + 2 * c - a - b
         if 0 <= labeled <= c:
-            total += comb(a, c) * comb(b, c) * factorial(c) * comb(c, labeled)
+            total += reassembly_count(a, b, c, labeled)
     return syt_count(nu) * total
+
+
+def reassembly_count(a, b, c, labeled):
+    """C(a, c) * C(b, c) * c! * C(c, labeled): c blocks of each side cross, matched, ``labeled`` of them labeled."""
+    return comb(a, c) * comb(b, c) * factorial(c) * comb(c, labeled)
+
+
+def lam_table(idx, lam):
+    """The lam table of the strand split ``idx`` = (U; T, L, R)."""
+    return _three_part_table(lam, idx.left_labeled, idx.through_labeled, idx.through_unlabeled)
+
+
+def mu_table(idx, mu):
+    """The mu table of the strand split ``idx`` = (U; T, L, R)."""
+    return _three_part_table(mu, idx.through_unlabeled, idx.through_labeled, idx.right_labeled)
 
 
 def e_lattice_reference(p, q, r):
@@ -387,6 +405,62 @@ class TestCoefficientSum:
                     cases += 1
                     non_zero += expected != 0
         assert (cases, non_zero) == (1_083, 981)
+
+
+class TestStrandSplits:
+    """Each strand split of the coefficient sum is a walled index (U; T, L, R)."""
+
+    def test_split_sums_are_the_reassembly_counts(self):
+        # per split, the tableau-weighted join over lam of a and mu of b is
+        # syt(nu) * C(a, c) * C(b, c) * c! * C(c, T) with c = U + T; the
+        # multi-row pi cover the Kronecker branch of the join
+        splits = 0
+        for a in range(6):
+            for b in range(6):
+                for nu in partitions_up_to(a + b):
+                    for idx, table_nu in _splits(nu, a, b):
+                        u, t, left, right = idx
+                        assert (t + left + right, u + t + left, u + t + right) == (sum(nu), a, b)
+                        tables_mu = [(mu_table(idx, mu), syt_count(mu)) for mu in partitions_of(b)]
+                        total = sum(
+                            syt_count(lam) * _join(table_nu, lam_table(idx, lam), tables_mu) for lam in partitions_of(a)
+                        )
+                        expected = syt_count(nu) * reassembly_count(a, b, u + t, t)
+                        assert total == expected, (nu, a, b, idx)
+                        splits += 1
+        assert splits == 1_316
+
+    def test_one_part_splits_are_the_system_solutions(self):
+        # for one-part shapes the splits with a non-zero join are exactly
+        # e_lattice's solutions, each worth 1
+        triples = solutions = 0
+        for p, q, r in product(range(16), repeat=3):
+            joins = {}
+            for idx, table_nu in _splits(one_part(r), p, q):
+                value = _join(table_nu, lam_table(idx, one_part(p)), [(mu_table(idx, one_part(q)), 1)])
+                if value:
+                    joins[idx] = value
+            assert joins == dict.fromkeys(e_lattice(p, q, r)[1], 1), (p, q, r)
+            triples += 1
+            solutions += len(joins)
+        assert (triples, solutions) == (4_096, 5_220)
+
+    def test_one_join_per_lam_table(self, monkeypatch):
+        # the kernel joins each lam table against the split's weighted mu
+        # list in one call; one call per (lam, mu) pair made 38,454
+        calls = 0
+        join = multiplicity._join
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return join(*args)
+
+        monkeypatch.setattr(multiplicity, "_join", counted)
+        _restriction_kernel.cache_clear()
+        for r in range(15):
+            restriction_dimension_total(7, 7, r)
+        assert calls == 4_408
 
 
 class TestReducedKronecker:
