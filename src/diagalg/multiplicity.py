@@ -5,12 +5,14 @@ For one-part labels p, q, r the multiplicity counts the walled indices
 
     T + L + R = r,    L + T + U = p,    R + U + T = q,
 
-and this module computes it four independent ways: a closed piecewise
-formula, direct enumeration of the system, a lattice-point count on a
-half-integer line, and the general standard-module coefficient sum over
-Littlewood-Richardson and Kronecker coefficients.  The boundary and
-reflection identities the value satisfies are checked by the
-``symmetry-lemma`` suite of :mod:`diagalg.verify`.
+and this module computes it by a closed piecewise formula, a lattice-point
+count on a half-integer line, and the general standard-module coefficient
+sum over Littlewood-Richardson and Kronecker coefficients.  One solver,
+:func:`_solutions`, lists the system for :func:`e_lattice` and gives the
+sum its strand splits; the closed form, the lattice count and the two
+oracles in ``tests/`` (brute force, cycle types) share nothing with it.
+The ``symmetry-lemma`` suite of :mod:`diagalg.verify` checks the
+boundary and reflection identities.
 """
 
 from __future__ import annotations
@@ -50,20 +52,32 @@ def e_lattice(p: int, q: int, r: int) -> tuple[int, list[WalledIndex]]:
     decomposition of half-diagrams: cut at the wall, an (m|n, r)-walled
     half-diagram has U + T + L marked blocks on the left, U + T + R on the
     right and r = T + L + R labels.  So for m >= p and n >= q the solutions
-    are the keys of ``census(m, n, r)`` with side sums p and q.
+    are the keys of ``census(m, n, r)`` with side sums p and q, and the
+    strand splits of :func:`bvo_multiplicity` (see :func:`_solutions`).
+    """
+    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
+    solutions = list(_solutions(p, q, r))
+    return len(solutions), solutions
+
+
+def _solutions(p: int, q: int, r: int):
+    """Yield the walled indices (U; T, L, R) with T + L + R = r, U + T + L = p and U + T + R = q, by T.
 
     Subtracting the first equation from the sum of the other two gives
     2U = p + q - r - T, so each T forces U and leaves at most one solution.
     U is a non-negative integer exactly when T <= p + q - r has its parity,
     and then L, R >= 0 exactly when T <= r - |p - q|, so only those T are
     visited, in increasing order.
+
+    With p = |lam|, q = |mu| and r = |nu| these are the strand splits of the
+    Bowman-De Visscher-Orellana sum: the split (l1, l2, |alpha|, |beta|) is
+    the index (U; T, L, R) = (l2; l1, |alpha|, |beta|), and its nu, lam and
+    mu tables are the ``_three_part_table`` of (nu; L, R, T), (lam; L, T, U)
+    and (mu; U, T, R), grouped for :func:`_join`.
     """
-    p, q, r = _check_count(p, "p"), _check_count(q, "q"), _check_count(r, "r")
-    solutions: list[WalledIndex] = []
-    for t in range((p + q - r) % 2, min(r, p + q - r, r - abs(p - q)) + 1, 2):
+    for t in range((p + q - r) % 2, min(p + q - r, r - abs(p - q)) + 1, 2):
         u = (p + q - r - t) // 2
-        solutions.append(WalledIndex(u, t, p - t - u, q - t - u))
-    return len(solutions), solutions
+        yield WalledIndex(u, t, p - t - u, q - t - u)
 
 
 def lattice_line_count(s: int, h: int) -> int:
@@ -120,25 +134,11 @@ def _three_part_table(
 
 
 def _splits(nu: Partition, size_lam: int, size_mu: int):
-    """Yield (walled index, nu table) for each strand split with a non-empty nu table.
-
-    The split (l1, l2, |alpha|, |beta|) is the walled index (U; T, L, R) =
-    (l2; l1, |alpha|, |beta|), so it solves T + L + R = |nu|, U + T + L = |lam|
-    and U + T + R = |mu|: it reads the sizes of lam and mu alone.  A split's
-    nu table is ``_three_part_table(nu, L, R, T)``, its lam table
-    ``_three_part_table(lam, L, T, U)`` and its mu table
-    ``_three_part_table(mu, U, T, R)``, grouped for :func:`_join`.
-    """
-    budget = size_lam + size_mu - sum(nu)
-    for u in range(budget // 2 + 1):
-        t = budget - 2 * u
-        left = size_lam - t - u
-        right = size_mu - t - u
-        if left < 0 or right < 0:
-            continue
-        table_nu = _three_part_table(nu, left, right, t)  # alpha -> pi -> beta
+    """Yield (index, nu table) for each :func:`_solutions` index of (|lam|, |mu|, |nu|) with a non-empty nu table."""
+    for idx in _solutions(size_lam, size_mu, sum(nu)):
+        table_nu = _three_part_table(nu, idx.left_labeled, idx.right_labeled, idx.through_labeled)
         if table_nu:
-            yield WalledIndex(u, t, left, right), table_nu
+            yield idx, table_nu
 
 
 def _join(table_nu, table_lam, tables_mu) -> int:
@@ -190,9 +190,8 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     The double sum over strand bookkeeping (l1, l2) with
     l1 + 2*l2 = (m + n - |nu|) - (m - |lam|) - (n - |mu|), and over shape
     tuples weighted by three-part Littlewood-Richardson coefficients and a
-    Kronecker coefficient: each split whose nu and lam tables are non-empty
-    adds the :func:`_join` of its nu and lam tables with its one mu table,
-    of weight 1.  Exact integers throughout.
+    Kronecker coefficient: :func:`_strand_sum` at weight 1, whose strand
+    splits solve the system (see :func:`_solutions`).  Exact integers.
 
     m and n only gate admissibility (|lam| <= m, |mu| <= n, |nu| <= m + n);
     the value depends on (nu, lam, mu) alone.  In the BVO reading it is the
@@ -211,32 +210,31 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
         raise ValueError(f"|lam| = {size_lam} exceeds left degree {m}")
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
-    total = 0
-    for idx, table_nu in _splits(nu, size_lam, size_mu):
-        u, t = idx.through_unlabeled, idx.through_labeled
-        table_lam = _three_part_table(lam, idx.left_labeled, t, u)
-        if table_lam:
-            total += _join(table_nu, table_lam, ((_three_part_table(mu, u, t, idx.right_labeled), 1),))
-    return total
+    return _strand_sum(nu, ((lam, 1),), ((mu, 1),))
 
 
 @cache  # every restriction_dimension_total up to (m|n) reads at most (m + n + 1)(m + 1)(n + 1) keys
 def _restriction_kernel(nu: Partition, a: int, b: int) -> int:
-    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b.
+    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b."""
+    lams, mus = ([(shape, _syt_count(shape)) for shape in partitions_of(size)] for size in (a, b))
+    return _strand_sum(nu, lams, mus)
 
-    Sizes first: each strand split fetches its nu table and the non-empty
-    mu tables once, weighted by their tableau counts, then each lam's table
-    once, and makes one :func:`_join` per lam against the weighted mu list.
+
+def _strand_sum(nu: Partition, lams, mus) -> int:
+    """The sum of weight(lam) * weight(mu) * bvo(nu, lam, mu) over (shape, weight) pairs of one size each.
+
+    Each strand split fetches its nu table and the non-empty mu tables once,
+    then each lam table once, and makes one :func:`_join` per lam.
     """
     total = 0
-    for idx, table_nu in _splits(nu, a, b):
+    for idx, table_nu in _splits(nu, sum(lams[0][0]), sum(mus[0][0])):
         u, t = idx.through_unlabeled, idx.through_labeled
-        by_mu = ((_three_part_table(mu, u, t, idx.right_labeled), _syt_count(mu)) for mu in partitions_of(b))
-        tables_mu = [(table_mu, syt_mu) for table_mu, syt_mu in by_mu if table_mu]
-        for lam in partitions_of(a):
+        by_mu = ((_three_part_table(mu, u, t, idx.right_labeled), weight) for mu, weight in mus)
+        tables_mu = [(table_mu, weight) for table_mu, weight in by_mu if table_mu]
+        for lam, weight in lams:
             table_lam = _three_part_table(lam, idx.left_labeled, t, u)
             if table_lam:
-                total += _join(table_nu, table_lam, tables_mu) * _syt_count(lam)
+                total += _join(table_nu, table_lam, tables_mu) * weight
     return total
 
 

@@ -852,3 +852,122 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(["mult", "table", "--max", "2", "--format", "csv"]) == 0
         assert capsys.readouterr().out == first
+
+
+# Flag values as the shell would pass them: small counts, negative and huge
+# ints, bools, floats and arbitrary text.  Huge values lie past every budget,
+# so a run that accepts one stays cheap.
+SMALL = st.integers(0, 6).map(str)
+NEGATIVE = st.integers(-(10**6), -1).map(str)
+HUGE = st.sampled_from([10**8, 10**12, 2**63, 10**30]).map(str)
+FLAG_VALUE = st.one_of(
+    SMALL, NEGATIVE, HUGE, st.sampled_from(["True", "false"]), st.floats().map(repr), st.text(max_size=6)
+)
+# verify runs at most at its defaults: every --max drawn for it is refused
+BAD_BOUND = st.one_of(NEGATIVE, st.just("0"), HUGE, st.sampled_from(["True", "2.0", "nan"]), st.text(max_size=6))
+CHEAP_SUITES = [name for name in verify.SUITES if name not in ("transition-lemma", "compose-assoc")]
+
+JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-8, 8), st.sampled_from([10**12, -(10**30)]), st.floats(), st.text(max_size=3)
+)
+JSON_ANY = st.recursive(
+    JSON_SCALAR, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+)
+DOTS = st.lists(st.lists(st.one_of(st.integers(-8, 8), JSON_SCALAR), max_size=4), max_size=8)
+DIAGRAM_JSON = st.one_of(
+    st.sampled_from([COMPOSE_LEFT, COMPOSE_RIGHT, ACT_DIAGRAM, ACT_NONZERO_DIAGRAM, ACT_INPUT, WALLED_INPUT]),
+    st.fixed_dictionaries(
+        {"n": st.one_of(st.integers(-1, 6), JSON_SCALAR), "blocks": DOTS},
+        optional={"m": st.integers(-1, 6), "labeled": st.lists(st.integers(-1, 8), max_size=4)},
+    ),
+    JSON_ANY,
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, {file name: JSON}, stdin text) for one in-process run of the command line.
+
+    Half the calls are tame (every flag present, small counts, valid
+    choices), so that runs reach the commands and not only argparse.
+    """
+    files, stdin = {}, ""
+    wild = draw(st.booleans())
+
+    def flags(*names):
+        argv = []
+        for name in names:
+            if not wild or draw(st.booleans()):
+                argv += [name, draw(FLAG_VALUE if wild else SMALL)]
+        return argv
+
+    def choice(name, options):
+        if not draw(st.booleans()):
+            return []
+        return [name, draw(st.sampled_from(options) | st.text(max_size=4) if wild else st.sampled_from(options))]
+
+    def json_input():
+        nonlocal stdin
+        kind = draw(st.sampled_from(["file", "file", "stdin", "missing"]))
+        if kind == "missing":
+            return "no-such-file.json"
+        text = json.dumps(draw(DIAGRAM_JSON))
+        if kind == "stdin":
+            stdin = text
+            return "-"
+        name = f"input{len(files)}.json"
+        files[name] = text
+        return name
+
+    command = draw(st.sampled_from(["mult", "mult table", "verify", "compose", "act", "index", "census", "geometry",
+                                    "basis", "groth"]))
+    if command == "mult":
+        argv = ["mult", *flags("-p", "-q", "-r"), *choice("--engines", ["all", "closed", "e1", "e2", "bvo"])]
+        argv += ["--solutions"] * draw(st.booleans())
+    elif command == "mult table":
+        argv = ["mult", "table", *flags("--max", "-p")]
+    elif command == "verify":
+        suite = draw(st.sampled_from([*verify.SUITES, "all"]) | st.text(max_size=4))
+        bound = draw(BAD_BOUND) if suite not in CHEAP_SUITES or draw(st.booleans()) else None
+        argv = ["verify", suite, *(["--max", bound] if bound is not None else [])]
+    elif command == "compose":
+        argv = ["compose", json_input(), json_input()]
+    elif command == "act":
+        argv = ["act", json_input(), json_input()]
+    elif command == "index":
+        argv = ["walled", "index", json_input()]
+    elif command == "census":
+        argv = ["walled", "census", *flags("-m", "-n", "-r")]
+    elif command == "geometry":
+        argv = ["geometry", *flags("-p", "-q", "-r")]
+    elif command == "basis":
+        argv = ["tl", "basis", *flags("-n", "-r"), *["--count-only"] * draw(st.booleans())]
+    else:
+        side = st.tuples(FLAG_VALUE, FLAG_VALUE).map(":".join) | st.text(max_size=6)
+        argv = ["tl", "groth"]
+        for name in ("--left", "--right"):
+            argv += [name, draw(side)] if not wild or draw(st.booleans()) else []
+    return [*argv, *choice("--format", ["text", "json", "csv"])], files, stdin
+
+
+class TestFuzz:
+    """The command line over its grammar: every run ends with exit 0, 2 or 3 and no escaping exception."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cli_calls())
+    def test_every_run_exits_0_2_or_3(self, tmp_path_factory, call):
+        argv, files, stdin = call
+        folder = tmp_path_factory.getbasetemp() / "fuzz"
+        folder.mkdir(exist_ok=True)
+        for name, text in files.items():
+            (folder / name).write_text(text)
+        argv = [str(folder / arg) if arg in files or arg == "no-such-file.json" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "stdin", io.StringIO(stdin))
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the argv
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

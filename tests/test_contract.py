@@ -26,6 +26,7 @@ import re
 from contextlib import suppress
 from enum import IntEnum
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,14 @@ def _cases():
 
 
 CASES = list(_cases())
+
+
+def test_readme_names_every_export():
+    # the library tour in README.md is where a reader meets the public
+    # surface, so a new export must be named there
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in diagalg.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not missing, missing
 
 
 def test_every_public_name_is_walked_or_has_a_reason():

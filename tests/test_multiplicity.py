@@ -30,6 +30,7 @@ from diagalg.symfunc import kronecker_coeff, partitions_of, syt_count
 from diagalg.walled import WalledIndex, census
 from kronecker_oracle import kronecker_by_fraction_sum
 from lr_oracle import lr_coeff_by_symbol_addition
+from restriction_oracle import restriction_by_cycle_types
 
 
 # Test-only reference for the coefficient sum: every partition of every
@@ -461,6 +462,26 @@ class TestStrandSplits:
         for r in range(15):
             restriction_dimension_total(7, 7, r)
         assert calls == 4_408
+
+
+class TestRestrictionCharacter:
+    """bvo_multiplicity against the reassembly character by cycle types, an oracle free of LR coefficients."""
+
+    def test_matches_the_cycle_type_character_up_to_four(self):
+        # every nu with |nu| <= a + b, lam of a and mu of b, for a, b <= 4;
+        # the multi-row nu reach the Kronecker branch of the join, which
+        # the restriction totals (nu one-row) never do
+        cases = non_zero = 0
+        for a in range(5):
+            for b in range(5):
+                for nu in partitions_up_to(a + b):
+                    for lam in partitions_of(a):
+                        for mu in partitions_of(b):
+                            expected = restriction_by_cycle_types(nu, lam, mu)
+                            assert bvo_multiplicity(nu, lam, mu, a, b) == expected, (nu, lam, mu)
+                            cases += 1
+                            non_zero += expected != 0
+        assert (cases, non_zero) == (4_648, 2_721)
 
 
 class TestReducedKronecker:

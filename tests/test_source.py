@@ -196,12 +196,32 @@ def test_census_builds_no_diagram():
         assert not found, (scope, sorted(found))
 
 
+def test_one_solver_and_one_strand_split_loop():
+    # the system T + L + R = r, U + T + L = p, U + T + R = q is solved in
+    # _solutions alone, which lists it for e_lattice and gives _splits the
+    # strand splits; _strand_sum alone maps a split to its tables and joins
+    # them, for bvo_multiplicity at unit weights and for the kernel at
+    # tableau-count weights
+    tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
+    callers = {"_join": set(), "_strand_sum": set(), "_solutions": set(), "WalledIndex": set()}
+    for scope, call in _calls(tree):
+        if isinstance(call.func, ast.Name) and call.func.id in callers:
+            callers[call.func.id].add(scope)
+    assert callers == {
+        "_join": {"_strand_sum"},
+        "_strand_sum": {"bvo_multiplicity", "_restriction_kernel"},
+        "_solutions": {"e_lattice", "_splits"},
+        "WalledIndex": {"_solutions"},
+    }, callers
+
+
 def test_restriction_total_rechecks_no_partition_it_built():
     # the total checks r, m and n once and sums kernels over sizes; the
     # kernel's lam and mu come from partitions_of, so it reads their tableau
-    # counts through the memo, past syt_count's checks
+    # counts through the memo, past syt_count's checks, and the strand-split
+    # loop it hands them to checks nothing either
     tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
-    called = {scope: set() for scope in ("restriction_dimension_total", "_restriction_kernel")}
+    called = {scope: set() for scope in ("restriction_dimension_total", "_restriction_kernel", "_strand_sum")}
     for scope, call in _calls(tree):
         if scope in called and isinstance(call.func, ast.Name):
             called[scope].add(call.func.id)
