@@ -258,7 +258,7 @@ def enumerate_basis(n: int, r: int) -> list[HalfDiagram]:
     ]
 
 
-@cache
+@cache  # one key per degree n asked for, each a row of n + 1 integers
 def _stirling_row(n: int) -> tuple[int, ...]:
     """S(n, 0), ..., S(n, n), each row built from the one before, from row 0."""
     row = [1]
@@ -278,7 +278,7 @@ def bell(n: int) -> int:
     return sum(_stirling_row(_check_count(n, "n")))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a bool or float n or r misses and meets its check
+@lru_cache(maxsize=None, typed=True)  # keys (n, r) as asked; typed: a bool or float n or r misses and meets its check
 def half_diagram_count(n: int, r: int) -> int:
     """Number of (n, r)-half-diagrams: sum over k of S(n, k) * C(k, r), zero for r outside 0..n.
 

@@ -103,7 +103,7 @@ def e2_lattice(p: int, q: int, r: int) -> int:
     return lattice_line_count(min(p, q), p + q - r)
 
 
-@cache
+@cache  # keys (nu, s1, s2, s3): C(|nu| + 2, 2) size triples per shape nu met
 def _three_part_table(
     nu: Partition, s1: int, s2: int, s3: int
 ) -> dict[Partition, dict[Partition, dict[Partition, int]]]:
@@ -144,28 +144,28 @@ def _splits(nu: Partition, size_lam: int, size_mu: int):
 def _join(table_nu, table_lam, tables_mu) -> int:
     """One strand split's coefficient sum for one lam table, weighted over mu tables.
 
-    ``tables_mu`` is a list of (mu table, weight) pairs, and the result is
-    the weighted sum of the split's coefficients over them.  The sum runs
-    over the non-zero entries of the nu table, reads each lam entry once and
-    looks up the matching entry of every mu table, so no vanishing term is
-    formed.  A pi with at most one row is the trivial character, whose
-    Kronecker coefficient g(pi, rho, sigma) is [rho == sigma], so those
-    terms join the lam and mu entries on rho directly.
+    ``tables_mu`` is a (mu table, weight) list, such as a :func:`_side_tables`
+    side, and the result is the weighted sum of the split's coefficients
+    over it.  The sum runs over the non-zero entries of the nu table, reads
+    each lam entry once and looks up the matching entry of every mu table,
+    so no vanishing term is formed.  A pi with at most one row (flagged once
+    per nu entry) is the trivial character, g(pi, rho, sigma) = [rho == sigma],
+    so those terms join the lam and mu entries on rho directly.
     """
     total = 0
     for alpha, nu_by_pi in table_nu.items():
         lam_by_gamma = table_lam.get(alpha)
         if not lam_by_gamma:
             continue
+        nu_rows = [(pi, len(pi) <= 1, nu_by_beta.items()) for pi, nu_by_beta in nu_by_pi.items()]
         for table_mu, weight in tables_mu:
             part = 0
             for gamma, lam_by_rho in lam_by_gamma.items():
                 mu_by_beta = table_mu.get(gamma)
                 if not mu_by_beta:
                     continue
-                for pi, nu_by_beta in nu_by_pi.items():
-                    one_row = len(pi) <= 1
-                    for beta, c_nu in nu_by_beta.items():
+                for pi, one_row, nu_by_beta in nu_rows:
+                    for beta, c_nu in nu_by_beta:
                         mu_by_sigma = mu_by_beta.get(beta)
                         if not mu_by_sigma:
                             continue
@@ -210,31 +210,39 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
         raise ValueError(f"|lam| = {size_lam} exceeds left degree {m}")
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
-    return _strand_sum(nu, ((lam, 1),), ((mu, 1),))
+
+    def one_shape(shape):  # the side list of one shape at weight 1
+        return lambda *sizes: ((_three_part_table(shape, *sizes), 1),)
+
+    return _strand_sum(nu, size_lam, size_mu, one_shape(lam), one_shape(mu))
 
 
 @cache  # every restriction_dimension_total up to (m|n) reads at most (m + n + 1)(m + 1)(n + 1) keys
 def _restriction_kernel(nu: Partition, a: int, b: int) -> int:
-    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b."""
-    lams, mus = ([(shape, _syt_count(shape)) for shape in partitions_of(size)] for size in (a, b))
-    return _strand_sum(nu, lams, mus)
+    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b, on side lists."""
+    return _strand_sum(nu, a, b, _side_tables, _side_tables)
 
 
-def _strand_sum(nu: Partition, lams, mus) -> int:
-    """The sum of weight(lam) * weight(mu) * bvo(nu, lam, mu) over (shape, weight) pairs of one size each.
+@cache  # keys are size triples, C(s + 3, 3) of them up to sum s: 560 at the restriction-dimension ceiling of 13
+def _side_tables(s1: int, s2: int, s3: int) -> tuple[tuple[dict, int], ...]:
+    """(three-part table, syt count) for each shape of size s1 + s2 + s3 whose table of (s1, s2, s3) is non-empty."""
+    tables = ((_three_part_table(shape, s1, s2, s3), _syt_count(shape)) for shape in partitions_of(s1 + s2 + s3))
+    return tuple((table, weight) for table, weight in tables if table)
 
-    Each strand split fetches its nu table and the non-empty mu tables once,
-    then each lam table once, and makes one :func:`_join` per lam.
+
+def _strand_sum(nu: Partition, size_lam: int, size_mu: int, side_lam, side_mu) -> int:
+    """The sum of weight(lam) * weight(mu) * bvo(nu, lam, mu) over the lam of one size and the mu of another.
+
+    A side maps three part sizes to its (table, weight) list, :func:`_side_tables`
+    or one shape at weight 1; each strand split reads its mu side at (U, T, R)
+    and its lam side at (L, T, U), then joins each lam table once.
     """
     total = 0
-    for idx, table_nu in _splits(nu, sum(lams[0][0]), sum(mus[0][0])):
+    for idx, table_nu in _splits(nu, size_lam, size_mu):
         u, t = idx.through_unlabeled, idx.through_labeled
-        by_mu = ((_three_part_table(mu, u, t, idx.right_labeled), weight) for mu, weight in mus)
-        tables_mu = [(table_mu, weight) for table_mu, weight in by_mu if table_mu]
-        for lam, weight in lams:
-            table_lam = _three_part_table(lam, idx.left_labeled, t, u)
-            if table_lam:
-                total += _join(table_nu, table_lam, tables_mu) * weight
+        tables_mu = side_mu(u, t, idx.right_labeled)
+        for table_lam, weight in side_lam(idx.left_labeled, t, u):
+            total += _join(table_nu, table_lam, tables_mu) * weight
     return total
 
 

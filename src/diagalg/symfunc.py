@@ -39,7 +39,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return _partitions_inside(_check_count(n, "n"), (n,) * n)
 
 
-@cache
+@cache  # keys (size, outer): |outer| + 1 sizes per outer shape met
 def _partitions_inside(size: int, outer: Partition) -> tuple[Partition, ...]:
     """Partitions of ``size`` whose diagrams fit inside ``outer``, in :func:`partitions_of` order."""
     out: list[Partition] = []
@@ -80,7 +80,7 @@ def syt_count(lam: Partition) -> int:
     return _syt_count(check_partition(lam))
 
 
-@cache
+@cache  # one key per shape asked for
 def _syt_count(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
@@ -107,7 +107,7 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _lr_coeff(check_partition(lam), check_partition(mu), check_partition(nu))
 
 
-@cache
+@cache  # one key per shape triple asked for
 def _lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if sum(lam) + sum(mu) != sum(nu) or not _contains(nu, lam):
         return 0
@@ -154,7 +154,7 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
-@cache
+@cache  # one key per degree n, each a row of its p(n) cycle types
 def _class_sizes(n: int) -> tuple[tuple[tuple[Partition, int], ...], int]:
     """Each cycle type rho of n with its class size n!/z_rho, and any remainder of those divisions or-ed."""
     order, sizes, stray = factorial(n), [], 0
@@ -169,7 +169,7 @@ def _beta(lam: Partition) -> tuple[int, ...]:  # the first-column hook lengths, 
     return tuple(part + len(lam) - 1 - i for i, part in enumerate(lam))
 
 
-@cache
+@cache  # keys (beta, rho): the beta-sets and cycle-type tails the recursion meets
 def _char_on_beta(beta: tuple[int, ...], rho: tuple[int, ...]) -> int:
     # Removing a border strip of length k is removing k from one entry b of
     # beta; the sign counts the entries it jumps, which sit just after b.

@@ -206,7 +206,10 @@ def groth_multiply(a: GrothElement, b: GrothElement) -> GrothElement:
             for r in range(abs(p - q), p + q + 1, 2):
                 key = (m + n, r)
                 sums[key] = sums.get(key, 0) + c
-    return GrothElement._trusted({key: c for key, c in sorted(sums.items()) if c})
+    keys = sorted(sums)
+    if keys != list(sums) or not all(sums.values()):  # a product of two classes is already in order
+        sums = {key: sums[key] for key in keys if sums[key]}
+    return GrothElement._trusted(sums)
 
 
 def tl_e(p: int, q: int, r: int, m: int, n: int) -> int:

@@ -257,7 +257,7 @@ def tensor_generators(m: int, n: int) -> tuple[tuple[str, SetPartitionDiagram], 
     return tuple(gens)
 
 
-@cache
+@cache  # one key per degree pair (m|n) that transition meets
 def _tensor_generator_set(m: int, n: int) -> frozenset[tuple]:
     members = {d.blocks for _, d in tensor_generators(m, n)}
     members.add(SetPartitionDiagram.identity(m + n).blocks)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -615,6 +616,29 @@ class TestTL:
         monkeypatch.setattr(tl.GrothElement, "render", refuse)
         assert main([*argv, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)
+
+    def test_groth_json_is_written_as_it_is_encoded(self, capsys):
+        # the JSON terms are written one at a time, as the bytes of
+        # json.dumps(product.to_json()); the traced peak stays within 1 MiB of
+        # the product, where a dict per term and then one string took about
+        # three times it (122.5 MiB traced for a 44 MiB product at the budget)
+        for left, right in (("1:1", "1:1"), ("4:2", "3:1"), ("7:3", "12:8"), ("2:0", "5:1")):
+            assert main(["tl", "groth", "--left", left, "--right", right]) == 0
+            product = tl.groth_multiply(*(tl.GrothElement.module_class(*cli._parse_class(c)) for c in (left, right)))
+            assert capsys.readouterr() == (json.dumps(product.to_json()) + "\n", "")
+        big = 20_000
+        tracemalloc.start()
+        try:
+            product = tl.groth_multiply(*[tl.GrothElement.module_class(big, big)] * 2)
+            size = tracemalloc.get_traced_memory()[0]
+            del product
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+                assert main(["tl", "groth", "--left", f"{big}:{big}", "--right", f"{big}:{big}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size < 2**20, (size, peak)
 
     def test_bad_class_argument_usage_error(self, capsys):
         assert main(["tl", "groth", "--left", "nonsense", "--right", "1:1"]) == 2

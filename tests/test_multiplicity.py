@@ -15,6 +15,7 @@ from diagalg.multiplicity import (
     _e_closed,
     _join,
     _restriction_kernel,
+    _side_tables,
     _splits,
     _three_part_table,
     admissible_degree_pairs,
@@ -445,6 +446,27 @@ class TestStrandSplits:
             triples += 1
             solutions += len(joins)
         assert (triples, solutions) == (4_096, 5_220)
+
+    def test_census_cells_from_the_engine(self):
+        # identity 2: census(m, n, r)[idx] = hd(m, a) * hd(n, b) * (the split's
+        # tableau-weighted join at nu = (r)), with a = U + T + L and b = U + T + R;
+        # nothing of index_count_formula enters but hd, and the key sets agree
+        cells = 0
+        for m in range(1, 7):
+            for n in range(1, 7):
+                for r in range(m + n + 1):
+                    expected = {}
+                    for a in range(m + 1):
+                        for b in range(n + 1):
+                            hd = half_diagram_count(m, a) * half_diagram_count(n, b)
+                            for idx, table_nu in _splits(one_part(r), a, b):
+                                u, t, left, right = idx
+                                mus = _side_tables(u, t, right)
+                                joined = sum(w * _join(table_nu, lam, mus) for lam, w in _side_tables(left, t, u))
+                                expected[idx] = hd * joined
+                    assert census(m, n, r) == expected, (m, n, r)
+                    cells += len(expected)
+        assert cells == 2_927
 
     def test_one_join_per_lam_table(self, monkeypatch):
         # the kernel joins each lam table against the split's weighted mu

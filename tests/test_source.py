@@ -89,6 +89,30 @@ def test_memo_tables_check_no_partition():
     assert not found, sorted(found)
 
 
+def _maxsize(decorator):
+    """The maxsize a memo decorator sets, or None for unbounded (``cache``, ``lru_cache(maxsize=None)``)."""
+    if not isinstance(decorator, ast.Call):
+        return None
+    given = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return next((node.value for node in given if isinstance(node, ast.Constant)), None)
+
+
+def test_memo_tables_state_their_bound():
+    # A memo holds every key it has met until the benchmark or the process
+    # clears it, so each module-level one either has a maxsize or says on
+    # its decorator line, in a comment about its keys, what bounds them.
+    found = []
+    for path, tree in _parsed_sources():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in tree.body:
+            for decorator in getattr(node, "decorator_list", ()):
+                if _is_memo_decorator(decorator) and _maxsize(decorator) is None:
+                    comment = lines[decorator.end_lineno - 1].partition("#")[2]
+                    if "key" not in comment:
+                        found.append(f"{path.name}:{decorator.lineno} {node.name}")
+    assert not found, found
+
+
 def test_every_export_resolves():
     # A name removed from a module but left in __all__ only fails on
     # `from diagalg import *`; catch it here instead.
@@ -217,16 +241,17 @@ def test_one_solver_and_one_strand_split_loop():
 
 def test_restriction_total_rechecks_no_partition_it_built():
     # the total checks r, m and n once and sums kernels over sizes; the
-    # kernel's lam and mu come from partitions_of, so it reads their tableau
-    # counts through the memo, past syt_count's checks, and the strand-split
-    # loop it hands them to checks nothing either
+    # kernel's side lists take lam and mu from partitions_of, so they read
+    # their tableau counts through the memo, past syt_count's checks, and
+    # the strand-split loop the kernel hands them to checks nothing either
     tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
-    called = {scope: set() for scope in ("restriction_dimension_total", "_restriction_kernel", "_strand_sum")}
+    scopes = ("restriction_dimension_total", "_restriction_kernel", "_side_tables", "_strand_sum")
+    called = {scope: set() for scope in scopes}
     for scope, call in _calls(tree):
         if scope in called and isinstance(call.func, ast.Name):
             called[scope].add(call.func.id)
     assert "_restriction_kernel" in called["restriction_dimension_total"]
-    assert "_syt_count" in called["_restriction_kernel"]
+    assert "_syt_count" in called["_side_tables"]
     for scope, names in called.items():
         assert not names & {"dim_standard", "syt_count", "check_partition"}, (scope, sorted(names))
 
@@ -357,8 +382,9 @@ def test_cli_exit_codes_decided_in_main():
 
 def test_cli_chooses_json_or_text_in_emit():
     # mult and verify keep their own branch so that text mode never builds a
-    # payload it does not print, and tl basis --count-only prints its count
-    # directly; the other commands, tl basis listings included, use _emit.
+    # payload it does not print, tl basis --count-only prints its count
+    # directly, and tl groth writes its JSON terms as it encodes them; the
+    # other commands, tl basis listings included, use _emit.
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     callers = {"print": set(), "_emit": set()}
     for scope, call in _calls(tree):
