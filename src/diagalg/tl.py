@@ -179,13 +179,15 @@ class GrothElement:
         }
 
     def render(self) -> str:
+        return " + ".join(self._pieces())
+
+    def _pieces(self):
+        """Yield the terms of :meth:`render` in order, or "0" alone for the zero class."""
         if not self.terms:
-            return "0"
-        pieces = []
+            yield "0"
         for (degree, labels), coeff in self.terms.items():
             body = f"[V_{degree}({labels})]"
-            pieces.append(body if coeff == 1 else f"{coeff}·{body}")
-        return " + ".join(pieces)
+            yield body if coeff == 1 else f"{coeff}·{body}"
 
     def __repr__(self) -> str:
         return f"GrothElement({self.render()})"

@@ -462,7 +462,7 @@ SUITES = {
     "census-factorization": (verify_census_factorization, 4, 36),
     "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.51 s at 3, 36 s at 4
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
-    "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 2.3 s at 11, 3.9 s at 12, 11 s and 114 MiB at 13
+    "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 1.1 s at 11, 2.6 s at 12, 5.9 s and 133 MiB at 13
     "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 11 s at 64, 43 s at 96, 126 s and 260 MiB at 120
     "geometry-agreement": (verify_geometry_agreement, 30, 320),  # 10 s at 120, 34 s at 180, 183 s and 15 MiB at 320
     "parity": (verify_parity, 30, 480),  # 1.8 s at 120, 21 s at 240, 130 s and 15 MiB at 480

@@ -116,6 +116,24 @@ class TestMult:
         assert capsys.readouterr().out.splitlines() == ["e1: 15001", "agree"]
         assert elapsed < 1.0
 
+    def test_table_json_is_written_as_it_is_encoded(self, capsys):
+        # the rows are written one at a time, as the bytes of json.dumps of
+        # their dicts; the traced peak stays under 1 MiB, where a dict per row
+        # and then one string took 44 MiB at --max 50 (about 10 MiB at 30)
+        for top in range(4):
+            assert main(["mult", "table", "--max", str(top), "--format", "json"]) == 0
+            grid = range(top + 1)
+            rows = [{"p": p, "q": q, "r": r, "E": multiplicity.e_closed(p, q, r)} for p in grid for q in grid for r in grid]
+            assert capsys.readouterr() == (json.dumps(rows) + "\n", "")
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+                assert main(["mult", "table", "--max", "30", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_table_size_budget(self, capsys, monkeypatch):
         assert main(["mult", "table", "--max", str(cli.MULT_TABLE_MAX + 1)]) == 2
         assert capsys.readouterr().err == "error: mult table is limited to --max <= 50, got 51\n"
@@ -635,6 +653,30 @@ class TestTL:
             tracemalloc.reset_peak()
             with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
                 assert main(["tl", "groth", "--left", f"{big}:{big}", "--right", f"{big}:{big}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size < 2**20, (size, peak)
+
+    def test_groth_text_is_written_as_it_is_formatted(self, capsys):
+        # the text terms are written one at a time, as the bytes of
+        # print(product.render()); the traced peak stays within 1 MiB of the
+        # product, where a list of every piece and then one joined string
+        # read 1.8 MiB over it at 20,000 terms
+        for left, right in (("1:1", "1:1"), ("4:2", "3:1"), ("7:3", "12:8"), ("2:0", "5:1")):
+            assert main(["tl", "groth", "--left", left, "--right", right, "--format", "text"]) == 0
+            product = tl.groth_multiply(*(tl.GrothElement.module_class(*cli._parse_class(c)) for c in (left, right)))
+            assert capsys.readouterr() == (product.render() + "\n", "")
+        big = 20_000
+        tracemalloc.start()
+        try:
+            product = tl.groth_multiply(*[tl.GrothElement.module_class(big, big)] * 2)
+            size = tracemalloc.get_traced_memory()[0]
+            del product
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+                argv = ["tl", "groth", "--left", f"{big}:{big}", "--right", f"{big}:{big}", "--format", "text"]
+                assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

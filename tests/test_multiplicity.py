@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from diagalg import multiplicity, verify
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
+    _by_gamma_beta,
     _e_closed,
     _join,
+    _mu_side,
     _restriction_kernel,
     _side_tables,
     _splits,
@@ -423,9 +425,9 @@ class TestStrandSplits:
                     for idx, table_nu in _splits(nu, a, b):
                         u, t, left, right = idx
                         assert (t + left + right, u + t + left, u + t + right) == (sum(nu), a, b)
-                        tables_mu = [(mu_table(idx, mu), syt_count(mu)) for mu in partitions_of(b)]
+                        side_mu = _by_gamma_beta([(mu_table(idx, mu), syt_count(mu)) for mu in partitions_of(b)])
                         total = sum(
-                            syt_count(lam) * _join(table_nu, lam_table(idx, lam), tables_mu) for lam in partitions_of(a)
+                            syt_count(lam) * _join(table_nu, lam_table(idx, lam), side_mu) for lam in partitions_of(a)
                         )
                         expected = syt_count(nu) * reassembly_count(a, b, u + t, t)
                         assert total == expected, (nu, a, b, idx)
@@ -439,7 +441,7 @@ class TestStrandSplits:
         for p, q, r in product(range(16), repeat=3):
             joins = {}
             for idx, table_nu in _splits(one_part(r), p, q):
-                value = _join(table_nu, lam_table(idx, one_part(p)), [(mu_table(idx, one_part(q)), 1)])
+                value = _join(table_nu, lam_table(idx, one_part(p)), _by_gamma_beta([(mu_table(idx, one_part(q)), 1)]))
                 if value:
                     joins[idx] = value
             assert joins == dict.fromkeys(e_lattice(p, q, r)[1], 1), (p, q, r)
@@ -461,7 +463,7 @@ class TestStrandSplits:
                             hd = half_diagram_count(m, a) * half_diagram_count(n, b)
                             for idx, table_nu in _splits(one_part(r), a, b):
                                 u, t, left, right = idx
-                                mus = _side_tables(u, t, right)
+                                mus = _mu_side(u, t, right)
                                 joined = sum(w * _join(table_nu, lam, mus) for lam, w in _side_tables(left, t, u))
                                 expected[idx] = hd * joined
                     assert census(m, n, r) == expected, (m, n, r)

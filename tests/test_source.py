@@ -245,7 +245,7 @@ def test_restriction_total_rechecks_no_partition_it_built():
     # their tableau counts through the memo, past syt_count's checks, and
     # the strand-split loop the kernel hands them to checks nothing either
     tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
-    scopes = ("restriction_dimension_total", "_restriction_kernel", "_side_tables", "_strand_sum")
+    scopes = ("restriction_dimension_total", "_restriction_kernel", "_side_tables", "_mu_side", "_strand_sum")
     called = {scope: set() for scope in scopes}
     for scope, call in _calls(tree):
         if scope in called and isinstance(call.func, ast.Name):
@@ -383,8 +383,9 @@ def test_cli_exit_codes_decided_in_main():
 def test_cli_chooses_json_or_text_in_emit():
     # mult and verify keep their own branch so that text mode never builds a
     # payload it does not print, tl basis --count-only prints its count
-    # directly, and tl groth writes its JSON terms as it encodes them; the
-    # other commands, tl basis listings included, use _emit.
+    # directly, and mult table JSON and tl groth write their rows and terms
+    # as they format them; the other commands, tl basis listings included,
+    # use _emit.
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     callers = {"print": set(), "_emit": set()}
     for scope, call in _calls(tree):

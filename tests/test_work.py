@@ -73,13 +73,49 @@ def count_opcodes(setup: str, call: str) -> int:
     return int(done.stdout)
 
 
+def check_ceiling(count: int, recorded: int, ceiling: int) -> None:
+    assert count <= ceiling, f"{count:,} opcodes, ceiling {ceiling:,} (recorded {recorded:,})"
+
+
 def test_restriction_totals_up_to_four_four():
-    # 190,589 with the cached side lists and the one-row flag read once per
-    # nu entry (222,944 before them, the same under hash seeds 0, 1 and
-    # 12345); removing _join's one-row shortcut reads 376,958
-    recorded, ceiling = 190_589, 196_000
+    # 169,892 with the mu side regrouped by (gamma, beta) (190,589 before it,
+    # 222,944 before the cached side lists; the same under hash seeds 0, 1
+    # and 12345); removing _join's one-row shortcut reads 355,577
     count = count_opcodes(
         "from diagalg.multiplicity import restriction_dimension_total",
         "for r in range(9): restriction_dimension_total(4, 4, r)",
     )
-    assert count <= ceiling, f"{count:,} opcodes, ceiling {ceiling:,} (recorded {recorded:,})"
+    check_ceiling(count, 169_892, 175_000)
+
+
+def test_census_eight_eight_at_every_r():
+    # 45,383, one table build and seventeen read-outs; building each key
+    # through WalledIndex's Python-level __new__ reads 51,158
+    count = count_opcodes("from diagalg.walled import census", "for r in range(17): census(8, 8, r)")
+    check_ceiling(count, 45_383, 47_000)
+
+
+def test_compose_at_ten():
+    # 126,059 for twenty pairs of seeded random diagrams, built before the
+    # count starts; wrapping the result through the checking constructor
+    # instead of SetPartitionDiagram._trusted reads 146,337
+    setup = """
+import random
+from diagalg.diagrams import compose
+from diagalg.verify import _random_diagram
+rng = random.Random(10)
+pairs = [(_random_diagram(rng, 10), _random_diagram(rng, 10)) for _ in range(20)]
+"""
+    count = count_opcodes(setup, "for d1, d2 in pairs: compose(d1, d2)")
+    check_ceiling(count, 126_059, 130_000)
+
+
+def test_kronecker_coeff_of_size_eight():
+    # 39,382 for a triple that is neither one-row nor one-column, so the
+    # class-weighted character sum runs; dropping _char_on_beta's memo
+    # reads 224,684
+    count = count_opcodes(
+        "from diagalg.symfunc import kronecker_coeff",
+        "kronecker_coeff((4, 2, 2), (3, 3, 1, 1), (5, 2, 1))",
+    )
+    check_ceiling(count, 39_382, 40_600)
