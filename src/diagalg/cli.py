@@ -40,13 +40,14 @@ MULT_E1_MAX_SOLUTIONS = 100_000
 # Largest p + q - r (the length of e2's lattice walk) and largest of p, q
 # and r that `mult` runs e2 and bvo on; the slowest triple within each
 # (bvo's is near p = q = r, as at 800, 800, 799) takes about 0.9 s and
-# 1.1 s, process start included.
+# 0.5 s, process start included.
 MULT_E2_MAX_WALK = 10_000_000
 MULT_BVO_MAX_COUNT = 800
 
-# Most dots (-n times the count) that `tl basis` lists: -n 20 -r 0 as JSON
-# takes about 1 s.  Largest -n it takes, --count-only included: every count
-# up to it has at most 4,300 digits, Python's default int-to-str limit.
+# Most dots (-n times the count) that `tl basis` lists, row by row: -n 20 -r 0
+# as JSON takes about 0.3 s and a 17 MiB peak, process start included.  Largest
+# -n it takes, --count-only included: every count up to it has at most 4,300
+# digits, Python's default int-to-str limit.
 TL_BASIS_MAX_DOTS = 340_000
 TL_BASIS_MAX_DEGREE = 14_298
 
@@ -105,13 +106,11 @@ def _cmd_mult(args) -> int:
             for q in range(top + 1)
             for r in range(top + 1)
         )
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["p", "q", "r", "E"])
-            writer.writerows(rows)
-        else:
-            # the bytes of json.dumps of the row dicts, at its default separators
-            _write_joined((f'{{"p": {p}, "q": {q}, "r": {r}, "E": {e}}}' for p, q, r, e in rows), ", ", "[", "]\n")
+        if args.format != "csv":  # the bytes of json.dumps of the row dicts, at its default separators
+            return _write_joined((f'{{"p": {p}, "q": {q}, "r": {r}, "E": {e}}}' for p, q, r, e in rows), ", ", "[", "]\n")
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["p", "q", "r", "E"])
+        writer.writerows(rows)
         return 0
 
     if args.format == "csv":
@@ -194,9 +193,10 @@ def _emit(args, payload, lines) -> int:
     return 0
 
 
-def _write_joined(pieces, sep: str, head: str = "", tail: str = "\n") -> None:
-    """Write head, the pieces with sep between them, and tail, each piece as it is made (no joined string)."""
+def _write_joined(pieces, sep: str, head: str = "", tail: str = "\n") -> int:
+    """Write head, the pieces with sep between them, and tail, each piece as it is made (no joined string); exit 0."""
     sys.stdout.writelines(chain([head], (f"{sep * bool(i)}{piece}" for i, piece in enumerate(pieces)), [tail]))
+    return 0
 
 
 def _cmd_compose(args) -> int:
@@ -280,19 +280,20 @@ def _cmd_tl(args) -> int:
         limit = f"{TL_BASIS_MAX_DOTS} listed dots ({{}} diagrams at -n {args.n})"
         tail = " diagrams; for the count use --count-only"
         _check_budget(count, TL_BASIS_MAX_DOTS // max(args.n, 1), "tl basis", limit, tail)
-        rows = [_planar_json(row) for row in tl.tl_basis(args.n, args.r)]
+        rows = map(_planar_json, tl._planar_walk(args.n, args.r))  # each row as the walk makes it
+        if args.format == "json":  # the bytes of json.dumps of the row list
+            return _write_joined(map(json.dumps, rows), ", ", "[", "]\n")
         pieces = ([f"{{{a},{b}}}" for a, b in row["caps"]] + [f"{{{dot}}}*" for dot in row["labels"]] for row in rows)
-        return _emit(args, lambda: rows, lambda: ("{" + ",".join(p) + "}" for p in pieces))
+        return _write_joined(("{" + ",".join(p) + "}\n" for p in pieces), "", tail="")
     (m, p), (n, q) = _parse_class(args.left), _parse_class(args.right)
     left, right = tl.GrothElement.module_class(m, p), tl.GrothElement.module_class(n, q)
     _check_budget(min(p, q) + 1, TL_GROTH_MAX_TERMS, "tl groth", "{} terms (min(p, q) + 1 for m:p times n:q)")
     product = tl.groth_multiply(left, right)
     if args.format == "text":
-        _write_joined(product._pieces(), " + ")
-    else:  # the bytes of json.dumps(product.to_json())
-        terms = (f'{{"n": {n}, "r": {r}, "coeff": {c}}}' for (n, r), c in product.terms.items())
-        _write_joined(terms, ", ", '{"terms": [', "]}\n")
-    return 0
+        return _write_joined(product._pieces(), " + ")
+    # the bytes of json.dumps(product.to_json())
+    terms = (f'{{"n": {n}, "r": {r}, "coeff": {c}}}' for (n, r), c in product.terms.items())
+    return _write_joined(terms, ", ", '{"terms": [', "]}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ boundary and reflection identities.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .diagrams import _check_count, _check_int
 from .halfdiag import half_diagram_count
@@ -141,14 +141,14 @@ def _splits(nu: Partition, size_lam: int, size_mu: int):
             yield idx, table_nu
 
 
-def _join(table_nu, table_lam, side_mu) -> int:
-    """One strand split's coefficient sum for one lam table, weighted over a mu side.
+def _join(table_nu, table_lam, table_mu) -> int:
+    """One strand split's coefficient sum for one lam table and one mu table.
 
-    ``side_mu`` is a (mu table, weight) list regrouped by :func:`_by_gamma_beta`.
-    The sum runs over the non-zero entries of the nu table, looks up each lam
-    entry's gamma once and, for each nu entry's beta, walks only the mu
-    entries stored there, so no vanishing term is formed.  A pi with at most
-    one row (flagged once per nu entry) is the trivial character,
+    ``table_mu`` is a three-part table, one shape's or the tableau-weighted
+    :func:`_mu_side`.  The sum runs over the non-zero entries of the nu
+    table, looks up each lam entry's gamma once and each nu entry's beta
+    once under it, so no vanishing term is formed.  A pi with at most one
+    row (flagged once per nu entry) is the trivial character,
     g(pi, rho, sigma) = [rho == sigma], so those terms join on rho directly.
     """
     total = 0
@@ -158,37 +158,28 @@ def _join(table_nu, table_lam, side_mu) -> int:
             continue
         nu_rows = [(pi, len(pi) <= 1, nu_by_beta.items()) for pi, nu_by_beta in nu_by_pi.items()]
         for gamma, lam_by_rho in lam_by_gamma.items():
-            mu_by_beta = side_mu.get(gamma)
+            mu_by_beta = table_mu.get(gamma)
             if not mu_by_beta:
                 continue
             for pi, one_row, nu_by_beta in nu_rows:
                 for beta, c_nu in nu_by_beta:
-                    for mu_by_sigma, weight in mu_by_beta.get(beta, ()):
-                        part = 0
-                        if one_row:
+                    mu_by_sigma = mu_by_beta.get(beta)
+                    if not mu_by_sigma:
+                        continue
+                    part = 0
+                    if one_row:
+                        for rho, c_lam in lam_by_rho.items():
+                            c_mu = mu_by_sigma.get(rho)
+                            if c_mu:
+                                part += c_lam * c_mu
+                    else:
+                        for sigma, c_mu in mu_by_sigma.items():
                             for rho, c_lam in lam_by_rho.items():
-                                c_mu = mu_by_sigma.get(rho)
-                                if c_mu:
-                                    part += c_lam * c_mu
-                        else:
-                            for sigma, c_mu in mu_by_sigma.items():
-                                for rho, c_lam in lam_by_rho.items():
-                                    g = kronecker_coeff(pi, rho, sigma)
-                                    if g:
-                                        part += c_lam * c_mu * g
-                        total += part * c_nu * weight
+                                g = kronecker_coeff(pi, rho, sigma)
+                                if g:
+                                    part += c_lam * c_mu * g
+                    total += part * c_nu
     return total
-
-
-def _by_gamma_beta(tables_mu) -> dict:
-    """A (mu table, weight) list regrouped by its first two keys, ``{gamma: {beta: ((sigma table, weight), ...)}}``."""
-    side: dict = {}
-    for table_mu, weight in tables_mu:
-        for gamma, mu_by_beta in table_mu.items():
-            by_beta = side.setdefault(gamma, {})
-            for beta, mu_by_sigma in mu_by_beta.items():
-                by_beta[beta] = (*by_beta.get(beta, ()), (mu_by_sigma, weight))
-    return side
 
 
 def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: int) -> int:
@@ -218,10 +209,9 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
 
-    def one_shape(shape):  # the side list of one shape at weight 1
-        return lambda *sizes: ((_three_part_table(shape, *sizes), 1),)
-
-    return _strand_sum(nu, size_lam, size_mu, one_shape(lam), lambda *sizes: _by_gamma_beta(one_shape(mu)(*sizes)))
+    return _strand_sum(
+        nu, size_lam, size_mu, lambda *sizes: ((_three_part_table(lam, *sizes), 1),), partial(_three_part_table, mu)
+    )
 
 
 @cache  # every restriction_dimension_total up to (m|n) reads at most (m + n + 1)(m + 1)(n + 1) keys
@@ -239,24 +229,32 @@ def _side_tables(s1: int, s2: int, s3: int) -> tuple[tuple[dict, int], ...]:
 
 @cache  # keys are size triples, as _side_tables's: 560 at the restriction-dimension ceiling of 13
 def _mu_side(s1: int, s2: int, s3: int) -> dict:
-    """:func:`_side_tables` of (s1, s2, s3) regrouped by :func:`_by_gamma_beta`: the kernel's mu side."""
-    return _by_gamma_beta(_side_tables(s1, s2, s3))
+    """The kernel's mu side: the sum of syt(shape) * table over :func:`_side_tables`, keyed as one three-part table."""
+    side: dict = {}
+    for table, weight in _side_tables(s1, s2, s3):
+        for gamma, by_beta in table.items():
+            for beta, by_sigma in by_beta.items():
+                summed = side.setdefault(gamma, {}).setdefault(beta, {})
+                for sigma, coefficient in by_sigma.items():
+                    summed[sigma] = summed.get(sigma, 0) + weight * coefficient
+    return side
 
 
 def _strand_sum(nu: Partition, size_lam: int, size_mu: int, side_lam, side_mu) -> int:
     """The sum of weight(lam) * weight(mu) * bvo(nu, lam, mu) over the lam of one size and the mu of another.
 
-    A side maps three part sizes to a (table, weight) list, :func:`_side_tables`
-    or one shape at weight 1, the mu side regrouped by :func:`_by_gamma_beta`
-    (:func:`_mu_side`); each strand split reads its mu side at (U, T, R) and
-    its lam side at (L, T, U), then joins each lam table once.
+    The lam side maps three part sizes to a (table, weight) list,
+    :func:`_side_tables` or one shape at weight 1; the mu side maps them to
+    one table, the weighted :func:`_mu_side` or one shape's.  Each strand
+    split reads its mu table at (U, T, R) and its lam list at (L, T, U),
+    then joins each lam table once.
     """
     total = 0
     for idx, table_nu in _splits(nu, size_lam, size_mu):
         u, t = idx.through_unlabeled, idx.through_labeled
-        grouped_mu = side_mu(u, t, idx.right_labeled)
+        table_mu = side_mu(u, t, idx.right_labeled)
         for table_lam, weight in side_lam(idx.left_labeled, t, u):
-            total += _join(table_nu, table_lam, grouped_mu) * weight
+            total += _join(table_nu, table_lam, table_mu) * weight
     return total
 
 

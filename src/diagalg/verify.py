@@ -462,8 +462,8 @@ SUITES = {
     "census-factorization": (verify_census_factorization, 4, 36),
     "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.51 s at 3, 36 s at 4
     "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
-    "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 1.1 s at 11, 2.6 s at 12, 5.9 s and 133 MiB at 13
-    "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 11 s at 64, 43 s at 96, 126 s and 260 MiB at 120
+    "restriction-dimension": (verify_restriction_dimension, 3, 13),  # 1.1 s at 11, 1.4 s at 12, 2.8 s and 119 MiB at 13
+    "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 9 s at 64, 44 s at 96, 103 s and 261 MiB at 120
     "geometry-agreement": (verify_geometry_agreement, 30, 320),  # 10 s at 120, 34 s at 180, 183 s and 15 MiB at 320
     "parity": (verify_parity, 30, 480),  # 1.8 s at 120, 21 s at 240, 130 s and 15 MiB at 480
     "tl-suite": (verify_tl_suite, 12, 24),  # 6.6 to 7.8 s and 24 MiB at 22, 25 to 28 s and 34 MiB at 24

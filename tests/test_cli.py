@@ -498,6 +498,28 @@ class TestTL:
             '{"n": 6, "caps": [[1, 2], [3, 4]], "labels": [5, 6]}]\n'
         )
 
+    def test_basis_is_written_as_it_is_made(self, capsys):
+        # each row is written as the planar walk makes it: JSON as the bytes
+        # of json.dumps of the row list, text one line per row.  The traced
+        # peak stays under 1 MiB at -n 20 -r 0, whose basis holds 6 MiB, where
+        # a dict per row and then one string read 24.7 MiB
+        for n, r in ((0, 0), (1, 1), (5, 2), (6, 2), (8, 0), (9, 3)):
+            rows = [cli._planar_json(row) for row in tl.tl_basis(n, r)]
+            assert main(["tl", "basis", "-n", str(n), "-r", str(r), "--format", "json"]) == 0
+            assert capsys.readouterr() == (json.dumps(rows) + "\n", "")
+            assert main(["tl", "basis", "-n", str(n), "-r", str(r)]) == 0
+            pieces = ([*(f"{{{a},{b}}}" for a, b in row["caps"]), *(f"{{{d}}}*" for d in row["labels"])] for row in rows)
+            assert capsys.readouterr() == ("".join("{" + ",".join(p) + "}\n" for p in pieces), "")
+        for fmt in ("json", "text"):
+            tracemalloc.start()
+            try:
+                with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+                    assert main(["tl", "basis", "-n", "20", "-r", "0", "--format", fmt]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (fmt, peak)
+
     def test_basis_negative_degree_usage_error(self, capsys):
         for extra in ([], ["--count-only"]):
             assert main(["tl", "basis", "-n", "-1", "-r", "0", *extra]) == 2

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from diagalg import multiplicity, verify
 from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
-    _by_gamma_beta,
     _e_closed,
     _join,
     _mu_side,
@@ -130,6 +129,25 @@ def lam_table(idx, lam):
 def mu_table(idx, mu):
     """The mu table of the strand split ``idx`` = (U; T, L, R)."""
     return _three_part_table(mu, idx.through_unlabeled, idx.through_labeled, idx.right_labeled)
+
+
+def weighted_table(weighted_tables):
+    """Sum weight * table over (three-part table, weight) pairs, entry by entry, nested as one table.
+
+    A plain loop over flat (gamma, beta, sigma) keys, so the tests build
+    their weighted mu sums without the engine's fold, ``_mu_side``.
+    """
+    flat = {}
+    for table, weight in weighted_tables:
+        for gamma, by_beta in table.items():
+            for beta, by_sigma in by_beta.items():
+                for sigma, c in by_sigma.items():
+                    flat[gamma, beta, sigma] = flat.get((gamma, beta, sigma), 0) + weight * c
+    nested = {}
+    for (gamma, beta, sigma), c in flat.items():
+        if c:
+            nested.setdefault(gamma, {}).setdefault(beta, {})[sigma] = c
+    return nested
 
 
 def e_lattice_reference(p, q, r):
@@ -425,7 +443,7 @@ class TestStrandSplits:
                     for idx, table_nu in _splits(nu, a, b):
                         u, t, left, right = idx
                         assert (t + left + right, u + t + left, u + t + right) == (sum(nu), a, b)
-                        side_mu = _by_gamma_beta([(mu_table(idx, mu), syt_count(mu)) for mu in partitions_of(b)])
+                        side_mu = weighted_table((mu_table(idx, mu), syt_count(mu)) for mu in partitions_of(b))
                         total = sum(
                             syt_count(lam) * _join(table_nu, lam_table(idx, lam), side_mu) for lam in partitions_of(a)
                         )
@@ -441,7 +459,7 @@ class TestStrandSplits:
         for p, q, r in product(range(16), repeat=3):
             joins = {}
             for idx, table_nu in _splits(one_part(r), p, q):
-                value = _join(table_nu, lam_table(idx, one_part(p)), _by_gamma_beta([(mu_table(idx, one_part(q)), 1)]))
+                value = _join(table_nu, lam_table(idx, one_part(p)), mu_table(idx, one_part(q)))
                 if value:
                     joins[idx] = value
             assert joins == dict.fromkeys(e_lattice(p, q, r)[1], 1), (p, q, r)
@@ -470,9 +488,29 @@ class TestStrandSplits:
                     cells += len(expected)
         assert cells == 2_927
 
+    def test_mu_side_is_the_tableau_weighted_table_sum(self):
+        # the kernel's mu side at (s1, s2, s3) is the sum of syt(shape) times
+        # the shape's three-part table, here from the LR reference tables
+        # (keyed (alpha, beta, eta), stored [alpha][eta][beta]), with no zero
+        # entry and no empty group
+        triples = 0
+        for s1, s2, s3 in product(range(7), repeat=3):
+            if s1 + s2 + s3 > 6:
+                continue
+            expected = {}
+            for shape in partitions_of(s1 + s2 + s3):
+                for (alpha, beta, eta), c in _three_part_reference(shape, s1, s2, s3).items():
+                    by_beta = expected.setdefault(alpha, {}).setdefault(eta, {})
+                    by_beta[beta] = by_beta.get(beta, 0) + syt_count(shape) * c
+            side = _mu_side(s1, s2, s3)
+            assert side == expected, (s1, s2, s3)
+            assert all(inner and all(leaf and all(leaf.values()) for leaf in inner.values()) for inner in side.values())
+            triples += 1
+        assert triples == 84
+
     def test_one_join_per_lam_table(self, monkeypatch):
         # the kernel joins each lam table against the split's weighted mu
-        # list in one call; one call per (lam, mu) pair made 38,454
+        # table in one call; one call per (lam, mu) pair made 38,454
         calls = 0
         join = multiplicity._join
 

@@ -383,16 +383,17 @@ def test_cli_exit_codes_decided_in_main():
 def test_cli_chooses_json_or_text_in_emit():
     # mult and verify keep their own branch so that text mode never builds a
     # payload it does not print, tl basis --count-only prints its count
-    # directly, and mult table JSON and tl groth write their rows and terms
-    # as they format them; the other commands, tl basis listings included,
-    # use _emit.
+    # directly, and mult table JSON, tl basis listings and tl groth write
+    # their rows and terms through _write_joined as they format them; the
+    # other commands use _emit.
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
-    callers = {"print": set(), "_emit": set()}
+    callers = {"print": set(), "_emit": set(), "_write_joined": set()}
     for scope, call in _calls(tree):
         if isinstance(call.func, ast.Name) and call.func.id in callers:
             callers[call.func.id].add(scope)
     assert callers["print"] == {"_cmd_mult", "_cmd_verify", "_cmd_tl", "_emit", "main"}, sorted(callers["print"])
-    assert callers["_emit"] == {"_cmd_compose", "_cmd_act", "_cmd_walled", "_cmd_geometry", "_cmd_tl"}
+    assert callers["_emit"] == {"_cmd_compose", "_cmd_act", "_cmd_walled", "_cmd_geometry"}
+    assert callers["_write_joined"] == {"_cmd_mult", "_cmd_tl"}
 
 
 def _scopes(node, scope=""):

@@ -78,14 +78,15 @@ def check_ceiling(count: int, recorded: int, ceiling: int) -> None:
 
 
 def test_restriction_totals_up_to_four_four():
-    # 169,892 with the mu side regrouped by (gamma, beta) (190,589 before it,
-    # 222,944 before the cached side lists; the same under hash seeds 0, 1
-    # and 12345); removing _join's one-row shortcut reads 355,577
+    # 152,233 with the mu side folded into one weighted table (169,892 with
+    # it regrouped by (gamma, beta), 190,589 before that, 222,944 before the
+    # cached side lists; the same under hash seeds 0, 1 and 12345); removing
+    # _join's one-row shortcut reads 245,234
     count = count_opcodes(
         "from diagalg.multiplicity import restriction_dimension_total",
         "for r in range(9): restriction_dimension_total(4, 4, r)",
     )
-    check_ceiling(count, 169_892, 175_000)
+    check_ceiling(count, 152_233, 156_800)
 
 
 def test_census_eight_eight_at_every_r():
@@ -119,3 +120,14 @@ def test_kronecker_coeff_of_size_eight():
         "kronecker_coeff((4, 2, 2), (3, 3, 1, 1), (5, 2, 1))",
     )
     check_ceiling(count, 39_382, 40_600)
+
+
+def test_lr_coeff_of_sizes_three_three_six():
+    # 82,358 for every lam and mu of 3 against every nu of 6, 99 distinct
+    # triples; dropping _lr_coeff's containment check, so a lam outside nu
+    # runs the filling search to zero, reads 98,003
+    count = count_opcodes(
+        "from itertools import product\nfrom diagalg.symfunc import lr_coeff, partitions_of",
+        "for lam, mu, nu in product(partitions_of(3), partitions_of(3), partitions_of(6)): lr_coeff(lam, mu, nu)",
+    )
+    check_ceiling(count, 82_358, 84_800)
