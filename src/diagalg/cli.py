@@ -106,9 +106,9 @@ def _cmd_mult(args) -> int:
             for q in range(top + 1)
             for r in range(top + 1)
         )
-        if args.format != "csv":  # the bytes of json.dumps of the row dicts, at its default separators
+        if args.format == "json":  # the bytes of json.dumps of the row dicts, at its default separators
             return _write_joined((f'{{"p": {p}, "q": {q}, "r": {r}, "E": {e}}}' for p, q, r, e in rows), ", ", "[", "]\n")
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, **({"delimiter": " ", "lineterminator": "\n"} if args.format == "text" else {}))
         writer.writerow(["p", "q", "r", "E"])
         writer.writerows(rows)
         return 0

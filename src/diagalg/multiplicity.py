@@ -144,8 +144,8 @@ def _splits(nu: Partition, size_lam: int, size_mu: int):
 def _join(table_nu, table_lam, table_mu) -> int:
     """One strand split's coefficient sum for one lam table and one mu table.
 
-    ``table_mu`` is a three-part table, one shape's or the tableau-weighted
-    :func:`_mu_side`.  The sum runs over the non-zero entries of the nu
+    Each is a three-part table, one shape's or the tableau-weighted
+    :func:`_weighted_side`.  The sum runs over the non-zero entries of the nu
     table, looks up each lam entry's gamma once and each nu entry's beta
     once under it, so no vanishing term is formed.  A pi with at most one
     row (flagged once per nu entry) is the trivial character,
@@ -209,53 +209,41 @@ def bvo_multiplicity(nu: Partition, lam: Partition, mu: Partition, m: int, n: in
     if size_mu > n:
         raise ValueError(f"|mu| = {size_mu} exceeds right degree {n}")
 
-    return _strand_sum(
-        nu, size_lam, size_mu, lambda *sizes: ((_three_part_table(lam, *sizes), 1),), partial(_three_part_table, mu)
-    )
+    return _strand_sum(nu, size_lam, size_mu, partial(_three_part_table, lam), partial(_three_part_table, mu))
 
 
 @cache  # every restriction_dimension_total up to (m|n) reads at most (m + n + 1)(m + 1)(n + 1) keys
 def _restriction_kernel(nu: Partition, a: int, b: int) -> int:
-    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b, on side lists."""
-    return _strand_sum(nu, a, b, _side_tables, _mu_side)
+    """K(nu; a, b), the sum of bvo(nu, lam, mu) * syt(lam) * syt(mu) over lam of a and mu of b, on weighted sides."""
+    return _strand_sum(nu, a, b, _weighted_side, _weighted_side)
 
 
 @cache  # keys are size triples, C(s + 3, 3) of them up to sum s: 560 at the restriction-dimension ceiling of 13
-def _side_tables(s1: int, s2: int, s3: int) -> tuple[tuple[dict, int], ...]:
-    """(three-part table, syt count) for each shape of size s1 + s2 + s3 whose table of (s1, s2, s3) is non-empty."""
-    tables = ((_three_part_table(shape, s1, s2, s3), _syt_count(shape)) for shape in partitions_of(s1 + s2 + s3))
-    return tuple((table, weight) for table, weight in tables if table)
+def _weighted_side(s1: int, s2: int, s3: int) -> dict:
+    """Either kernel side: the sum of syt(shape) * table over the shapes of size s, keyed as one three-part table.
 
-
-@cache  # keys are size triples, as _side_tables's: 560 at the restriction-dimension ceiling of 13
-def _mu_side(s1: int, s2: int, s3: int) -> dict:
-    """The kernel's mu side: the sum of syt(shape) * table over :func:`_side_tables`, keyed as one three-part table."""
+    With s = s1 + s2 + s3 and f = syt it is a closed form, (s; s1, s2, s3)! * f(alpha) * f(beta) * f(eta)
+    at ``[alpha][eta][beta]`` for every shape triple of the three sizes, as ``verify`` checks.
+    """
     side: dict = {}
-    for table, weight in _side_tables(s1, s2, s3):
-        for gamma, by_beta in table.items():
-            for beta, by_sigma in by_beta.items():
-                summed = side.setdefault(gamma, {}).setdefault(beta, {})
-                for sigma, coefficient in by_sigma.items():
-                    summed[sigma] = summed.get(sigma, 0) + weight * coefficient
+    for shape in partitions_of(s1 + s2 + s3):
+        weight = _syt_count(shape)
+        for alpha, by_eta in _three_part_table(shape, s1, s2, s3).items():
+            for eta, by_beta in by_eta.items():
+                summed = side.setdefault(alpha, {}).setdefault(eta, {})
+                for beta, coefficient in by_beta.items():
+                    summed[beta] = summed.get(beta, 0) + weight * coefficient
     return side
 
 
 def _strand_sum(nu: Partition, size_lam: int, size_mu: int, side_lam, side_mu) -> int:
     """The sum of weight(lam) * weight(mu) * bvo(nu, lam, mu) over the lam of one size and the mu of another.
 
-    The lam side maps three part sizes to a (table, weight) list,
-    :func:`_side_tables` or one shape at weight 1; the mu side maps them to
-    one table, the weighted :func:`_mu_side` or one shape's.  Each strand
-    split reads its mu table at (U, T, R) and its lam list at (L, T, U),
-    then joins each lam table once.
+    Each side maps three part sizes to one table, one shape's at weight 1 or :func:`_weighted_side`;
+    each strand split joins its lam table at (L, T, U) and its mu table at (U, T, R) once.
     """
-    total = 0
-    for idx, table_nu in _splits(nu, size_lam, size_mu):
-        u, t = idx.through_unlabeled, idx.through_labeled
-        table_mu = side_mu(u, t, idx.right_labeled)
-        for table_lam, weight in side_lam(idx.left_labeled, t, u):
-            total += _join(table_nu, table_lam, table_mu) * weight
-    return total
+    splits = _splits(nu, size_lam, size_mu)
+    return sum(_join(table_nu, side_lam(left, t, u), side_mu(u, t, right)) for (u, t, left, right), table_nu in splits)
 
 
 def admissible_degree_pairs(p: int, q: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:

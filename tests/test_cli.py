@@ -97,6 +97,16 @@ class TestMult:
             "",
         )
 
+    def test_table_text_exact_output(self, capsys):
+        # text, the default format, is the csv rows with a space between
+        # fields and plain line ends
+        for argv in (["mult", "table", "--max", "1"], ["mult", "table", "--max", "1", "--format", "text"]):
+            assert main(argv) == 0
+            assert capsys.readouterr() == (
+                "p q r E\n0 0 0 1\n0 0 1 0\n0 1 0 0\n0 1 1 1\n1 0 0 0\n1 0 1 1\n1 1 0 1\n1 1 1 1\n",
+                "",
+            )
+
     def test_missing_flags_usage_error(self, capsys):
         assert main(["mult", "-p", "2"]) == 2
 

@@ -14,11 +14,10 @@ from diagalg.halfdiag import dim_standard, half_diagram_count, partitions_up_to
 from diagalg.multiplicity import (
     _e_closed,
     _join,
-    _mu_side,
     _restriction_kernel,
-    _side_tables,
     _splits,
     _three_part_table,
+    _weighted_side,
     admissible_degree_pairs,
     bvo_multiplicity,
     e2_lattice,
@@ -135,7 +134,7 @@ def weighted_table(weighted_tables):
     """Sum weight * table over (three-part table, weight) pairs, entry by entry, nested as one table.
 
     A plain loop over flat (gamma, beta, sigma) keys, so the tests build
-    their weighted mu sums without the engine's fold, ``_mu_side``.
+    their weighted mu sums without the engine's fold, ``_weighted_side``.
     """
     flat = {}
     for table, weight in weighted_tables:
@@ -481,18 +480,17 @@ class TestStrandSplits:
                             hd = half_diagram_count(m, a) * half_diagram_count(n, b)
                             for idx, table_nu in _splits(one_part(r), a, b):
                                 u, t, left, right = idx
-                                mus = _mu_side(u, t, right)
-                                joined = sum(w * _join(table_nu, lam, mus) for lam, w in _side_tables(left, t, u))
+                                joined = _join(table_nu, _weighted_side(left, t, u), _weighted_side(u, t, right))
                                 expected[idx] = hd * joined
                     assert census(m, n, r) == expected, (m, n, r)
                     cells += len(expected)
         assert cells == 2_927
 
     def test_mu_side_is_the_tableau_weighted_table_sum(self):
-        # the kernel's mu side at (s1, s2, s3) is the sum of syt(shape) times
-        # the shape's three-part table, here from the LR reference tables
-        # (keyed (alpha, beta, eta), stored [alpha][eta][beta]), with no zero
-        # entry and no empty group
+        # the kernel's weighted side at (s1, s2, s3), read for lam and mu
+        # alike, is the sum of syt(shape) times the shape's three-part table,
+        # here from the LR reference tables (keyed (alpha, beta, eta), stored
+        # [alpha][eta][beta]), with no zero entry and no empty group
         triples = 0
         for s1, s2, s3 in product(range(7), repeat=3):
             if s1 + s2 + s3 > 6:
@@ -502,15 +500,39 @@ class TestStrandSplits:
                 for (alpha, beta, eta), c in _three_part_reference(shape, s1, s2, s3).items():
                     by_beta = expected.setdefault(alpha, {}).setdefault(eta, {})
                     by_beta[beta] = by_beta.get(beta, 0) + syt_count(shape) * c
-            side = _mu_side(s1, s2, s3)
+            side = _weighted_side(s1, s2, s3)
             assert side == expected, (s1, s2, s3)
             assert all(inner and all(leaf and all(leaf.values()) for leaf in inner.values()) for inner in side.values())
             triples += 1
         assert triples == 84
 
-    def test_one_join_per_lam_table(self, monkeypatch):
-        # the kernel joins each lam table against the split's weighted mu
-        # table in one call; one call per (lam, mu) pair made 38,454
+    def test_weighted_side_is_the_product_form(self):
+        # at every key, the sum over shapes of syt(shape) * c(alpha, beta, eta)
+        # is (s; s1, s2, s3)! * f(alpha) * f(beta) * f(eta), the dimension of
+        # the module induced from S_s1 x S_s2 x S_s3; so the keys are dense,
+        # every shape triple of the three sizes
+        triples = entries = 0
+        for s1, s2, s3 in product(range(11), repeat=3):
+            if s1 + s2 + s3 > 10:
+                continue
+            scale = factorial(s1 + s2 + s3) // (factorial(s1) * factorial(s2) * factorial(s3))
+            expected = {
+                alpha: {
+                    eta: {beta: scale * syt_count(alpha) * syt_count(beta) * syt_count(eta) for beta in partitions_of(s2)}
+                    for eta in partitions_of(s3)
+                }
+                for alpha in partitions_of(s1)
+            }
+            side = _weighted_side(s1, s2, s3)
+            assert side == expected, (s1, s2, s3)
+            triples += 1
+            entries += sum(len(by_beta) for by_eta in side.values() for by_beta in by_eta.values())
+        assert (triples, entries) == (286, 5_773)
+
+    def test_one_join_per_strand_split(self, monkeypatch):
+        # the kernel joins the split's weighted lam and mu sides in one call:
+        # as many calls as strand splits with a non-empty nu table; one call
+        # per lam table made 4,408 and one per (lam, mu) pair 38,454
         calls = 0
         join = multiplicity._join
 
@@ -523,7 +545,13 @@ class TestStrandSplits:
         _restriction_kernel.cache_clear()
         for r in range(15):
             restriction_dimension_total(7, 7, r)
-        assert calls == 4_408
+        splits = sum(
+            len(list(_splits(one_part(r), a, b)))
+            for r in range(15)
+            for a in range(8)
+            for b in range(max(r - a, 0), 8)
+        )
+        assert calls == splits == 540
 
 
 class TestRestrictionCharacter:

@@ -241,17 +241,17 @@ def test_one_solver_and_one_strand_split_loop():
 
 def test_restriction_total_rechecks_no_partition_it_built():
     # the total checks r, m and n once and sums kernels over sizes; the
-    # kernel's side lists take lam and mu from partitions_of, so they read
-    # their tableau counts through the memo, past syt_count's checks, and
-    # the strand-split loop the kernel hands them to checks nothing either
+    # kernel's weighted sides take their shapes from partitions_of, so they
+    # read their tableau counts through the memo, past syt_count's checks,
+    # and the strand-split loop the kernel hands them to checks nothing either
     tree = ast.parse((PACKAGE_DIR / "multiplicity.py").read_text(encoding="utf-8"))
-    scopes = ("restriction_dimension_total", "_restriction_kernel", "_side_tables", "_mu_side", "_strand_sum")
+    scopes = ("restriction_dimension_total", "_restriction_kernel", "_weighted_side", "_strand_sum")
     called = {scope: set() for scope in scopes}
     for scope, call in _calls(tree):
         if scope in called and isinstance(call.func, ast.Name):
             called[scope].add(call.func.id)
     assert "_restriction_kernel" in called["restriction_dimension_total"]
-    assert "_syt_count" in called["_side_tables"]
+    assert "_syt_count" in called["_weighted_side"]
     for scope, names in called.items():
         assert not names & {"dim_standard", "syt_count", "check_partition"}, (scope, sorted(names))
 

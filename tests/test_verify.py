@@ -35,7 +35,7 @@ def default_reports():
         ("transition-lemma", 2, 360),
         ("transition-lemma", None, 17_532),
         ("bell-identity", None, 32),
-        ("restriction-dimension", None, 45),
+        ("restriction-dimension", None, 100),
         ("four-way-agreement", None, 4_394),
         ("geometry-agreement", None, 43_306),
         ("parity", None, 14_911),
@@ -97,6 +97,32 @@ def test_symmetry_lemma_counts_an_identity_only_where_it_applies(monkeypatch, id
     assert triples == [t for t in grid if PARTIAL_IDENTITIES[identity](*t)]
     assert applies in triples and does_not not in triples
     assert len(recorded) == report.cases
+
+
+def test_restriction_dimension_failure_wording(monkeypatch):
+    # a weighted side of (1, 0, 0) with its one entry doubled and an entry
+    # of the wrong size added fails its closed form and its entry count where
+    # it sits, and the totals of (1|1) that read it as a lam side
+    real = multiplicity._weighted_side
+    broken = {(1,): {(): {(): 2}}, (2,): {(): {(): 1}}}
+    monkeypatch.setattr(multiplicity, "_weighted_side", lambda *sizes: broken if sizes == (1, 0, 0) else real(*sizes))
+    multiplicity._restriction_kernel.cache_clear()
+    try:
+        report = _pinned("restriction-dimension", 1)
+    finally:
+        multiplicity._restriction_kernel.cache_clear()
+    assert report == {
+        "suite": "restriction-dimension",
+        "cases": 11,
+        "failures": [
+            "restriction sum at (1, 1, r=0) is 3, expected 2",
+            "restriction sum at (1, 1, r=1) is 4, expected 3",
+            "restriction sum at (1, 1, r=2) is 2, expected 1",
+            "weighted side (1, 0, 0) at ((1,), (), ()) is 2, expected 1",
+            "weighted side (1, 0, 0) holds 2 entries, expected 1",
+        ],
+        "ok": False,
+    }
 
 
 def test_tl_suite_failure_wording(monkeypatch):

@@ -78,15 +78,16 @@ def check_ceiling(count: int, recorded: int, ceiling: int) -> None:
 
 
 def test_restriction_totals_up_to_four_four():
-    # 152,233 with the mu side folded into one weighted table (169,892 with
-    # it regrouped by (gamma, beta), 190,589 before that, 222,944 before the
+    # 123,831 with both sides folded into one weighted table each, one join
+    # per strand split (152,233 with only the mu side folded, 169,892 with it
+    # regrouped by (gamma, beta), 190,589 before that, 222,944 before the
     # cached side lists; the same under hash seeds 0, 1 and 12345); removing
-    # _join's one-row shortcut reads 245,234
+    # _join's one-row shortcut reads 174,127
     count = count_opcodes(
         "from diagalg.multiplicity import restriction_dimension_total",
         "for r in range(9): restriction_dimension_total(4, 4, r)",
     )
-    check_ceiling(count, 152_233, 156_800)
+    check_ceiling(count, 123_831, 127_500)
 
 
 def test_census_eight_eight_at_every_r():
@@ -131,3 +132,33 @@ def test_lr_coeff_of_sizes_three_three_six():
         "for lam, mu, nu in product(partitions_of(3), partitions_of(3), partitions_of(6)): lr_coeff(lam, mu, nu)",
     )
     check_ceiling(count, 82_358, 84_800)
+
+
+def test_act_at_ten():
+    # 21,728 for twenty pairs of a seeded random diagram and half-diagram,
+    # built before the count starts; building the top row through the
+    # checking HalfDiagram constructor instead of HalfDiagram._trusted reads
+    # 33,626
+    setup = """
+import random
+from diagalg.halfdiag import act
+from diagalg.verify import _random_diagram, _random_half_diagram
+rng = random.Random(10)
+pairs = [(_random_diagram(rng, 10), _random_half_diagram(rng, 10)) for _ in range(20)]
+"""
+    count = count_opcodes(setup, "for d, v in pairs: act(d, v)")
+    check_ceiling(count, 21_728, 22_400)
+
+
+def test_transition_sweep_two_three():
+    # 5,016,886 for every tensor generator on each of the 454 walled
+    # half-diagrams of (2|3), enumerated before the count starts; reading
+    # each old index through index_of, without transition's one-entry memo,
+    # reads 5,708,854
+    setup = """
+from diagalg.walled import enumerate_walled, tensor_generators, transition
+gens = [g for _, g in tensor_generators(2, 3)]
+diagrams = [w for r in range(6) for w in enumerate_walled(2, 3, r)]
+"""
+    count = count_opcodes(setup, "for w in diagrams:\n        for g in gens: transition(g, w)")
+    check_ceiling(count, 5_016_886, 5_170_000)
