@@ -117,8 +117,6 @@ def _three_part_table(
     reads it.
     """
     out: dict[Partition, dict[Partition, dict[Partition, int]]] = {}
-    if s1 + s2 + s3 != sum(nu):
-        return out
     for eta in _partitions_inside(s3, nu):
         for xi in _partitions_inside(s1 + s2, nu):
             c_outer = _lr_coeff(xi, eta, nu)

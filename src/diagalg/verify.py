@@ -470,7 +470,8 @@ SUITES = {
     # 1.2 s at 16, 5.2 s at 22; 43 s at 32, 73 s and 57 MiB peak RSS at 36
     "census-factorization": (verify_census_factorization, 4, 36),
     "transition-lemma": (verify_transition_lemma, 3, 4),  # 0.51 s at 3, 36 s at 4
-    "bell-identity": (verify_bell_identity, 4, 56),  # 56 s and 279 MiB at 48; est. 200 s and 1.1 GiB at 56
+    # 56 s and 279 MiB at 48, 73 s and 550 MiB at 52, 134 s and 997 MiB at 55; 166 s and 1,073 MiB at 56
+    "bell-identity": (verify_bell_identity, 4, 55),
     # 0.7 to 1.1 s at 11, 1.4 to 1.6 s at 12, 3.1 to 4.1 s and 117 MiB at 13
     "restriction-dimension": (verify_restriction_dimension, 3, 13),
     "four-way-agreement": (verify_four_way_agreement, 12, 120),  # 9 s at 64, 44 s at 96, 103 s and 261 MiB at 120

@@ -2,7 +2,7 @@
 
 import re
 from enum import IntEnum
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -307,6 +307,15 @@ class TestLR3:
     def test_intermediate_sum(self):
         # xi = (2) and xi = (1, 1) each give 1; the table stores (alpha, beta, eta) at [alpha][eta][beta]
         assert _three_part_table((2, 1), 1, 1, 1)[(1,)][(1,)][(1,)] == 2
+
+    def test_sizes_off_the_shape_give_an_empty_table(self):
+        # the table holds no size test of its own: each Littlewood-Richardson
+        # coefficient it reads is 0 when the sizes do not add up
+        for size in range(5):
+            for nu in partitions_of(size):
+                for sizes in product(range(6), repeat=3):
+                    if sum(sizes) != size:
+                        assert _three_part_table(nu, *sizes) == {}, (nu, sizes)
 
 
 class TestCharacters:
